@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTINUOUS, Dataset
-from .exceptions import NonInvertibleError, QueryError
-from .mechanisms import AdditiveNoiseModel, ClassifierFcm
+from .data import CONTINUOUS, Dataset, one_hot
+from .exceptions import QueryError
 from .model import GcmModel, auto_assign, fit
-from .sampling import draw_noise_values, propagate_from_noise
+from .sampling import abduct_row, draw_noise_values, propagate_from_noise
 from .seeds import derive_seed, rng_for
 from .shapley import SetFunction, ShapleyConfig, estimate_shapley
 from .stats import kl_divergence
@@ -142,13 +141,16 @@ def arrow_strength(model: GcmModel, edge, measure="auto", n=50000, seed=0) -> fl
     parent, child = edge
     if not model.graph.has_edge(parent, child):
         raise QueryError(f"graph has no edge {parent!r} -> {child!r}")
-    child_continuous = model.node_is_continuous(child)
+    mechanism = model.mechanisms[child]
+    child_continuous = mechanism.is_continuous
     if measure == "auto":
         measure = "coupled_msd" if child_continuous else "kl"
     if measure not in ("coupled_msd", "kl"):
         raise QueryError(f"unknown arrow-strength measure {measure!r}")
     if measure == "coupled_msd" and not child_continuous:
         raise QueryError("coupled_msd requires a continuous child node")
+    if n < 1:
+        raise QueryError("n must be at least 1")
 
     noise = draw_noise_values(model, n, seed)
     values = propagate_from_noise(model, noise)
@@ -157,18 +159,14 @@ def arrow_strength(model: GcmModel, edge, measure="auto", n=50000, seed=0) -> fl
     cut_columns = [
         values[p][permutation] if p == parent else values[p] for p in parents
     ]
-    mechanism = model.mechanisms[child]
     observed_child = values[child]
-    if isinstance(mechanism, AdditiveNoiseModel):
-        cut_child = mechanism.predict(cut_columns) + noise[child]
-    else:
-        cut_child = mechanism.classes_from_uniform(cut_columns, noise[child])
+    cut_child = mechanism.forward(cut_columns, noise[child])
 
     if measure == "coupled_msd":
         return float(np.mean((observed_child - cut_child) ** 2))
 
     joint, joint_cut = _encode_joint(
-        [(values[p], values[p], model.node_is_continuous(p)) for p in parents]
+        [(values[p], values[p], model.mechanisms[p].is_continuous) for p in parents]
         + [(observed_child, cut_child, child_continuous)]
     )
     return kl_divergence(joint, joint_cut, k=_KL_NEIGHBORS)
@@ -181,12 +179,9 @@ def _encode_joint(column_pairs):
             left_parts.append(np.asarray(left, dtype=np.float64)[:, None])
             right_parts.append(np.asarray(right, dtype=np.float64)[:, None])
         else:
-            categories = {c: i for i, c in enumerate(np.unique(np.concatenate([left, right])))}
-            for source, parts in ((left, left_parts), (right, right_parts)):
-                block = np.zeros((len(source), len(categories)))
-                for i, value in enumerate(source):
-                    block[i, categories[value]] = 1.0
-                parts.append(block)
+            categories = np.unique(np.concatenate([left, right]).astype(str))
+            left_parts.append(one_hot(left, categories))
+            right_parts.append(one_hot(right, categories))
     return np.hstack(left_parts), np.hstack(right_parts)
 
 
@@ -208,8 +203,12 @@ def intrinsic_influence(
     """
     model.require_fitted()
     model.graph._require(target)
-    if not model.node_is_continuous(target):
+    if not model.mechanisms[target].is_continuous:
         raise QueryError(f"target node {target!r} must be continuous")
+    if outer_samples < 1:
+        raise QueryError("outer_samples must be at least 1")
+    if inner_samples < 2:
+        raise QueryError("inner_samples must be at least 2")
     players = _players_for(model.graph, target)
     closure = set(players)
     full_bits = (1 << len(players)) - 1
@@ -276,40 +275,13 @@ def attribute_anomaly(
     """
     model.require_fitted()
     model.graph._require(target)
-    if not model.node_is_continuous(target):
+    if not model.mechanisms[target].is_continuous:
         raise QueryError(f"target node {target!r} must be continuous")
-    graph = model.graph
-    players = _players_for(graph, target)
+    if num_samples < 1:
+        raise QueryError("num_samples must be at least 1")
+    players = _players_for(model.graph, target)
     closure = set(players)
-    full_bits = (1 << len(players)) - 1
-
-    for node in players:
-        if isinstance(model.mechanisms[node], ClassifierFcm):
-            raise NonInvertibleError(
-                f"node {node!r} has a classifier mechanism; anomaly attribution needs "
-                "invertible (additive noise) mechanisms on the target's ancestry"
-            )
-    missing = [node for node in graph.nodes if node not in anomalous_row]
-    if missing:
-        raise QueryError(f"anomalous row is missing nodes {missing}")
-
-    observed = {}
-    for node in players:
-        if model.node_is_continuous(node):
-            observed[node] = float(anomalous_row[node])
-        else:
-            observed[node] = str(anomalous_row[node])
-
-    recovered = {}
-    for node in graph.topological_order():
-        if node not in closure:
-            continue
-        if graph.is_root(node):
-            recovered[node] = observed[node]
-        else:
-            mechanism = model.mechanisms[node]
-            parent_values = [observed[p] for p in graph.parents(node)]
-            recovered[node] = mechanism.estimate_noise(parent_values, observed[node])
+    observed, recovered = abduct_row(model, anomalous_row, players)
 
     reference_noise = draw_noise_values(
         model, num_samples, derive_seed(seed, "anomaly:reference"), closure
@@ -375,6 +347,8 @@ def distribution_change(
         measure = "kl"
     if measure not in ("mean_diff", "kl"):
         raise QueryError(f"unknown distribution-change measure {measure!r}")
+    if num_samples < 1:
+        raise QueryError("num_samples must be at least 1")
 
     old_model = fit(auto_assign(graph, old_data), old_data)
     new_model = fit(auto_assign(graph, new_data), new_data)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import DataError, UnseenCategoryError
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -93,6 +93,25 @@ class Dataset:
     def __repr__(self):
         kinds = ", ".join(f"{name}:{self._kinds[name][:4]}" for name in self._names)
         return f"Dataset({self.n_rows} rows; {kinds})"
+
+
+def one_hot(values, categories) -> np.ndarray:
+    """One indicator column per entry of ``categories``, in that order.
+
+    Values are compared as strings; one outside ``categories`` raises
+    :class:`UnseenCategoryError`.
+    """
+    labels, inverse = np.unique(np.asarray(values).astype(str), return_inverse=True)
+    index = {category: i for i, category in enumerate(categories)}
+    unseen = [label for label in labels.tolist() if label not in index]
+    if unseen:
+        raise UnseenCategoryError(
+            f"category {unseen[0]!r} was not present when the model was fit"
+        )
+    slots = np.array([index[label] for label in labels.tolist()], dtype=np.intp)
+    block = np.zeros((len(inverse), len(categories)))
+    block[np.arange(len(inverse)), slots[inverse]] = 1.0
+    return block
 
 
 def _parse_continuous(cell):

@@ -100,6 +100,8 @@ def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SE
             raise DataError(f"PC with the Fisher-z backend needs continuous columns; {name!r} is not")
     if data.n_rows < 20:
         raise QueryError(f"PC needs at least 20 rows, got {data.n_rows}")
+    if max_cond_set_size < 0:
+        raise QueryError("max_cond_set_size must be at least 0")
     index = {name: i for i, name in enumerate(names)}
 
     adjacency = {name: set(other for other in names if other != name) for name in names}

@@ -8,6 +8,20 @@ distribution inferred from the residuals.  Categorical non-root nodes carry a
 
 All fitted objects are immutable; every stochastic operation takes an explicit
 numpy generator supplied by the caller.
+
+Every mechanism class implements the same protocol, and the query modules use
+nothing else:
+
+- ``family`` and ``option``: the :class:`~gcmkit.model.MechanismSpec` the node
+  refits as (``family`` is ``stochastic`` exactly for root marginals);
+- ``is_continuous``: whether the node takes real values or categories;
+- ``draw_noise(n, rng)``: ``n`` draws of the node's noise;
+- ``forward(parent_columns, noise)``: the node's values from its parents'
+  columns and a noise column;
+- ``abduct(parent_values, observed)``: the noise value that reproduces one
+  observed row, or :class:`~gcmkit.exceptions.NonInvertibleError`;
+- ``to_json()``: tagged parameters, read back by :func:`mechanism_from_json`
+  through the class's ``tag``.
 """
 
 import math
@@ -16,7 +30,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
-from .exceptions import FitError, SerializationError, UnseenCategoryError
+from .data import one_hot
+from .exceptions import FitError, NonInvertibleError, SerializationError
 
 _KNN_AUTO = "auto"
 _CV_FOLDS = 5
@@ -38,8 +53,46 @@ def _is_numeric(values):
     return np.issubdtype(np.asarray(values).dtype, np.number)
 
 
-class Empirical:
+class _Serialized:
+    """JSON round trip for a class whose constructor takes exactly ``fields``."""
+
+    fields = ()
+
+    def to_json(self):
+        out = {"type": self.tag}
+        for name in self.fields:
+            value = getattr(self, name)
+            if isinstance(value, (np.ndarray, tuple)):
+                value = np.asarray(value).tolist()
+            out[name] = value
+        return out
+
+    @classmethod
+    def from_json(cls, payload):
+        return cls(**{name: payload[name] for name in cls.fields})
+
+
+class _Marginal(_Serialized):
+    """Protocol shared by root marginals: the noise is the node's own value."""
+
+    family = "stochastic"
+
+    def draw_noise(self, n, rng):
+        return self.draw(n, rng)
+
+    def forward(self, parent_columns, noise):
+        return noise
+
+    def abduct(self, parent_values, observed):
+        return observed
+
+
+class Empirical(_Marginal):
     """Marginal model that redraws the stored sample with replacement."""
+
+    tag = option = "empirical"
+    fields = ("samples",)
+    is_continuous = True
 
     def __init__(self, samples):
         samples = _as_float_array(samples, "empirical samples")
@@ -56,8 +109,12 @@ class Empirical:
         return f"Empirical({self.samples.size} samples)"
 
 
-class Gaussian:
+class Gaussian(_Marginal):
     """Normal marginal with the given mean and standard deviation."""
+
+    tag = option = "gaussian"
+    fields = ("mean", "std")
+    is_continuous = True
 
     def __init__(self, mean, std):
         std = float(std)
@@ -73,8 +130,12 @@ class Gaussian:
         return f"Gaussian(mean={self.mean}, std={self.std})"
 
 
-class Multinomial:
+class Multinomial(_Marginal):
     """Categorical marginal; draws use the inverse CDF over category order."""
+
+    tag = option = "multinomial"
+    fields = ("categories", "probs")
+    is_continuous = False
 
     def __init__(self, categories, probs):
         categories = tuple(str(c) for c in categories)
@@ -171,29 +232,38 @@ class InputEncoder:
                 f"expected {len(self.specs)} parent columns, got {len(parent_columns)}"
             )
         n = len(parent_columns[0]) if parent_columns else 0
-        parts = []
-        for column, (kind, categories) in zip(parent_columns, self.specs):
-            if kind == "continuous":
-                parts.append(_as_float_array(column, "parent values")[:, None])
-            else:
-                index = {c: i for i, c in enumerate(categories)}
-                block = np.zeros((n, len(categories)))
-                for i, value in enumerate(column):
-                    slot = index.get(str(value))
-                    if slot is None:
-                        raise UnseenCategoryError(
-                            f"category {value!r} was not present when the model was fit"
-                        )
-                    block[i, slot] = 1.0
-                parts.append(block)
+        parts = [
+            _as_float_array(column, "parent values")[:, None]
+            if kind == "continuous"
+            else one_hot(column, categories)
+            for column, (kind, categories) in zip(parent_columns, self.specs)
+        ]
         return np.hstack(parts) if parts else np.zeros((n, 0))
 
     def encode_row(self, parent_values):
         return self.encode([np.asarray([v]) for v in parent_values])
 
+    def to_json(self):
+        return [
+            {"kind": kind} if kind == "continuous" else {"kind": kind, "categories": list(categories)}
+            for kind, categories in self.specs
+        ]
 
-class LinearModel:
+    @classmethod
+    def from_json(cls, payload):
+        return cls(
+            ("continuous", None)
+            if item["kind"] == "continuous"
+            else ("categorical", tuple(item["categories"]))
+            for item in payload
+        )
+
+
+class LinearModel(_Serialized):
     """Linear regression over the encoded parents."""
+
+    tag = "linear"
+    fields = ("coefficients", "intercept")
 
     def __init__(self, coefficients, intercept):
         coefficients = _as_float_array(coefficients, "coefficients")
@@ -209,8 +279,11 @@ class LinearModel:
         return f"LinearModel(coefficients={coefficients}, intercept={self.intercept})"
 
 
-class KnnRegressor:
+class KnnRegressor(_Serialized):
     """k-nearest-neighbour regression over the encoded parents."""
+
+    tag = "knn"
+    fields = ("k", "offset", "inputs", "targets")
 
     def __init__(self, k, inputs, targets, offset=0.0):
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -237,6 +310,9 @@ class KnnRegressor:
 
     def __repr__(self):
         return f"KnnRegressor(k={self.k}, n_train={len(self.targets)})"
+
+
+_PREDICTIONS = {cls.tag: cls for cls in (LinearModel, KnnRegressor)}
 
 
 def default_knn_k(n_train):
@@ -279,12 +355,25 @@ class AbductedNoise(float):
 class AdditiveNoiseModel:
     """Structural assignment: value = prediction(parents) + noise."""
 
+    tag = family = "anm"
+    is_continuous = True
+
     def __init__(self, prediction, noise, encoder):
         if not isinstance(noise, (Empirical, Gaussian)):
             raise FitError("additive noise must be a continuous marginal model")
         self.prediction = prediction
         self.noise = noise
         self.encoder = encoder
+
+    @property
+    def option(self):
+        return self.prediction.tag
+
+    def draw_noise(self, n, rng):
+        return self.noise.draw(n, rng)
+
+    def forward(self, parent_columns, noise):
+        return self.predict(parent_columns) + noise
 
     def predict(self, parent_columns) -> np.ndarray:
         """Vectorised prediction from raw (unencoded) parent columns."""
@@ -299,9 +388,34 @@ class AdditiveNoiseModel:
             return noise_value.observed
         return prediction + noise_value
 
-    def estimate_noise(self, parent_values, observed) -> AbductedNoise:
+    def abduct(self, parent_values, observed) -> AbductedNoise:
         """Recover the noise value that reproduces ``observed`` under evaluate."""
         return AbductedNoise(self.predict_row(parent_values), float(observed))
+
+    def noise_reference(self, n, rng):
+        """Residual sample for held-out checks: the stored one of empirical noise, else n draws."""
+        if isinstance(self.noise, Empirical):
+            return self.noise.samples
+        return self.noise.draw(n, rng)
+
+    def to_json(self):
+        return {
+            "type": self.tag,
+            "encoding": self.encoder.to_json(),
+            "prediction": self.prediction.to_json(),
+            "noise": self.noise.to_json(),
+        }
+
+    @classmethod
+    def from_json(cls, payload):
+        prediction = payload["prediction"]
+        if prediction["type"] not in _PREDICTIONS:
+            raise SerializationError(f"unknown prediction model {prediction['type']!r}")
+        return cls(
+            _PREDICTIONS[prediction["type"]].from_json(prediction),
+            mechanism_from_json(payload["noise"]),
+            InputEncoder.from_json(payload["encoding"]),
+        )
 
     def __repr__(self):
         return f"AdditiveNoiseModel(prediction={self.prediction!r}, noise={self.noise!r})"
@@ -375,6 +489,10 @@ class ClassifierFcm:
     predicted class probabilities, in category order.
     """
 
+    tag = family = "classifier"
+    option = "logistic"
+    is_continuous = False
+
     def __init__(self, encoder, categories, weights):
         weights = np.asarray(weights, dtype=np.float64)
         categories = tuple(str(c) for c in categories)
@@ -401,8 +519,31 @@ class ClassifierFcm:
         value = categories_from_uniform(self.categories, probs[None, :], rng.random(1))
         return str(value[0])
 
-    def classes_from_uniform(self, parent_columns, u) -> np.ndarray:
-        return categories_from_uniform(self.categories, self.predict_probs(parent_columns), u)
+    def draw_noise(self, n, rng):
+        return rng.random(n)
+
+    def forward(self, parent_columns, noise) -> np.ndarray:
+        return categories_from_uniform(self.categories, self.predict_probs(parent_columns), noise)
+
+    def abduct(self, parent_values, observed):
+        raise NonInvertibleError(
+            "a classifier mechanism's noise cannot be recovered from an observed value "
+            "(use additive noise mechanisms, or intervene on the node atomically)"
+        )
+
+    def to_json(self):
+        return {
+            "type": self.tag,
+            "encoding": self.encoder.to_json(),
+            "categories": list(self.categories),
+            "weights": self.weights.tolist(),
+        }
+
+    @classmethod
+    def from_json(cls, payload):
+        return cls(
+            InputEncoder.from_json(payload["encoding"]), payload["categories"], payload["weights"]
+        )
 
     def __repr__(self):
         return f"ClassifierFcm(categories={list(self.categories)})"
@@ -450,110 +591,17 @@ def fit_classifier(parent_columns, targets):
     return ClassifierFcm(encoder, categories, result.x.reshape(d + 1, n_classes))
 
 
-def is_continuous_mechanism(mechanism) -> bool:
-    """Whether the mechanism produces real values (as opposed to categories)."""
-    return isinstance(mechanism, (Empirical, Gaussian, AdditiveNoiseModel))
+_MECHANISMS = {
+    cls.tag: cls for cls in (Empirical, Gaussian, Multinomial, AdditiveNoiseModel, ClassifierFcm)
+}
 
 
-def _encoder_to_json(encoder):
-    out = []
-    for kind, categories in encoder.specs:
-        if kind == "continuous":
-            out.append({"kind": "continuous"})
-        else:
-            out.append({"kind": "categorical", "categories": list(categories)})
-    return out
-
-
-def _encoder_from_json(payload):
-    specs = []
-    for item in payload:
-        if item["kind"] == "continuous":
-            specs.append(("continuous", None))
-        else:
-            specs.append(("categorical", tuple(item["categories"])))
-    return InputEncoder(specs)
-
-
-def mechanism_to_json(mechanism) -> dict:
-    """Tagged JSON representation (variant name plus parameters)."""
-    if isinstance(mechanism, Empirical):
-        return {"type": "empirical", "samples": [float(v) for v in mechanism.samples]}
-    if isinstance(mechanism, Gaussian):
-        return {"type": "gaussian", "mean": mechanism.mean, "std": mechanism.std}
-    if isinstance(mechanism, Multinomial):
-        return {
-            "type": "multinomial",
-            "categories": list(mechanism.categories),
-            "probs": [float(p) for p in mechanism.probs],
-        }
-    if isinstance(mechanism, AdditiveNoiseModel):
-        prediction = mechanism.prediction
-        if isinstance(prediction, LinearModel):
-            prediction_json = {
-                "type": "linear",
-                "coefficients": [float(c) for c in prediction.coefficients],
-                "intercept": prediction.intercept,
-            }
-        else:
-            prediction_json = {
-                "type": "knn",
-                "k": prediction.k,
-                "offset": prediction.offset,
-                "inputs": [[float(v) for v in row] for row in prediction.inputs],
-                "targets": [float(v) for v in prediction.targets],
-            }
-        return {
-            "type": "anm",
-            "encoding": _encoder_to_json(mechanism.encoder),
-            "prediction": prediction_json,
-            "noise": mechanism_to_json(mechanism.noise),
-        }
-    if isinstance(mechanism, ClassifierFcm):
-        return {
-            "type": "classifier",
-            "encoding": _encoder_to_json(mechanism.encoder),
-            "categories": list(mechanism.categories),
-            "weights": [[float(v) for v in row] for row in mechanism.weights],
-        }
-    raise SerializationError(f"cannot serialize mechanism {mechanism!r}")
-
-
-def mechanism_from_json(payload) -> object:
-    """Inverse of :func:`mechanism_to_json`."""
+def mechanism_from_json(payload):
+    """Inverse of ``to_json``, dispatched on the payload's ``type`` tag."""
     try:
-        kind = payload["type"]
-        if kind == "empirical":
-            return Empirical(payload["samples"])
-        if kind == "gaussian":
-            return Gaussian(payload["mean"], payload["std"])
-        if kind == "multinomial":
-            return Multinomial(payload["categories"], payload["probs"])
-        if kind == "anm":
-            encoder = _encoder_from_json(payload["encoding"])
-            prediction_json = payload["prediction"]
-            if prediction_json["type"] == "linear":
-                prediction = LinearModel(
-                    prediction_json["coefficients"], prediction_json["intercept"]
-                )
-            elif prediction_json["type"] == "knn":
-                prediction = KnnRegressor(
-                    prediction_json["k"],
-                    prediction_json["inputs"],
-                    prediction_json["targets"],
-                    prediction_json["offset"],
-                )
-            else:
-                raise SerializationError(
-                    f"unknown prediction model {prediction_json['type']!r}"
-                )
-            return AdditiveNoiseModel(prediction, mechanism_from_json(payload["noise"]), encoder)
-        if kind == "classifier":
-            return ClassifierFcm(
-                _encoder_from_json(payload["encoding"]),
-                payload["categories"],
-                payload["weights"],
-            )
+        cls = _MECHANISMS.get(payload["type"])
+        if cls is None:
+            raise SerializationError(f"unknown mechanism type {payload['type']!r}")
+        return cls.from_json(payload)
     except (KeyError, TypeError, ValueError, FitError) as exc:
         raise SerializationError(f"corrupt mechanism payload: {exc}") from exc
-    raise SerializationError(f"unknown mechanism type {payload.get('type')!r}")

@@ -6,24 +6,10 @@ from dataclasses import dataclass
 from .data import CATEGORICAL, CONTINUOUS, Dataset
 from .exceptions import DataError, FitError, SerializationError
 from .graph import CausalGraph
-from .mechanisms import (
-    AdditiveNoiseModel,
-    ClassifierFcm,
-    Empirical,
-    Gaussian,
-    Multinomial,
-    fit_anm,
-    fit_classifier,
-    fit_stochastic,
-    mechanism_from_json,
-    mechanism_to_json,
-)
+from .mechanisms import fit_anm, fit_classifier, fit_stochastic, mechanism_from_json
 
 SCHEMA_VERSION = 1
 _MAX_CATEGORIES = 100
-
-_ROOT_KINDS = (Empirical, Gaussian, Multinomial)
-_NON_ROOT_KINDS = (AdditiveNoiseModel, ClassifierFcm)
 
 
 @dataclass(frozen=True)
@@ -67,30 +53,21 @@ class GcmModel:
         if not self.fitted:
             raise FitError("model is not fitted; call fit() or assign ground-truth mechanisms")
 
-    def node_is_continuous(self, node) -> bool:
-        mechanism = self.mechanisms[node]
-        return isinstance(mechanism, (Empirical, Gaussian, AdditiveNoiseModel))
-
     def __repr__(self):
         state = "fitted" if self.fitted else "unfitted"
         return f"GcmModel({len(self.graph.nodes)} nodes, {state})"
 
 
 def _check_role(graph, node, mechanism):
-    is_root = graph.is_root(node)
-    if isinstance(mechanism, MechanismSpec):
-        root_family = mechanism.family == "stochastic"
-        if is_root != root_family:
-            raise FitError(
-                f"node {node!r} is {'a root' if is_root else 'not a root'}; "
-                f"family {mechanism.family!r} does not apply"
-            )
-        return
-    if is_root and not isinstance(mechanism, _ROOT_KINDS):
-        raise FitError(f"root node {node!r} needs a marginal model, got {type(mechanism).__name__}")
-    if not is_root and not isinstance(mechanism, _NON_ROOT_KINDS):
+    # Specs and concrete mechanisms both name their family.
+    family = getattr(mechanism, "family", None)
+    if graph.is_root(node):
+        role, allowed = "root", ("stochastic",)
+    else:
+        role, allowed = "non-root", ("anm", "classifier")
+    if family not in allowed:
         raise FitError(
-            f"non-root node {node!r} needs a conditional mechanism, got {type(mechanism).__name__}"
+            f"{role} node {node!r} needs a {' or '.join(allowed)} mechanism, got {mechanism!r}"
         )
 
 
@@ -140,26 +117,6 @@ def assign(model: GcmModel, node, mechanism, ground_truth=False) -> GcmModel:
     return GcmModel(model.graph, mechanisms, ground, ready)
 
 
-def _refit_spec(mechanism):
-    # Re-assigned concrete mechanisms refit within their own family.
-    if isinstance(mechanism, MechanismSpec):
-        return mechanism
-    if isinstance(mechanism, Empirical):
-        return MechanismSpec("stochastic", "empirical")
-    if isinstance(mechanism, Gaussian):
-        return MechanismSpec("stochastic", "gaussian")
-    if isinstance(mechanism, Multinomial):
-        return MechanismSpec("stochastic", "multinomial")
-    if isinstance(mechanism, AdditiveNoiseModel):
-        from .mechanisms import KnnRegressor
-
-        option = "knn" if isinstance(mechanism.prediction, KnnRegressor) else "linear"
-        return MechanismSpec("anm", option)
-    if isinstance(mechanism, ClassifierFcm):
-        return MechanismSpec("classifier", "logistic")
-    raise FitError(f"node has no usable mechanism assignment: {mechanism!r}")
-
-
 def fit(model: GcmModel, dataset: Dataset) -> GcmModel:
     """Fit every non-ground-truth mechanism from the data and return a new model.
 
@@ -177,7 +134,8 @@ def fit(model: GcmModel, dataset: Dataset) -> GcmModel:
         if node in model.ground_truth:
             mechanisms[node] = model.mechanisms[node]
             continue
-        spec = _refit_spec(model.mechanisms[node])
+        # A concrete mechanism refits within its own family and option.
+        spec = model.mechanisms[node]
         target = dataset.column(node)
         parent_columns = [dataset.column(p) for p in model.graph.parents(node)]
         try:
@@ -202,10 +160,7 @@ def dumps_model(model: GcmModel) -> str:
             "edges": [list(edge) for edge in model.graph.edges],
         },
         "mechanisms": {
-            node: dict(
-                mechanism_to_json(model.mechanisms[node]),
-                ground_truth=node in model.ground_truth,
-            )
+            node: dict(model.mechanisms[node].to_json(), ground_truth=node in model.ground_truth)
             for node in model.graph.nodes
         },
     }
@@ -236,7 +191,7 @@ def loads_model(text: str) -> GcmModel:
             mechanisms[node] = mechanism_from_json(mech_payload)
             if mech_payload.get("ground_truth"):
                 ground_truth.add(node)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SerializationError(f"corrupt model payload: {exc}") from exc
     if set(mechanisms) != set(graph.nodes):
         raise SerializationError("corrupt model payload: mechanisms do not cover the graph")

@@ -11,7 +11,6 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import NonInvertibleError, QueryError
-from .mechanisms import AdditiveNoiseModel, ClassifierFcm, Empirical, Gaussian, Multinomial
 from .model import GcmModel
 from .seeds import derive_seed, rng_for
 
@@ -52,14 +51,16 @@ def _as_intervention_map(model, interventions):
             raise QueryError(f"multiple interventions on node {iv.node!r}")
         if iv.kind not in ("atomic", "shift", "functional"):
             raise QueryError(f"unknown intervention kind {iv.kind!r}")
-        if iv.kind == "shift" and not model.node_is_continuous(iv.node):
+        if iv.kind == "shift" and not model.mechanisms[iv.node].is_continuous:
             raise QueryError(f"shift intervention on categorical node {iv.node!r}")
+        if iv.kind == "shift" and not np.isfinite(iv.delta):
+            raise QueryError(f"shift for node {iv.node!r} must be finite")
         mapping[iv.node] = iv
     return mapping
 
 
 def _atomic_value(model, iv):
-    if model.node_is_continuous(iv.node):
+    if model.mechanisms[iv.node].is_continuous:
         try:
             value = float(iv.value)
         except (TypeError, ValueError) as exc:
@@ -80,19 +81,11 @@ def draw_noise_values(model: GcmModel, n, seed, nodes=None) -> dict:
     is the uniform variate consumed by inverse-CDF sampling.
     """
     chosen = set(model.graph.nodes if nodes is None else nodes)
-    noise = {}
-    for node in model.graph.topological_order():
-        if node not in chosen:
-            continue
-        rng = rng_for(seed, f"noise:{node}")
-        mechanism = model.mechanisms[node]
-        if isinstance(mechanism, (Empirical, Gaussian, Multinomial)):
-            noise[node] = mechanism.draw(n, rng)
-        elif isinstance(mechanism, AdditiveNoiseModel):
-            noise[node] = mechanism.noise.draw(n, rng)
-        else:
-            noise[node] = rng.random(n)
-    return noise
+    return {
+        node: model.mechanisms[node].draw_noise(n, rng_for(seed, f"noise:{node}"))
+        for node in model.graph.topological_order()
+        if node in chosen
+    }
 
 
 def propagate_from_noise(model: GcmModel, noise, interventions=None, nodes=None) -> dict:
@@ -110,33 +103,20 @@ def propagate_from_noise(model: GcmModel, noise, interventions=None, nodes=None)
         if node not in chosen:
             continue
         mechanism = model.mechanisms[node]
-        if graph.is_root(node):
-            output = noise[node]
-        else:
-            parents = graph.parents(node)
-            missing = [p for p in parents if p not in values]
-            if missing:
-                raise QueryError(f"propagation subset is not ancestrally closed: missing {missing}")
-            parent_columns = [values[p] for p in parents]
-            if isinstance(mechanism, AdditiveNoiseModel):
-                output = mechanism.predict(parent_columns) + noise[node]
-            else:
-                output = mechanism.classes_from_uniform(parent_columns, noise[node])
+        parents = graph.parents(node)
+        missing = [p for p in parents if p not in values]
+        if missing:
+            raise QueryError(f"propagation subset is not ancestrally closed: missing {missing}")
+        output = mechanism.forward([values[p] for p in parents], noise[node])
         iv = interventions.get(node)
         if iv is not None:
-            n = len(output)
+            dtype = np.float64 if mechanism.is_continuous else object
             if iv.kind == "atomic":
-                value = _atomic_value(model, iv)
-                if model.node_is_continuous(node):
-                    output = np.full(n, value)
-                else:
-                    output = np.full(n, value, dtype=object)
+                output = np.full(len(output), _atomic_value(model, iv), dtype=dtype)
             elif iv.kind == "shift":
                 output = output + iv.delta
             else:
-                mapped = [iv.mapping(v) for v in output]
-                dtype = np.float64 if model.node_is_continuous(node) else object
-                output = np.array(mapped, dtype=dtype)
+                output = np.array([iv.mapping(v) for v in output], dtype=dtype)
         values[node] = output
     return values
 
@@ -165,63 +145,69 @@ def interventional_samples(model: GcmModel, interventions, n, seed=0) -> Dataset
     return _to_dataset(model, propagate_from_noise(model, noise, intervention_map))
 
 
+def _parse_observed(model, node, value):
+    if not model.mechanisms[node].is_continuous:
+        return str(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise QueryError(f"observed value for {node!r} is not numeric") from exc
+    if not np.isfinite(value):
+        raise QueryError(f"observed value for {node!r} must be finite")
+    return value
+
+
+def abduct_row(model: GcmModel, observed_row, nodes, skip=()):
+    """Parse one observed row and recover the noise of every node in ``nodes``.
+
+    Returns the parsed values and the recovered noises of ``nodes`` (roots act
+    as their own noise).  A node in ``skip`` whose mechanism cannot be
+    inverted gets ``None`` as its noise instead of an error.
+    """
+    graph = model.graph
+    missing = [node for node in graph.nodes if node not in observed_row]
+    if missing:
+        raise QueryError(f"observed row is missing nodes {missing}")
+    observed = {node: _parse_observed(model, node, observed_row[node]) for node in nodes}
+    noise = {}
+    for node in graph.topological_order():
+        if node not in observed:
+            continue
+        parent_values = [observed[p] for p in graph.parents(node)]
+        try:
+            noise[node] = model.mechanisms[node].abduct(parent_values, observed[node])
+        except NonInvertibleError as exc:
+            if node not in skip:
+                raise NonInvertibleError(f"node {node!r}: {exc}") from exc
+            noise[node] = None
+    return observed, noise
+
+
 def counterfactual(model: GcmModel, observed_row, interventions=()) -> dict:
     """Answer "what would this row have been under these interventions?".
 
     Three steps: recover every node's noise from the observed row (roots act
     as their own noise), apply the interventions, and re-propagate with the
     recovered noise held fixed.  With no interventions the observed row is
-    returned exactly.
+    returned exactly.  A node whose noise cannot be recovered must be
+    intervened on atomically.
     """
     model.require_fitted()
     graph = model.graph
     intervention_map = _as_intervention_map(model, interventions)
-    missing = [node for node in graph.nodes if node not in observed_row]
-    if missing:
-        raise QueryError(f"observed row is missing nodes {missing}")
-
-    observed = {}
-    for node in graph.nodes:
-        if model.node_is_continuous(node):
-            try:
-                observed[node] = float(observed_row[node])
-            except (TypeError, ValueError) as exc:
-                raise QueryError(f"observed value for {node!r} is not numeric") from exc
-        else:
-            observed[node] = str(observed_row[node])
-
-    noise = {}
-    for node in graph.topological_order():
-        mechanism = model.mechanisms[node]
-        if graph.is_root(node):
-            noise[node] = observed[node]
-        elif isinstance(mechanism, AdditiveNoiseModel):
-            parent_values = [observed[p] for p in graph.parents(node)]
-            noise[node] = mechanism.estimate_noise(parent_values, observed[node])
-        else:
-            iv = intervention_map.get(node)
-            if iv is None or iv.kind != "atomic":
-                raise NonInvertibleError(
-                    f"node {node!r} has a classifier mechanism whose noise cannot be recovered; "
-                    "intervene on it atomically or use additive noise mechanisms"
-                )
-            noise[node] = None
+    atomic_nodes = {node for node, iv in intervention_map.items() if iv.kind == "atomic"}
+    observed, noise = abduct_row(model, observed_row, graph.nodes, skip=atomic_nodes)
 
     result = {}
     for node in graph.topological_order():
-        mechanism = model.mechanisms[node]
-        if graph.is_root(node):
-            output = noise[node]
-        elif isinstance(mechanism, AdditiveNoiseModel):
-            parents = graph.parents(node)
-            if all(result[p] == observed[p] for p in parents):
-                # Unchanged inputs reproduce the observed value exactly; taking
-                # it directly avoids round-off in predict + recovered noise.
-                output = observed[node]
-            else:
-                output = mechanism.evaluate([result[p] for p in parents], noise[node])
-        else:
+        parents = graph.parents(node)
+        if noise[node] is None or all(result[p] == observed[p] for p in parents):
+            # Unchanged inputs reproduce the observed value exactly; taking
+            # it directly avoids round-off in predict + recovered noise.  A
+            # node without recovered noise is overridden below.
             output = observed[node]
+        else:
+            output = model.mechanisms[node].evaluate([result[p] for p in parents], noise[node])
         iv = intervention_map.get(node)
         if iv is not None:
             if iv.kind == "atomic":
@@ -242,7 +228,8 @@ def average_causal_effect(
     The two interventional estimates use independent derived random streams.
     """
     model.require_fitted()
-    if not model.node_is_continuous(target):
+    model.graph._require(target)
+    if not model.mechanisms[target].is_continuous:
         raise QueryError(f"target node {target!r} must be continuous")
     samples_a = interventional_samples(
         model, [atomic(treatment, value_a)], n, derive_seed(seed, "ace:a")

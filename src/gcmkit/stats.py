@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
-from .data import Dataset
+from .data import Dataset, one_hot
 from .exceptions import DataError, QueryError
 from .seeds import rng_for
 
@@ -42,12 +42,7 @@ def _as_point_matrix(values):
         raise DataError("test inputs must be one- or two-dimensional")
     if np.issubdtype(array.dtype, np.number):
         return array.astype(np.float64)[:, None]
-    labels = [str(v) for v in array]
-    categories = {c: i for i, c in enumerate(np.unique(labels))}
-    onehot = np.zeros((len(labels), len(categories)))
-    for i, label in enumerate(labels):
-        onehot[i, categories[label]] = 1.0
-    return onehot
+    return one_hot(array, np.unique(array.astype(str)))
 
 
 def _double_centered(distances):
@@ -60,16 +55,21 @@ def distance_correlation(x, y) -> float:
     """Sample distance correlation in [0, 1]; 0 iff (in the limit) independent."""
     a = _double_centered(cdist(_as_point_matrix(x), _as_point_matrix(x)))
     b = _double_centered(cdist(_as_point_matrix(y), _as_point_matrix(y)))
-    return _dcor_from_centered(a, b)
+    scale = _dcor_scale(a, b)
+    return 0.0 if scale is None else _dcor_from_centered(a, b, scale)
 
 
-def _dcor_from_centered(a, b):
+def _dcor_scale(a, b):
+    """sqrt(dVar(x) dVar(y)) of double-centred distances, None if either is 0."""
     dvar_x = float((a * a).mean())
     dvar_y = float((b * b).mean())
     if dvar_x <= 0.0 or dvar_y <= 0.0:
-        return 0.0
-    dcov2 = max(float((a * b).mean()), 0.0)
-    return float(np.sqrt(dcov2 / np.sqrt(dvar_x * dvar_y)))
+        return None
+    return np.sqrt(dvar_x * dvar_y)
+
+
+def _dcor_from_centered(a, b, scale):
+    return float(np.sqrt(max(float((a * b).mean()), 0.0) / scale))
 
 
 def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult:
@@ -79,6 +79,8 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
     p-value is the add-one-smoothed fraction of permutations of ``y`` whose
     statistic reaches the observed one, so its resolution is 1/(B+1).
     """
+    if num_permutations < 1:
+        raise QueryError("num_permutations must be at least 1")
     x_matrix = _as_point_matrix(x)
     y_matrix = _as_point_matrix(y)
     if len(x_matrix) != len(y_matrix):
@@ -89,14 +91,11 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
 
     a = _double_centered(cdist(x_matrix, x_matrix))
     b = _double_centered(cdist(y_matrix, y_matrix))
-    dvar_x = float((a * a).mean())
-    dvar_y = float((b * b).mean())
-    if dvar_x <= 0.0 or dvar_y <= 0.0:
+    scale = _dcor_scale(a, b)
+    if scale is None:
         # A constant input carries no information: dCor is undefined, never reject.
         return TestResult(0.0, 1.0, "distance_correlation_permutation", num_permutations)
-
-    denominator = np.sqrt(dvar_x * dvar_y)
-    observed = float(np.sqrt(max(float((a * b).mean()), 0.0) / denominator))
+    observed = _dcor_from_centered(a, b, scale)
 
     rng = rng_for(seed, "dcor-permutations")
     exceed = 0
@@ -104,9 +103,7 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
         perm = rng.permutation(n)
         # Double centering commutes with permuting rows and columns together,
         # so the centred matrix can be permuted directly.
-        permuted = b[np.ix_(perm, perm)]
-        statistic = np.sqrt(max(float((a * permuted).mean()), 0.0) / denominator)
-        if statistic >= observed:
+        if _dcor_from_centered(a, b[np.ix_(perm, perm)], scale) >= observed:
             exceed += 1
     p_value = (1 + exceed) / (num_permutations + 1)
     return TestResult(observed, p_value, "distance_correlation_permutation", num_permutations)

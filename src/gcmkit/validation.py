@@ -5,10 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .data import Dataset
+from .data import CONTINUOUS, Dataset
 from .exceptions import DataError
 from .graph import CausalGraph
-from .mechanisms import AdditiveNoiseModel, ClassifierFcm, Empirical, Multinomial
 from .model import GcmModel
 from .seeds import rng_for
 from .stats import fisher_z_test
@@ -116,13 +115,6 @@ class EvaluationReport:
         return {"nodes": [n.to_json() for n in self.nodes]}
 
 
-def _noise_sample(mechanism, n, rng):
-    # Empirical noise models expose their residual sample directly.
-    if isinstance(mechanism, Empirical):
-        return mechanism.samples
-    return mechanism.draw(n, rng)
-
-
 def evaluate_mechanisms(model: GcmModel, heldout: Dataset, seed=0) -> EvaluationReport:
     """Score every fitted mechanism against held-out rows.
 
@@ -137,6 +129,8 @@ def evaluate_mechanisms(model: GcmModel, heldout: Dataset, seed=0) -> Evaluation
     for node in model.graph.nodes:
         if node not in heldout.column_names:
             raise DataError(f"held-out data is missing node {node!r}")
+        if (heldout.kind(node) == CONTINUOUS) != model.mechanisms[node].is_continuous:
+            raise DataError(f"held-out column {node!r} is {heldout.kind(node)}, unlike the model")
 
     evaluations = []
     n = heldout.n_rows
@@ -144,10 +138,10 @@ def evaluate_mechanisms(model: GcmModel, heldout: Dataset, seed=0) -> Evaluation
         mechanism = model.mechanisms[node]
         column = heldout.column(node)
         rng = rng_for(seed, f"evaluate:{node}")
-        if isinstance(mechanism, AdditiveNoiseModel):
-            parent_columns = [heldout.column(p) for p in model.graph.parents(node)]
-            predictions = mechanism.predict(parent_columns)
-            residuals = column - predictions
+        parent_columns = [heldout.column(p) for p in model.graph.parents(node)]
+        root = model.graph.is_root(node)
+        if not root and mechanism.is_continuous:
+            residuals = column - mechanism.predict(parent_columns)
             evaluations.append(
                 NodeEvaluation(
                     node,
@@ -155,18 +149,18 @@ def evaluate_mechanisms(model: GcmModel, heldout: Dataset, seed=0) -> Evaluation
                     rmse=float(np.sqrt(np.mean(residuals**2))),
                     ks_statistic=float(
                         ks_2samp(
-                            residuals, _noise_sample(mechanism.noise, n, rng), method="asymp"
+                            residuals, mechanism.noise_reference(n, rng), method="asymp"
                         ).statistic
                     ),
                 )
             )
-        elif isinstance(mechanism, ClassifierFcm):
-            probs = mechanism.predict_probs([heldout.column(p) for p in model.graph.parents(node)])
+        elif not root:
+            probs = mechanism.predict_probs(parent_columns)
             predicted = np.array(mechanism.categories, dtype=object)[np.argmax(probs, axis=1)]
             evaluations.append(
                 NodeEvaluation(node, "classifier", accuracy=float(np.mean(predicted == column)))
             )
-        elif isinstance(mechanism, Multinomial):
+        elif not mechanism.is_continuous:
             modal = mechanism.categories[int(np.argmax(mechanism.probs))]
             evaluations.append(
                 NodeEvaluation(node, "root_categorical", accuracy=float(np.mean(column == modal)))

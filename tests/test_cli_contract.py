@@ -1,0 +1,181 @@
+"""The CLI contract, checked in-process through ``gcmkit.cli.run``.
+
+Whatever the input, ``run`` returns an exit code in {0, 1, 2, 3}, lets no
+exception escape, and prints only strict JSON (no ``NaN`` or ``Infinity``).
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gcmkit as gk
+from gcmkit import cli
+
+NODES = ["C", "X", "Y", "K", "Z"]
+GRAPH = '{"nodes":["C","X","Y","K","Z"],"edges":[["C","Y"],["X","Y"],["X","K"],["Y","Z"]]}'
+MALFORMED_CELLS = ["abc", "nan", "inf", "-inf", "1e400", "q", " ", "1,5"]
+
+
+def call(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run([str(arg) for arg in argv])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def assert_contract(code, stdout):
+    assert code in (0, 1, 2, 3)
+    for line in stdout.splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+
+
+def mixed_dataset(n, seed):
+    """A categorical root C, continuous root X, ANM Y, classifier K, ANM Z."""
+    rng = np.random.default_rng(seed)
+    c = rng.choice(["a", "b"], size=n)
+    x = rng.standard_normal(n)
+    y = x + np.where(c == "a", 1.0, 0.0) + 0.3 * rng.standard_normal(n)
+    k = np.where(x + 0.5 * rng.standard_normal(n) > 0, "hi", "lo")
+    z = 1.5 * y + rng.standard_normal(n)
+    return gk.Dataset(NODES, [c, x, y, k, z])
+
+
+def with_cell(csv_text, row, column, cell):
+    lines = csv_text.splitlines()
+    cells = lines[1 + row].split(",")
+    cells[column] = cell
+    lines[1 + row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    (root / "graph.json").write_text(GRAPH)
+    (root / "data.csv").write_text(gk.write_csv(mixed_dataset(60, 0)))
+    (root / "new.csv").write_text(gk.write_csv(mixed_dataset(60, 1)))
+    (root / "cont.csv").write_text(gk.write_csv(mixed_dataset(60, 0).select(["X", "Y", "Z"])))
+    (root / "row.csv").write_text("C,X,Y,K,Z\nb,0.3,2.5,hi,6.0\n")
+    code, _, stderr = call(
+        ["fit", "--graph", root / "graph.json", "--data", root / "data.csv", "--out", root / "model.json"]
+    )
+    assert code == 0, stderr
+    return root
+
+
+def test_attribute_outlier_non_numeric_cell_exits_2(files):
+    (files / "bad_row.csv").write_text("C,X,Y,K,Z\nb,abc,2.5,hi,6.0\n")
+    code, stdout, stderr = call(
+        ["attribute-outlier", "--model", files / "model.json", "--data", files / "bad_row.csv",
+         "--target", "Z", "--num-samples", "50"]
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "not numeric" in stderr
+
+
+BUDGET_CASES = [
+    ("test", ["--data", "data.csv", "--x", "X", "--y", "Z"], "--permutations", -3),
+    ("arrow-strength", ["--model", "model.json", "--edge", "X->Y"], "-n", 0),
+    ("discover", ["--data", "cont.csv"], "--max-cond-set", -1),
+    ("icc", ["--model", "model.json", "--target", "Z"], "--outer-samples", 0),
+    ("icc", ["--model", "model.json", "--target", "Z"], "--inner-samples", 1),
+    ("attribute-outlier", ["--model", "model.json", "--data", "row.csv", "--target", "Z"],
+     "--num-samples", 0),
+    ("attribute-change", ["--graph", "graph.json", "--old", "data.csv", "--new", "new.csv",
+                          "--target", "Z"], "--num-samples", 0),
+]
+
+
+@pytest.mark.parametrize(("command", "args", "flag", "value"), BUDGET_CASES)
+def test_out_of_range_budget_exits_2(files, command, args, flag, value):
+    argv = [command] + [files / a if a.endswith((".csv", ".json")) else a for a in args]
+    code, stdout, stderr = call(argv + [flag, value])
+    assert code == 2, stderr
+    assert stdout == ""
+    assert "at least" in stderr
+
+
+SUBCOMMANDS = [
+    "fit", "sample", "intervene", "counterfactual", "ace", "attribute-outlier",
+    "attribute-change", "icc", "arrow-strength", "discover", "refute", "evaluate", "test",
+]
+
+
+budgets = st.integers(min_value=-3, max_value=12)
+cells = st.sampled_from(MALFORMED_CELLS)
+
+
+@st.composite
+def invocations(draw, root):
+    """One subcommand with small or out-of-range budgets and possibly a bad cell."""
+    data = root / "data.csv"
+    if draw(st.booleans()):
+        column = draw(st.integers(0, len(NODES) - 1))
+        data = root / "bad.csv"
+        data.write_text(with_cell((root / "data.csv").read_text(), draw(st.integers(0, 5)),
+                                  column, draw(cells)))
+    row = root / "probe_row.csv"
+    row_cells = ["b", "0.3", "2.5", "hi", "6.0"]
+    if draw(st.booleans()):
+        row_cells[draw(st.integers(0, len(NODES) - 1))] = draw(cells)
+    row.write_text("C,X,Y,K,Z\n" + ",".join(row_cells) + "\n")
+    model, graph = root / "model.json", root / "graph.json"
+    node = st.sampled_from(NODES)
+    value = st.sampled_from(["0", "1.5", "a", "hi", "nan", "inf", "abc"])
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    if command == "fit":
+        return ["fit", "--graph", graph, "--data", data]
+    if command == "sample":
+        return ["sample", "--model", model, "-n", draw(budgets)]
+    if command == "intervene":
+        flag = draw(st.sampled_from(["--set", "--shift"]))
+        return ["intervene", "--model", model, flag, f"{draw(node)}={draw(value)}",
+                "--target", draw(node), "-n", draw(budgets)]
+    if command == "counterfactual":
+        return ["counterfactual", "--model", model, "--data", row,
+                "--set", f"{draw(node)}={draw(value)}", "--set", "K=lo"]
+    if command == "ace":
+        return ["ace", "--model", model, "--treatment", draw(node), "--value-a", draw(value),
+                "--value-b", draw(value), "--target", draw(node), "-n", draw(budgets)]
+    if command == "attribute-outlier":
+        return ["attribute-outlier", "--model", model, "--data", row, "--target", draw(node),
+                "--num-samples", draw(budgets)]
+    if command == "attribute-change":
+        return ["attribute-change", "--graph", graph, "--old", root / "data.csv", "--new", data,
+                "--target", draw(node), "--num-samples", draw(budgets),
+                "--measure", draw(st.sampled_from(["kl", "mean_diff"]))]
+    if command == "icc":
+        return ["icc", "--model", model, "--target", draw(node),
+                "--outer-samples", draw(budgets), "--inner-samples", draw(budgets)]
+    if command == "arrow-strength":
+        edge = draw(st.sampled_from(["C->Y", "X->Y", "X->K", "Y->Z", "Z->Y", "->"]))
+        return ["arrow-strength", "--model", model, "--edge", edge, "-n", draw(budgets),
+                "--measure", draw(st.sampled_from(["auto", "coupled_msd", "kl"]))]
+    alpha = draw(st.sampled_from(["0.05", "0", "1", "-1", "2", "nan", "inf"]))
+    if command == "discover":
+        return ["discover", "--data", data, "--alpha", alpha, "--max-cond-set", draw(budgets)]
+    if command == "refute":
+        return ["refute", "--graph", graph, "--data", data, "--alpha", alpha]
+    if command == "evaluate":
+        return ["evaluate", "--model", model, "--data", data]
+    return ["test", "--data", data, "--x", draw(node), "--y", draw(node),
+            "--method", draw(st.sampled_from(["auto", "dcor", "fisherz"])),
+            "--permutations", draw(budgets)]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_subcommand_keeps_the_exit_code_and_json_contract(files, data):
+    argv = data.draw(invocations(files))
+    code, stdout, _ = call(argv)
+    assert_contract(code, stdout)

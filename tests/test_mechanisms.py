@@ -178,8 +178,8 @@ class TestEvaluateAndAbduction:
         anm = AdditiveNoiseModel(
             LinearModel([2.0], 0.0), Gaussian(0.0, 1.0), gk.InputEncoder.continuous(1)
         )
-        assert anm.estimate_noise([1.0], 3.0) == 1.0
-        assert anm.estimate_noise([1.0], anm.predict_row([1.0])) == 0.0
+        assert anm.abduct([1.0], 3.0) == 1.0
+        assert anm.abduct([1.0], anm.predict_row([1.0])) == 0.0
 
     def test_abduction_round_trip_random_cases(self):
         rng = np.random.default_rng(7)
@@ -187,7 +187,7 @@ class TestEvaluateAndAbduction:
         y = 1.5 * x + rng.standard_normal(200)
         anm = fit_anm([x], y, model_kind="linear")
         for i in rng.integers(0, 200, size=100):
-            noise = anm.estimate_noise([x[i]], y[i])
+            noise = anm.abduct([x[i]], y[i])
             assert anm.evaluate([x[i]], noise) == y[i]
 
     @given(
@@ -203,7 +203,7 @@ class TestEvaluateAndAbduction:
         y = 0.5 * x - 2 + rng.standard_normal(len(x))
         anm = fit_anm([x], y, model_kind="linear")
         for i in range(len(x)):
-            assert anm.evaluate([x[i]], anm.estimate_noise([x[i]], y[i])) == y[i]
+            assert anm.evaluate([x[i]], anm.abduct([x[i]], y[i])) == y[i]
 
 
 class TestClassifier:

@@ -164,16 +164,75 @@ def test_load_rejects_missing_mechanism(fitted_chain):
         gk.loads_model(json.dumps(payload))
 
 
+def test_load_rejects_mechanisms_that_are_not_an_object(fitted_chain):
+    model, _ = fitted_chain
+    payload = json.loads(gk.dumps_model(model))
+    payload["mechanisms"] = [payload["mechanisms"]["X"]]
+    with pytest.raises(SerializationError, match="corrupt"):
+        gk.loads_model(json.dumps(payload))
+
+
+def golden_model():
+    """One ground-truth mechanism of every family and prediction model."""
+    graph = CausalGraph(
+        ["X", "G", "C", "Y", "W", "K"],
+        [("X", "Y"), ("C", "Y"), ("G", "W"), ("X", "K")],
+    )
+    mechanisms = {
+        "X": Empirical([0.5, -1.25, 2.0]),
+        "G": Gaussian(1.5, 0.25),
+        "C": Multinomial(["a", "b"], [0.25, 0.75]),
+        "Y": AdditiveNoiseModel(
+            LinearModel([2.0, -0.5, 0.5], 0.125),
+            Gaussian(0.0, 1.0),
+            gk.InputEncoder([("continuous", None), ("categorical", ("a", "b"))]),
+        ),
+        "W": AdditiveNoiseModel(
+            gk.KnnRegressor(2, [[0.0], [1.0], [3.0]], [1.0, 2.0, 4.5], offset=-0.5),
+            Empirical([-0.25, 0.25]),
+            gk.InputEncoder.continuous(1),
+        ),
+        "K": gk.ClassifierFcm(
+            gk.InputEncoder.continuous(1), ["hi", "lo"], [[1.5, -1.5], [0.0, 0.25]]
+        ),
+    }
+    model = GcmModel(graph)
+    for node, mechanism in mechanisms.items():
+        model = gk.assign(model, node, mechanism, ground_truth=True)
+    return model
+
+
+GOLDEN_MODEL_JSON = (
+    '{"schema_version":1,"graph":{"nodes":["X","G","C","Y","W","K"],'
+    '"edges":[["X","Y"],["C","Y"],["G","W"],["X","K"]]},"mechanisms":{'
+    '"X":{"type":"empirical","samples":[0.5,-1.25,2.0],"ground_truth":true},'
+    '"G":{"type":"gaussian","mean":1.5,"std":0.25,"ground_truth":true},'
+    '"C":{"type":"multinomial","categories":["a","b"],"probs":[0.25,0.75],"ground_truth":true},'
+    '"Y":{"type":"anm","encoding":[{"kind":"continuous"},'
+    '{"kind":"categorical","categories":["a","b"]}],'
+    '"prediction":{"type":"linear","coefficients":[2.0,-0.5,0.5],"intercept":0.125},'
+    '"noise":{"type":"gaussian","mean":0.0,"std":1.0},"ground_truth":true},'
+    '"W":{"type":"anm","encoding":[{"kind":"continuous"}],'
+    '"prediction":{"type":"knn","k":2,"offset":-0.5,"inputs":[[0.0],[1.0],[3.0]],'
+    '"targets":[1.0,2.0,4.5]},"noise":{"type":"empirical","samples":[-0.25,0.25]},'
+    '"ground_truth":true},'
+    '"K":{"type":"classifier","encoding":[{"kind":"continuous"}],"categories":["hi","lo"],'
+    '"weights":[[1.5,-1.5],[0.0,0.25]],"ground_truth":true}}}'
+)
+
+
+def test_golden_model_json_bytes():
+    assert gk.dumps_model(golden_model()) == GOLDEN_MODEL_JSON
+    assert gk.dumps_model(gk.loads_model(GOLDEN_MODEL_JSON)) == GOLDEN_MODEL_JSON
+
+
 def test_mechanism_round_trip_all_variants():
-    mechanisms = [
-        Empirical([1.0, 2.0, 3.0]),
-        Gaussian(0.5, 2.0),
-        Multinomial(["a", "b"], [0.25, 0.75]),
-    ]
+    mechanisms = list(golden_model().mechanisms.values())
     for mechanism in mechanisms:
-        payload = gk.mechanisms.mechanism_to_json(mechanism)
+        payload = mechanism.to_json()
         back = gk.mechanisms.mechanism_from_json(payload)
-        assert gk.mechanisms.mechanism_to_json(back) == payload
+        assert type(back) is type(mechanism)
+        assert back.to_json() == payload
 
 
 def test_auto_assign_fit_recovers_coefficients():
