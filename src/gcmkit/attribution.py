@@ -1,14 +1,20 @@
 """Root-cause attribution queries on a fitted model.
 
-Four queries share one pattern: define a set function over "players"
-(upstream nodes, or their noise terms), evaluate it with seeded Monte Carlo,
-and distribute the total with Shapley values.  Players are restricted to
-ancestors of the target plus the target itself; other nodes are provably null
-players, so evaluating them would be wasted work.
+Outlier attribution, distribution-change attribution and intrinsic influence
+share one pattern: a set function over "players" (the target and its
+ancestors; every other node is a null player), evaluated by seeded Monte
+Carlo, with the total distributed by Shapley values.  ``_target_samples`` is
+the one simulation behind every subset value: the noise of some nodes is
+held at fixed values and the rest is redrawn.  Intrinsic influence holds a
+subset's noises at an outer draw and redraws the rest; outlier attribution
+redraws a subset's noises and holds the rest at the row's recovered noise;
+distribution change redraws everything from a model that takes the subset's
+mechanisms from the new data.
 
-Every subset evaluation derives its seed from (master seed, subset bitmask)
-and is cached per query, so results are deterministic no matter how the
-Shapley engine schedules evaluations.
+``_attribute`` is the one Shapley step: every subset, keyed by its bitmask,
+draws from a seed derived from (master seed, bitmask) and is evaluated once
+per query, so results do not depend on how the Shapley engine schedules
+evaluations.  Arrow strength cuts one edge instead and needs no Shapley step.
 """
 
 import math
@@ -19,7 +25,7 @@ import numpy as np
 from .data import CONTINUOUS, Dataset, one_hot
 from .exceptions import QueryError
 from .model import GcmModel, auto_assign, fit
-from .sampling import abduct_row, draw_noise_values, propagate_from_noise
+from .sampling import abduct_row, draw_noise_values, propagate_from_noise, require_continuous_target
 from .seeds import derive_seed, rng_for
 from .shapley import SetFunction, ShapleyConfig, estimate_shapley
 from .stats import kl_divergence
@@ -101,31 +107,47 @@ def _players_for(graph, target):
     return tuple(node for node in graph.nodes if node in relevant)
 
 
-def _tile(value, count):
-    if isinstance(value, str):
-        return np.full(count, value, dtype=object)
-    return np.full(count, float(value))
+def _target_samples(model, target, closure, n, seed, held):
+    """The target column of ``n`` draws in which the ``held`` noises stay fixed.
+
+    ``held`` maps closure nodes to the noise value they keep in every draw; the
+    other closure nodes draw fresh noise, each from its own stream of ``seed``,
+    so which nodes are held changes no other node's draw.
+    """
+    noise = draw_noise_values(model, n, seed, [node for node in closure if node not in held])
+    for node, value in held.items():
+        if isinstance(value, str):
+            noise[node] = np.full(n, value, dtype=object)
+        else:
+            noise[node] = np.full(n, float(value))
+    return propagate_from_noise(model, noise, nodes=closure)[target]
 
 
-def _shapley_scores(players, cached_value, shapley_config):
-    config = shapley_config or ShapleyConfig(method="exact")
-    phi = estimate_shapley(SetFunction(len(players), cached_value), config)
-    return {player: float(phi[i]) for i, player in enumerate(players)}
+def _attribute(players, compute_bits, shapley_config, measure, mc_budget, seed):
+    """Shapley scores of the set function ``compute_bits`` over ``players``.
 
-
-def _cache_by_bits(players, compute_bits):
+    ``compute_bits`` takes a subset as a bitmask (bit i set when ``players[i]``
+    is in it) and runs once per subset, however often the Shapley engine asks.
+    """
     cache = {}
 
-    def evaluator(mask):
-        bits = 0
-        for i in range(len(players)):
-            if mask[i]:
-                bits |= 1 << i
+    def value(mask):
+        bits = sum(1 << i for i, member in enumerate(mask) if member)
         if bits not in cache:
             cache[bits] = compute_bits(bits)
         return cache[bits]
 
-    return evaluator
+    config = shapley_config or ShapleyConfig(method="exact")
+    phi = estimate_shapley(SetFunction(len(players), value), config)
+    everyone = np.ones(len(players), dtype=bool)
+    return AttributionResult(
+        scores={player: float(phi[i]) for i, player in enumerate(players)},
+        measure=measure,
+        mc_budget=mc_budget,
+        seed=seed,
+        total=float(value(everyone)),
+        baseline=float(value(~everyone)),
+    )
 
 
 def arrow_strength(model: GcmModel, edge, measure="auto", n=50000, seed=0) -> float:
@@ -202,22 +224,18 @@ def intrinsic_influence(
     Shapley scores sum to the target's variance.
     """
     model.require_fitted()
-    model.graph._require(target)
-    if not model.mechanisms[target].is_continuous:
-        raise QueryError(f"target node {target!r} must be continuous")
+    require_continuous_target(model, target)
     if outer_samples < 1:
         raise QueryError("outer_samples must be at least 1")
     if inner_samples < 2:
         raise QueryError("inner_samples must be at least 2")
     players = _players_for(model.graph, target)
-    closure = set(players)
     full_bits = (1 << len(players)) - 1
 
     variance_samples = outer_samples * inner_samples
-    base_noise = draw_noise_values(
-        model, variance_samples, derive_seed(seed, "icc:variance"), closure
+    target_values = _target_samples(
+        model, target, players, variance_samples, derive_seed(seed, "icc:variance"), {}
     )
-    target_values = propagate_from_noise(model, base_noise, nodes=closure)[target]
     total_variance = float(np.var(target_values, ddof=1))
 
     def compute_bits(bits):
@@ -229,32 +247,23 @@ def intrinsic_influence(
         subset_seed = derive_seed(seed, f"icc:{bits}")
         conditional_variances = np.empty(outer_samples)
         for outer in range(outer_samples):
-            frozen_draw = draw_noise_values(
-                model, 1, derive_seed(subset_seed, f"frozen:{outer}"), frozen
+            frozen_seed = derive_seed(subset_seed, f"frozen:{outer}")
+            held = {
+                node: column[0]
+                for node, column in draw_noise_values(model, 1, frozen_seed, frozen).items()
+            }
+            inner = _target_samples(
+                model, target, players, inner_samples, derive_seed(subset_seed, f"free:{outer}"), held
             )
-            noise = draw_noise_values(
-                model, inner_samples, derive_seed(subset_seed, f"free:{outer}"), closure
-            )
-            for node in frozen:
-                noise[node] = _tile(frozen_draw[node][0], inner_samples)
-            propagated = propagate_from_noise(model, noise, nodes=closure)[target]
-            conditional_variances[outer] = np.var(propagated, ddof=1)
+            conditional_variances[outer] = np.var(inner, ddof=1)
         return total_variance - float(conditional_variances.mean())
 
-    evaluator = _cache_by_bits(players, compute_bits)
-    scores = _shapley_scores(players, evaluator, shapley_config)
-    return AttributionResult(
-        scores=scores,
-        measure="intrinsic_influence",
-        mc_budget={
-            "outer_samples": outer_samples,
-            "inner_samples": inner_samples,
-            "variance_samples": variance_samples,
-        },
-        seed=seed,
-        total=float(evaluator(np.ones(len(players), dtype=bool))),
-        baseline=float(evaluator(np.zeros(len(players), dtype=bool))),
-    )
+    budget = {
+        "outer_samples": outer_samples,
+        "inner_samples": inner_samples,
+        "variance_samples": variance_samples,
+    }
+    return _attribute(players, compute_bits, shapley_config, "intrinsic_influence", budget, seed)
 
 
 def attribute_anomaly(
@@ -274,46 +283,30 @@ def attribute_anomaly(
     set equals the marginal outlier score of the observed target value.
     """
     model.require_fitted()
-    model.graph._require(target)
-    if not model.mechanisms[target].is_continuous:
-        raise QueryError(f"target node {target!r} must be continuous")
+    require_continuous_target(model, target)
     if num_samples < 1:
         raise QueryError("num_samples must be at least 1")
     players = _players_for(model.graph, target)
-    closure = set(players)
     observed, recovered = abduct_row(model, anomalous_row, players)
 
-    reference_noise = draw_noise_values(
-        model, num_samples, derive_seed(seed, "anomaly:reference"), closure
+    reference = _target_samples(
+        model, target, players, num_samples, derive_seed(seed, "anomaly:reference"), {}
     )
-    reference = propagate_from_noise(model, reference_noise, nodes=closure)[target]
     scorer = OutlierScorer(reference)
     observed_feature = float(scorer.feature(observed[target]))
 
     def compute_bits(bits):
         if bits == 0:
             return 0.0
-        redrawn = [players[i] for i in range(len(players)) if bits >> i & 1]
-        noise = draw_noise_values(
-            model, num_samples, derive_seed(seed, f"anomaly:{bits}"), redrawn
+        held = {node: recovered[node] for i, node in enumerate(players) if not bits >> i & 1}
+        samples = _target_samples(
+            model, target, players, num_samples, derive_seed(seed, f"anomaly:{bits}"), held
         )
-        for node in players:
-            if node not in noise:
-                noise[node] = _tile(recovered[node], num_samples)
-        propagated = propagate_from_noise(model, noise, nodes=closure)[target]
-        tail = int(np.sum(scorer.feature(propagated) >= observed_feature))
+        tail = int(np.sum(scorer.feature(samples) >= observed_feature))
         return tail_log_score(tail, num_samples)
 
-    evaluator = _cache_by_bits(players, compute_bits)
-    scores = _shapley_scores(players, evaluator, shapley_config)
-    return AttributionResult(
-        scores=scores,
-        measure="it_outlier_score",
-        mc_budget={"reference_samples": num_samples, "samples_per_subset": num_samples},
-        seed=seed,
-        total=float(evaluator(np.ones(len(players), dtype=bool))),
-        baseline=0.0,
-    )
+    budget = {"reference_samples": num_samples, "samples_per_subset": num_samples}
+    return _attribute(players, compute_bits, shapley_config, "it_outlier_score", budget, seed)
 
 
 def distribution_change(
@@ -353,12 +346,9 @@ def distribution_change(
     old_model = fit(auto_assign(graph, old_data), old_data)
     new_model = fit(auto_assign(graph, new_data), new_data)
     players = _players_for(graph, target)
-    closure = set(players)
-
-    baseline_noise = draw_noise_values(
-        old_model, num_samples, derive_seed(seed, "change:baseline"), closure
+    baseline = _target_samples(
+        old_model, target, players, num_samples, derive_seed(seed, "change:baseline"), {}
     )
-    baseline = propagate_from_noise(old_model, baseline_noise, nodes=closure)[target]
 
     def compute_bits(bits):
         mechanisms = {
@@ -366,19 +356,12 @@ def distribution_change(
             for i, node in enumerate(players)
         }
         hybrid = GcmModel(graph, mechanisms, ready=players)
-        noise = draw_noise_values(hybrid, num_samples, derive_seed(seed, f"change:{bits}"), closure)
-        samples = propagate_from_noise(hybrid, noise, nodes=closure)[target]
+        samples = _target_samples(
+            hybrid, target, players, num_samples, derive_seed(seed, f"change:{bits}"), {}
+        )
         if measure == "mean_diff":
             return abs(float(samples.mean() - baseline.mean()))
         return kl_divergence(samples, baseline, k=_KL_NEIGHBORS)
 
-    evaluator = _cache_by_bits(players, compute_bits)
-    scores = _shapley_scores(players, evaluator, shapley_config)
-    return AttributionResult(
-        scores=scores,
-        measure=measure,
-        mc_budget={"samples_per_subset": num_samples, "baseline_samples": num_samples},
-        seed=seed,
-        total=float(evaluator(np.ones(len(players), dtype=bool))),
-        baseline=float(evaluator(np.zeros(len(players), dtype=bool))),
-    )
+    budget = {"samples_per_subset": num_samples, "baseline_samples": num_samples}
+    return _attribute(players, compute_bits, shapley_config, measure, budget, seed)

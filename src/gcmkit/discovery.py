@@ -102,6 +102,8 @@ def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SE
         raise QueryError(f"PC needs at least 20 rows, got {data.n_rows}")
     if max_cond_set_size < 0:
         raise QueryError("max_cond_set_size must be at least 0")
+    if not 0 < alpha < 1:
+        raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     index = {name: i for i, name in enumerate(names)}
 
     adjacency = {name: set(other for other in names if other != name) for name in names}

@@ -59,18 +59,27 @@ def _as_intervention_map(model, interventions):
     return mapping
 
 
-def _atomic_value(model, iv):
-    if model.mechanisms[iv.node].is_continuous:
-        try:
-            value = float(iv.value)
-        except (TypeError, ValueError) as exc:
-            raise QueryError(
-                f"intervention value {iv.value!r} is not numeric for continuous node {iv.node!r}"
-            ) from exc
-        if not np.isfinite(value):
-            raise QueryError(f"intervention value for node {iv.node!r} must be finite")
-        return value
-    return str(iv.value)
+def _node_value(model, node, value, label):
+    """``value`` as a finite float for a continuous node, as a string otherwise.
+
+    ``label`` names the value in the error message.
+    """
+    if not model.mechanisms[node].is_continuous:
+        return str(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise QueryError(f"{label} for {node!r} is not numeric") from exc
+    if not np.isfinite(value):
+        raise QueryError(f"{label} for {node!r} must be finite")
+    return value
+
+
+def require_continuous_target(model: GcmModel, target):
+    """Raise unless ``target`` is a node of the model with a continuous mechanism."""
+    model.graph._require(target)
+    if not model.mechanisms[target].is_continuous:
+        raise QueryError(f"target node {target!r} must be continuous")
 
 
 def draw_noise_values(model: GcmModel, n, seed, nodes=None) -> dict:
@@ -112,7 +121,8 @@ def propagate_from_noise(model: GcmModel, noise, interventions=None, nodes=None)
         if iv is not None:
             dtype = np.float64 if mechanism.is_continuous else object
             if iv.kind == "atomic":
-                output = np.full(len(output), _atomic_value(model, iv), dtype=dtype)
+                value = _node_value(model, node, iv.value, "intervention value")
+                output = np.full(len(output), value, dtype=dtype)
             elif iv.kind == "shift":
                 output = output + iv.delta
             else:
@@ -128,11 +138,7 @@ def _to_dataset(model, values):
 
 def draw_samples(model: GcmModel, n, seed=0) -> Dataset:
     """Draw ``n`` joint samples by ancestral sampling from the fitted model."""
-    model.require_fitted()
-    if n < 1:
-        raise QueryError("n must be at least 1")
-    noise = draw_noise_values(model, n, seed)
-    return _to_dataset(model, propagate_from_noise(model, noise))
+    return interventional_samples(model, (), n, seed)
 
 
 def interventional_samples(model: GcmModel, interventions, n, seed=0) -> Dataset:
@@ -143,18 +149,6 @@ def interventional_samples(model: GcmModel, interventions, n, seed=0) -> Dataset
     intervention_map = _as_intervention_map(model, interventions)
     noise = draw_noise_values(model, n, seed)
     return _to_dataset(model, propagate_from_noise(model, noise, intervention_map))
-
-
-def _parse_observed(model, node, value):
-    if not model.mechanisms[node].is_continuous:
-        return str(value)
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise QueryError(f"observed value for {node!r} is not numeric") from exc
-    if not np.isfinite(value):
-        raise QueryError(f"observed value for {node!r} must be finite")
-    return value
 
 
 def abduct_row(model: GcmModel, observed_row, nodes, skip=()):
@@ -168,7 +162,9 @@ def abduct_row(model: GcmModel, observed_row, nodes, skip=()):
     missing = [node for node in graph.nodes if node not in observed_row]
     if missing:
         raise QueryError(f"observed row is missing nodes {missing}")
-    observed = {node: _parse_observed(model, node, observed_row[node]) for node in nodes}
+    observed = {
+        node: _node_value(model, node, observed_row[node], "observed value") for node in nodes
+    }
     noise = {}
     for node in graph.topological_order():
         if node not in observed:
@@ -211,7 +207,7 @@ def counterfactual(model: GcmModel, observed_row, interventions=()) -> dict:
         iv = intervention_map.get(node)
         if iv is not None:
             if iv.kind == "atomic":
-                output = _atomic_value(model, iv)
+                output = _node_value(model, node, iv.value, "intervention value")
             elif iv.kind == "shift":
                 output = output + iv.delta
             else:
@@ -228,9 +224,7 @@ def average_causal_effect(
     The two interventional estimates use independent derived random streams.
     """
     model.require_fitted()
-    model.graph._require(target)
-    if not model.mechanisms[target].is_continuous:
-        raise QueryError(f"target node {target!r} must be continuous")
+    require_continuous_target(model, target)
     samples_a = interventional_samples(
         model, [atomic(treatment, value_a)], n, derive_seed(seed, "ace:a")
     )

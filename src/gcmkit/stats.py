@@ -1,8 +1,8 @@
 """Statistical toolbox: independence tests and nonparametric KL estimation.
 
-Distances are Euclidean throughout, and nearest neighbours are found by
-exhaustive search; at the sample sizes this library targets no spatial index
-is needed.
+Distances are Euclidean throughout.  Nearest neighbours are found by a
+chunked exhaustive search with no spatial index, so the KL estimator costs
+O(n·(n + m)) distance evaluations for n samples of P and m of Q.
 """
 
 from dataclasses import dataclass
@@ -118,6 +118,10 @@ def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
     """
     conditioning_set = tuple(conditioning_set)
     involved = (x, y, *conditioning_set)
+    if len(set(involved)) < len(involved):
+        raise QueryError(
+            f"fisher-z needs x, y and the conditioning set to name distinct columns, got {involved}"
+        )
     for name in involved:
         if data.kind(name) != "continuous":
             raise DataError(f"fisher-z requires continuous columns, {name!r} is categorical")

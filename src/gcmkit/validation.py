@@ -6,7 +6,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .data import CONTINUOUS, Dataset
-from .exceptions import DataError
+from .exceptions import DataError, QueryError
 from .graph import CausalGraph
 from .model import GcmModel
 from .seeds import rng_for
@@ -65,6 +65,8 @@ def refute_graph(graph: CausalGraph, data: Dataset, alpha=0.05) -> RefutationRep
     is "rejected" if any corrected test rejects at ``alpha``.  A graph that
     implies no independences is vacuously not rejected.
     """
+    if not 0 < alpha < 1:
+        raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     pairs = []
     for node in graph.nodes:
         parents = graph.parents(node)

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcmkit as gk
 from gcmkit import (
@@ -188,6 +191,21 @@ class TestAttributeAnomaly:
         with pytest.raises(QueryError, match="missing"):
             gk.attribute_anomaly(model, "Z", {"Z": 5.0})
 
+    def test_categorical_root_player_keeps_its_observed_label(self):
+        # A categorical root outside a subset is held at its string value.
+        rng = np.random.default_rng(9)
+        labels = np.array(rng.choice(["a", "b"], 2000), dtype=object)
+        x = rng.standard_normal(2000)
+        y = x + np.where(labels == "a", 1.0, 0.0) + 0.3 * rng.standard_normal(2000)
+        data = Dataset(["C", "X", "Y"], [labels, x, y])
+        graph = CausalGraph(["C", "X", "Y"], [("C", "Y"), ("X", "Y")])
+        model = gk.fit(gk.auto_assign(graph, data), data)
+        row = {"C": "b", "X": 0.3, "Y": 0.3 + 3.0}  # N_Y = 3, ten noise deviations
+        result = gk.attribute_anomaly(model, "Y", row, num_samples=2000, seed=7)
+        assert set(result.scores) == {"C", "X", "Y"}
+        assert max(result.scores, key=result.scores.get) == "Y"
+        assert sum(result.scores.values()) == pytest.approx(result.total - result.baseline, abs=1e-9)
+
 
 class TestDistributionChange:
     graph = CausalGraph(["X", "Y"], [("X", "Y")])
@@ -242,3 +260,79 @@ class TestDistributionChange:
         partial = Dataset(["X"], [old.column("X")])
         with pytest.raises(QueryError, match="cover"):
             gk.distribution_change(self.graph, old, partial, "Y")
+
+
+PERMUTATION_QUERIES = {
+    "icc": lambda config: gk.intrinsic_influence(
+        make_ground_truth_chain(), "Z", config, outer_samples=5, inner_samples=30, seed=3
+    ),
+    "outlier": lambda config: gk.attribute_anomaly(
+        make_ground_truth_chain(), "Z", {"X": 0.0, "Y": 4.0, "Z": 4.0}, 300, config, seed=3
+    ),
+    "change": lambda config: gk.distribution_change(
+        TestDistributionChange.graph,
+        TestDistributionChange().make_data(0, n=500),
+        TestDistributionChange().make_data(1, y_offset=1.0, n=500),
+        "Y", "mean_diff", 300, config, seed=3
+    ),
+}
+
+
+@pytest.mark.parametrize("query", sorted(PERMUTATION_QUERIES))
+def test_permutation_shapley_through_the_subset_cache(query):
+    config = gk.ShapleyConfig("permutation", num_permutations=5, seed=11)
+    result = PERMUTATION_QUERIES[query](config)
+    assert sum(result.scores.values()) == pytest.approx(result.total - result.baseline, abs=1e-9)
+    again = PERMUTATION_QUERIES[query](config)
+    assert json.dumps(again.to_json()) == json.dumps(result.to_json())
+
+
+@st.composite
+def linear_gaussian_models(draw):
+    """A ground-truth linear-Gaussian model on 2-4 nodes, plus one target node."""
+    size = draw(st.integers(2, 4))
+    names = [f"V{i}" for i in range(size)]
+    edges = [
+        (names[i], names[j]) for j in range(size) for i in range(j) if draw(st.booleans())
+    ]
+    graph = CausalGraph(names, edges)
+    coefficients = st.floats(-2.0, 2.0, allow_nan=False)
+    model = GcmModel(graph)
+    for node in names:
+        parents = graph.parents(node)
+        noise = Gaussian(0.0, draw(st.floats(0.1, 2.0)))
+        if parents:
+            weights = [draw(coefficients) for _ in parents]
+            noise = AdditiveNoiseModel(
+                LinearModel(weights, 0.0), noise, gk.InputEncoder.continuous(len(parents))
+            )
+        model = gk.assign(model, node, noise, ground_truth=True)
+    return model, draw(st.sampled_from(names))
+
+
+def _shapley_axiom_queries(model, target, seed):
+    config = gk.ShapleyConfig("exact")
+    sample = gk.draw_samples(model, 1, seed)
+    row = {node: float(sample.column(node)[0]) for node in model.graph.nodes}
+    row[target] += 3.0
+    old = gk.draw_samples(model, 40, seed)
+    new = gk.interventional_samples(model, [gk.shift(target, 1.0)], 40, seed + 1)
+    return [
+        lambda: gk.intrinsic_influence(model, target, config, 2, 5, seed),
+        lambda: gk.attribute_anomaly(model, target, row, 20, config, seed),
+        lambda: gk.distribution_change(model.graph, old, new, target, "mean_diff", 20, config, seed),
+    ]
+
+
+@given(drawn=linear_gaussian_models(), seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_attribution_queries_keep_the_shapley_axioms(drawn, seed):
+    model, target = drawn
+    players = model.graph.ancestors(target) | {target}
+    for query in _shapley_axiom_queries(model, target, seed):
+        result = query()
+        assert set(result.scores) == players
+        assert sum(result.scores.values()) == pytest.approx(
+            result.total - result.baseline, abs=1e-9
+        )
+        assert json.dumps(query().to_json()) == json.dumps(result.to_json())

@@ -18,6 +18,7 @@ from gcmkit import cli
 
 NODES = ["C", "X", "Y", "K", "Z"]
 GRAPH = '{"nodes":["C","X","Y","K","Z"],"edges":[["C","Y"],["X","Y"],["X","K"],["Y","Z"]]}'
+CHAIN = '{"nodes":["X","Y","Z"],"edges":[["X","Y"],["Y","Z"]]}'
 MALFORMED_CELLS = ["abc", "nan", "inf", "-inf", "1e400", "q", " ", "1,5"]
 
 
@@ -61,6 +62,7 @@ def with_cell(csv_text, row, column, cell):
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
     (root / "graph.json").write_text(GRAPH)
+    (root / "chain.json").write_text(CHAIN)
     (root / "data.csv").write_text(gk.write_csv(mixed_dataset(60, 0)))
     (root / "new.csv").write_text(gk.write_csv(mixed_dataset(60, 1)))
     (root / "cont.csv").write_text(gk.write_csv(mixed_dataset(60, 0).select(["X", "Y", "Z"])))
@@ -103,6 +105,28 @@ def test_out_of_range_budget_exits_2(files, command, args, flag, value):
     assert code == 2, stderr
     assert stdout == ""
     assert "at least" in stderr
+
+
+@pytest.mark.parametrize("alpha", ["nan", "0", "1", "-0.5"])
+@pytest.mark.parametrize(
+    "args", [["discover", "--data", "cont.csv"], ["refute", "--graph", "chain.json", "--data", "cont.csv"]]
+)
+def test_out_of_range_alpha_exits_2(files, args, alpha):
+    argv = [files / a if a.endswith((".csv", ".json")) else a for a in args]
+    code, stdout, stderr = call(argv + ["--alpha", alpha])
+    assert code == 2, stderr
+    assert stdout == ""
+    assert "alpha" in stderr
+
+
+@pytest.mark.parametrize(("x", "y", "given"), [("X", "Y", "X"), ("X", "X", ""), ("X", "Y", "Z,Z")])
+def test_fisherz_on_repeated_columns_exits_2(files, x, y, given):
+    code, stdout, stderr = call(
+        ["test", "--data", files / "cont.csv", "--x", x, "--y", y, "--given", given, "--method", "fisherz"]
+    )
+    assert code == 2, stderr
+    assert stdout == ""
+    assert "distinct" in stderr
 
 
 SUBCOMMANDS = [
