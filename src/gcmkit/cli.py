@@ -101,12 +101,9 @@ def _interventions_from_args(args):
 
 def _dataset_payload(dataset):
     columns = list(dataset.column_names)
-    arrays = [dataset.column(name) for name in columns]
-    kinds = [dataset.kind(name) for name in columns]
-    rows = [
-        [float(a[i]) if k == "continuous" else str(a[i]) for a, k in zip(arrays, kinds)]
-        for i in range(dataset.n_rows)
-    ]
+    # Continuous columns are float64 and categorical ones hold str, so
+    # tolist() yields exactly the Python floats and strings JSON needs.
+    rows = list(zip(*(dataset.column(name).tolist() for name in columns)))
     return {"columns": columns, "rows": rows}
 
 
@@ -245,6 +242,8 @@ def _cmd_test(args):
     elif method == "dcor":
         if given:
             raise _UsageError("--given requires --method fisherz (or auto)")
+        if args.x == args.y:
+            raise QueryError(f"dcor needs x and y to name distinct columns, got {args.x!r} twice")
         result = pairwise_independence_test(
             data.column(args.x), data.column(args.y), args.permutations, args.seed
         )
@@ -369,10 +368,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"gcm {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
-        print(f"gcm {args.command}: numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"gcm {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (GcmError, OSError, json.JSONDecodeError) as exc:

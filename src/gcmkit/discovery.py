@@ -1,10 +1,16 @@
-"""Constraint-based structure learning: the PC algorithm with Meek orientation."""
+"""Constraint-based structure learning: the PC algorithm with Meek orientation.
+
+The resulting :class:`Cpdag` validates its directed part by building a
+:class:`~gcmkit.graph.CausalGraph` from it, and writes DOT through
+:func:`~gcmkit.graph.render_dot`.
+"""
 
 import itertools
 from dataclasses import dataclass, field
 
 from .data import CONTINUOUS, Dataset
 from .exceptions import DataError, GraphError, QueryError
+from .graph import CausalGraph, render_dot
 from .stats import fisher_z_test
 
 DEFAULT_MAX_COND_SET_SIZE = 3
@@ -38,13 +44,13 @@ class Cpdag:
         directed_set = set(self.directed)
         undirected_set = {frozenset(edge) for edge in self.undirected}
         for a, b in self.directed:
-            if a == b:
-                raise GraphError(f"self-loop on {a!r}")
             if frozenset((a, b)) in undirected_set:
                 raise GraphError(f"edge {a!r}-{b!r} is both directed and undirected")
-            if (b, a) in directed_set:
+            # A self-loop is its own reverse; CausalGraph reports it below.
+            if a != b and (b, a) in directed_set:
                 raise GraphError(f"edge {a!r}-{b!r} directed both ways")
-        _check_directed_acyclic(self.nodes, self.directed)
+        # Self-loops, unknown nodes, duplicate edges and cycles.
+        CausalGraph(self.nodes, self.directed)
 
     def to_json(self) -> dict:
         return {
@@ -53,36 +59,7 @@ class Cpdag:
         }
 
     def to_dot(self) -> str:
-        lines = ["digraph {"]
-        attached = {n for edge in self.directed + self.undirected for n in edge}
-        for node in self.nodes:
-            if node not in attached:
-                lines.append(f"  {node};")
-        for a, b in self.directed:
-            lines.append(f"  {a} -> {b};")
-        for a, b in self.undirected:
-            lines.append(f"  {a} -> {b} [dir=none];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def _check_directed_acyclic(nodes, directed):
-    children = {node: [] for node in nodes}
-    indegree = {node: 0 for node in nodes}
-    for a, b in directed:
-        children[a].append(b)
-        indegree[b] += 1
-    queue = [node for node in nodes if indegree[node] == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for child in children[node]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                queue.append(child)
-    if seen != len(nodes):
-        raise GraphError("directed part of the CPDAG contains a cycle")
+        return render_dot(self.nodes, self.directed, self.undirected)
 
 
 def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SET_SIZE):

@@ -1,4 +1,8 @@
-"""Directed acyclic graphs over named variables, with JSON and DOT parsing."""
+"""Directed acyclic graphs over named variables, and every graph format.
+
+Graph files and model files share one JSON graph object; graphs and CPDAGs
+share one DOT writer.
+"""
 
 import json
 import re
@@ -93,29 +97,25 @@ class CausalGraph:
         self._require(node)
         return tuple(self._children[node])
 
-    def ancestors(self, node):
-        """All nodes with a directed path into ``node`` (excluding itself)."""
+    def _reach(self, node, step):
+        # Depth-first walk over ``step`` (parents or children), excluding ``node``.
         self._require(node)
         found = set()
-        stack = list(self._parents[node])
+        stack = list(step[node])
         while stack:
             current = stack.pop()
             if current not in found:
                 found.add(current)
-                stack.extend(self._parents[current])
+                stack.extend(step[current])
         return frozenset(found)
+
+    def ancestors(self, node):
+        """All nodes with a directed path into ``node`` (excluding itself)."""
+        return self._reach(node, self._parents)
 
     def descendants(self, node):
         """All nodes reachable from ``node`` by a directed path (excluding itself)."""
-        self._require(node)
-        found = set()
-        stack = list(self._children[node])
-        while stack:
-            current = stack.pop()
-            if current not in found:
-                found.add(current)
-                stack.extend(self._children[current])
-        return frozenset(found)
+        return self._reach(node, self._children)
 
     def non_descendants(self, node):
         """All nodes that are neither ``node`` nor reachable from it."""
@@ -163,18 +163,26 @@ def _parse_json(text):
         payload = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GraphError(f"graph parse error: {exc}") from exc
+    return graph_from_payload(payload)
+
+
+def graph_payload(graph: CausalGraph) -> dict:
+    """The JSON object for ``graph``: ``{"nodes": [...], "edges": [[parent, child], ...]}``."""
+    return {"nodes": list(graph.nodes), "edges": [list(edge) for edge in graph.edges]}
+
+
+def graph_from_payload(payload) -> CausalGraph:
+    """Validate a decoded JSON graph object and build it; inverse of :func:`graph_payload`."""
     if not isinstance(payload, dict) or "nodes" not in payload:
         raise GraphError("graph parse error: expected an object with 'nodes' and 'edges'")
     nodes = payload["nodes"]
     edges = payload.get("edges", [])
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise GraphError("graph parse error: 'nodes' and 'edges' must be lists")
-    parsed_edges = []
     for edge in edges:
-        if not isinstance(edge, list) or len(edge) != 2:
-            raise GraphError(f"graph parse error: edge {edge!r} is not a [parent, child] pair")
-        parsed_edges.append((edge[0], edge[1]))
-    return CausalGraph(nodes, parsed_edges)
+        if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(n, str) for n in edge)):
+            raise GraphError(f"graph parse error: edge {edge!r} is not a [parent, child] name pair")
+    return CausalGraph(nodes, [tuple(edge) for edge in edges])
 
 
 def _parse_dot(text):
@@ -211,16 +219,18 @@ def _parse_dot(text):
 def serialize_graph(graph: CausalGraph, format: str = "json") -> str:
     """Render ``graph`` as text; inverse of :func:`parse_graph` on node/edge sets."""
     if format == "json":
-        payload = {"nodes": list(graph.nodes), "edges": [list(edge) for edge in graph.edges]}
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(graph_payload(graph), separators=(",", ":"))
     if format == "dot":
-        lines = ["digraph {"]
-        attached = {node for edge in graph.edges for node in edge}
-        for node in graph.nodes:
-            if node not in attached:
-                lines.append(f"  {node};")
-        for parent, child in graph.edges:
-            lines.append(f"  {parent} -> {child};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return render_dot(graph.nodes, graph.edges)
     raise GraphError(f"unknown graph format {format!r}")
+
+
+def render_dot(nodes, directed, undirected=()) -> str:
+    """DOT text: unattached nodes, then directed edges, then undirected ones as ``[dir=none]``."""
+    attached = {node for edge in (*directed, *undirected) for node in edge}
+    lines = ["digraph {"]
+    lines += [f"  {node};" for node in nodes if node not in attached]
+    lines += [f"  {a} -> {b};" for a, b in directed]
+    lines += [f"  {a} -> {b} [dir=none];" for a, b in undirected]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

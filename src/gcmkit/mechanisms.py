@@ -28,10 +28,10 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
 
 from .data import one_hot
 from .exceptions import FitError, NonInvertibleError, SerializationError
+from .stats import distance_blocks
 
 _KNN_AUTO = "auto"
 _CV_FOLDS = 5
@@ -300,12 +300,10 @@ class KnnRegressor(_Serialized):
     def predict(self, encoded):
         encoded = np.asarray(encoded, dtype=np.float64)
         out = np.empty(len(encoded))
-        chunk = max(1, int(2_000_000 / max(len(self.targets), 1)))
-        for start in range(0, len(encoded), chunk):
-            distances = cdist(encoded[start : start + chunk], self.inputs)
+        for start, distances_to in distance_blocks(encoded, len(self.targets)):
             # Stable sort keeps predictions deterministic when distances tie.
-            order = np.argsort(distances, axis=1, kind="stable")[:, : self.k]
-            out[start : start + chunk] = self.targets[order].mean(axis=1)
+            order = np.argsort(distances_to(self.inputs), axis=1, kind="stable")[:, : self.k]
+            out[start : start + len(order)] = self.targets[order].mean(axis=1)
         return out + self.offset
 
     def __repr__(self):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .data import CATEGORICAL, CONTINUOUS, Dataset
 from .exceptions import DataError, FitError, SerializationError
-from .graph import CausalGraph
+from .graph import CausalGraph, graph_from_payload, graph_payload
 from .mechanisms import fit_anm, fit_classifier, fit_stochastic, mechanism_from_json
 
 SCHEMA_VERSION = 1
@@ -155,10 +155,7 @@ def dumps_model(model: GcmModel) -> str:
     model.require_fitted()
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "graph": {
-            "nodes": list(model.graph.nodes),
-            "edges": [list(edge) for edge in model.graph.edges],
-        },
+        "graph": graph_payload(model.graph),
         "mechanisms": {
             node: dict(model.mechanisms[node].to_json(), ground_truth=node in model.ground_truth)
             for node in model.graph.nodes
@@ -181,10 +178,7 @@ def loads_model(text: str) -> GcmModel:
             f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
         )
     try:
-        graph = CausalGraph(
-            payload["graph"]["nodes"],
-            [tuple(edge) for edge in payload["graph"]["edges"]],
-        )
+        graph = graph_from_payload(payload["graph"])
         mechanisms = {}
         ground_truth = set()
         for node, mech_payload in payload["mechanisms"].items():
@@ -195,6 +189,8 @@ def loads_model(text: str) -> GcmModel:
         raise SerializationError(f"corrupt model payload: {exc}") from exc
     if set(mechanisms) != set(graph.nodes):
         raise SerializationError("corrupt model payload: mechanisms do not cover the graph")
+    for node in graph.nodes:
+        _check_role(graph, node, mechanisms[node])
     return GcmModel(graph, mechanisms, ground_truth, ready=graph.nodes)
 
 

@@ -1,10 +1,12 @@
 """Statistical toolbox: independence tests and nonparametric KL estimation.
 
-Distances are Euclidean throughout.  Nearest neighbours are found by a
-chunked exhaustive search with no spatial index, so the KL estimator costs
-O(n·(n + m)) distance evaluations for n samples of P and m of Q.
+Distances are Euclidean throughout.  Nearest neighbours, here and in
+:class:`~gcmkit.mechanisms.KnnRegressor`, are found by one chunked exhaustive
+search (:func:`distance_blocks`) with no spatial index, so the KL estimator
+costs O(n·(n + m)) distance evaluations for n samples of P and m of Q.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +158,20 @@ def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
     return TestResult(statistic, p_value, "fisher_z", conditioning_set_size=len(conditioning_set))
 
 
+def distance_blocks(queries, width):
+    """Yield ``(start, distances_to)`` over row blocks of ``queries``.
+
+    ``distances_to(reference)`` is the distance matrix from the block, rows
+    ``start:start + len(block)``, to the rows of ``reference``.  Blocks are
+    sized so that a matrix against up to ``width`` reference rows holds about
+    two million entries; a caller that computes one matrix at a time keeps
+    at most one alive.
+    """
+    chunk = max(1, int(2_000_000 / max(width, 1)))
+    for start in range(0, len(queries), chunk):
+        yield start, functools.partial(cdist, queries[start : start + chunk])
+
+
 def _kth_smallest(distances, k):
     return np.partition(distances, k, axis=1)[:, k]
 
@@ -180,12 +196,10 @@ def kl_divergence(samples_p, samples_q, k=5) -> float:
         raise QueryError(f"k-NN KL estimation needs at least k+1 = {k + 1} samples per side")
 
     log_ratio_sum = 0.0
-    chunk = max(1, int(2_000_000 / max(n, m)))
-    for start in range(0, n, chunk):
-        block = p[start : start + chunk]
+    for _, distances_to in distance_blocks(p, max(n, m)):
         # k-th neighbour in P excluding the point itself: position k including it.
-        rho = _kth_smallest(cdist(block, p), k)
-        nu = _kth_smallest(cdist(block, q), k - 1)
+        rho = _kth_smallest(distances_to(p), k)
+        nu = _kth_smallest(distances_to(q), k - 1)
         rho = np.maximum(rho, 1e-12)
         nu = np.maximum(nu, 1e-12)
         log_ratio_sum += float(np.sum(np.log(nu / rho)))

@@ -70,13 +70,10 @@ def refute_graph(graph: CausalGraph, data: Dataset, alpha=0.05) -> RefutationRep
     pairs = []
     for node in graph.nodes:
         parents = graph.parents(node)
-        others = [
-            u
-            for u in graph.nodes
-            if u in graph.non_descendants(node) and u not in parents
-        ]
-        for other in others:
-            pairs.append((node, other, parents))
+        non_descendants = graph.non_descendants(node)
+        for other in graph.nodes:
+            if other in non_descendants and other not in parents:
+                pairs.append((node, other, parents))
 
     p_values = [
         fisher_z_test(data, node, other, given).p_value for node, other, given in pairs

@@ -119,14 +119,37 @@ def test_out_of_range_alpha_exits_2(files, args, alpha):
     assert "alpha" in stderr
 
 
-@pytest.mark.parametrize(("x", "y", "given"), [("X", "Y", "X"), ("X", "X", ""), ("X", "Y", "Z,Z")])
-def test_fisherz_on_repeated_columns_exits_2(files, x, y, given):
+@pytest.mark.parametrize(
+    ("x", "y", "given", "method"),
+    [
+        pytest.param("X", "Y", "X", "fisherz", id="X-Y-X"),
+        pytest.param("X", "X", "", "fisherz", id="X-X-"),
+        pytest.param("X", "Y", "Z,Z", "fisherz", id="X-Y-Z,Z"),
+        pytest.param("X", "X", "", "dcor", id="X-X-dcor"),
+        pytest.param("X", "X", "", "auto", id="X-X-auto"),
+    ],
+)
+def test_fisherz_on_repeated_columns_exits_2(files, x, y, given, method):
     code, stdout, stderr = call(
-        ["test", "--data", files / "cont.csv", "--x", x, "--y", y, "--given", given, "--method", "fisherz"]
+        ["test", "--data", files / "cont.csv", "--x", x, "--y", y, "--given", given, "--method", method]
     )
     assert code == 2, stderr
     assert stdout == ""
     assert "distinct" in stderr
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[["C", "Y", "Z"]], [["C"]], "CY", [[["C"], "Y"]], [["Y", "C"], ["X", "Y"], ["X", "K"], ["Y", "Z"]]],
+    ids=["three-names", "one-name", "string", "nested-name", "root-reversed"],
+)
+def test_model_file_with_malformed_graph_edges_exits_2(files, edges):
+    payload = json.loads((files / "model.json").read_text())
+    payload["graph"]["edges"] = edges
+    (files / "bad_model.json").write_text(json.dumps(payload))
+    code, stdout, stderr = call(["evaluate", "--model", files / "bad_model.json", "--data", files / "data.csv"])
+    assert code == 2, stderr
+    assert stdout == ""
 
 
 SUBCOMMANDS = [

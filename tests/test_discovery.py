@@ -118,6 +118,10 @@ class TestCpdagSerialization:
             Cpdag(("A", "B"), (("A", "B"), ("B", "A")), ())
         with pytest.raises(gk.GraphError, match="cycle"):
             Cpdag(("A", "B", "C"), (("A", "B"), ("B", "C"), ("C", "A")), ())
+        with pytest.raises(gk.GraphError, match="unknown node 'Z'"):
+            Cpdag(("A", "B"), (("A", "Z"),), ())
+        with pytest.raises(gk.GraphError, match="self-loop"):
+            Cpdag(("A", "B"), (("A", "A"),), ())
 
 
 def test_full_pipeline_recovers_collider_reliably():

@@ -53,6 +53,8 @@ def test_malformed_json_is_parse_error():
     with pytest.raises(GraphError, match="parse error"):
         parse_graph("{nodes: oops")
     with pytest.raises(GraphError, match="parse error"):
+        parse_graph('{"nodes":["X","Y"],"edges":[[["X"],"Y"]]}')
+    with pytest.raises(GraphError, match="parse error"):
         parse_graph("graph { A -- B }", format="dot")
 
 

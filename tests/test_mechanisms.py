@@ -274,3 +274,20 @@ def test_residuals_independent_of_parents_on_true_anm():
         if result.p_value <= 0.01:
             rejections += 1
     assert rejections <= 5
+
+
+def test_knn_predict_across_blocks_matches_stable_argsort_oracle():
+    # Distances are searched in blocks of about two million, so 100 query rows
+    # per block here; ties are everywhere (one-hot plus small-integer columns)
+    # and the oracle keeps, among tied rows, the lowest training index.
+    rng = np.random.default_rng(5)
+
+    def rows(n):
+        return np.column_stack([np.eye(3)[rng.integers(0, 3, n)], rng.integers(0, 4, n)]).astype(float)
+
+    inputs, queries = rows(20_000), rows(250)
+    targets = rng.standard_normal(20_000)
+    knn = KnnRegressor(7, inputs, targets, offset=0.5)
+    squared = (queries**2).sum(1)[:, None] + (inputs**2).sum(1)[None, :] - 2 * queries @ inputs.T
+    order = np.argsort(squared, axis=1, kind="stable")[:, :7]
+    np.testing.assert_array_equal(knn.predict(queries), targets[order].mean(axis=1) + 0.5)
