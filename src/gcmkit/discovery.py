@@ -1,7 +1,8 @@
 """Constraint-based structure learning: the PC algorithm with Meek orientation.
 
 The resulting :class:`Cpdag` validates its directed part by building a
-:class:`~gcmkit.graph.CausalGraph` from it, and writes DOT through
+:class:`~gcmkit.graph.CausalGraph` from it, checks each undirected pair for
+unknown nodes, self-loops and duplicates, and writes DOT through
 :func:`~gcmkit.graph.render_dot`.
 """
 
@@ -42,7 +43,18 @@ class Cpdag:
 
     def __post_init__(self):
         directed_set = set(self.directed)
-        undirected_set = {frozenset(edge) for edge in self.undirected}
+        # CausalGraph below checks the directed edges; an undirected triangle
+        # is a valid CPDAG, so the undirected ones are checked here instead.
+        undirected_set = set()
+        for a, b in self.undirected:
+            for node in (a, b):
+                if node not in self.nodes:
+                    raise GraphError(f"edge {(a, b)!r} references unknown node {node!r}")
+            if a == b:
+                raise GraphError(f"self-loop on node {a!r}")
+            if frozenset((a, b)) in undirected_set:
+                raise GraphError(f"duplicate edge {(a, b)!r}")
+            undirected_set.add(frozenset((a, b)))
         for a, b in self.directed:
             if frozenset((a, b)) in undirected_set:
                 raise GraphError(f"edge {a!r}-{b!r} is both directed and undirected")

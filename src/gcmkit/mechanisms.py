@@ -7,7 +7,9 @@ distribution inferred from the residuals.  Categorical non-root nodes carry a
 :class:`ClassifierFcm`, a multinomial-logistic model sampled by inverse CDF.
 
 All fitted objects are immutable; every stochastic operation takes an explicit
-numpy generator supplied by the caller.
+numpy generator supplied by the caller.  Importing this module loads numpy
+only: ``scipy.optimize`` is imported by the first classifier fit, and
+``scipy.spatial`` by the first kNN search.
 
 Every mechanism class implements the same protocol, and the query modules use
 nothing else:
@@ -27,7 +29,6 @@ nothing else:
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import one_hot
 from .exceptions import FitError, NonInvertibleError, SerializationError
@@ -545,6 +546,17 @@ class ClassifierFcm:
 
     def __repr__(self):
         return f"ClassifierFcm(categories={list(self.categories)})"
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first classifier fit.
+
+    :func:`fit_classifier` calls it by this module-level name, so a tracer
+    can rebind the name to count L-BFGS iterations.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def fit_classifier(parent_columns, targets):

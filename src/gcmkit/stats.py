@@ -1,17 +1,21 @@
-"""Statistical toolbox: independence tests and nonparametric KL estimation.
+"""Statistical toolbox: independence tests, a two-sample KS statistic and
+nonparametric KL estimation.
 
 Distances are Euclidean throughout.  Nearest neighbours, here and in
 :class:`~gcmkit.mechanisms.KnnRegressor`, are found by one chunked exhaustive
 search (:func:`distance_blocks`) with no spatial index, so the KL estimator
 costs O(n·(n + m)) distance evaluations for n samples of P and m of Q.
+
+Importing this module loads numpy only.  ``scipy.spatial`` (pairwise
+distances, for kNN, KL and distance correlation) and ``scipy.special``
+(the normal tail, for Fisher-z) are imported inside the functions that use
+them, so a process that asks neither question never pays their import.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import norm
 
 from .data import Dataset, one_hot
 from .exceptions import DataError, QueryError
@@ -53,10 +57,17 @@ def _double_centered(distances):
     return distances - row_means - col_means + distances.mean()
 
 
+def _centered_distances(points):
+    """Double-centred matrix of pairwise distances between the rows of ``points``."""
+    from scipy.spatial.distance import cdist
+
+    return _double_centered(cdist(points, points))
+
+
 def distance_correlation(x, y) -> float:
     """Sample distance correlation in [0, 1]; 0 iff (in the limit) independent."""
-    a = _double_centered(cdist(_as_point_matrix(x), _as_point_matrix(x)))
-    b = _double_centered(cdist(_as_point_matrix(y), _as_point_matrix(y)))
+    a = _centered_distances(_as_point_matrix(x))
+    b = _centered_distances(_as_point_matrix(y))
     scale = _dcor_scale(a, b)
     return 0.0 if scale is None else _dcor_from_centered(a, b, scale)
 
@@ -91,8 +102,8 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
     if n < 10:
         raise DataError("independence test needs at least 10 observations")
 
-    a = _double_centered(cdist(x_matrix, x_matrix))
-    b = _double_centered(cdist(y_matrix, y_matrix))
+    a = _centered_distances(x_matrix)
+    b = _centered_distances(y_matrix)
     scale = _dcor_scale(a, b)
     if scale is None:
         # A constant input carries no information: dCor is undefined, never reject.
@@ -109,6 +120,14 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
             exceed += 1
     p_value = (1 + exceed) / (num_permutations + 1)
     return TestResult(observed, p_value, "distance_correlation_permutation", num_permutations)
+
+
+def _two_sided_normal_p(statistic):
+    """P(|N(0, 1)| >= statistic) for ``statistic >= 0``, bit for bit
+    ``2 * scipy.stats.norm.sf(statistic)``."""
+    from scipy.special import ndtr
+
+    return float(2 * ndtr(-statistic))
 
 
 def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
@@ -154,7 +173,7 @@ def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
 
     z = 0.5 * np.log((1 + partial) / (1 - partial))
     statistic = float(np.sqrt(n - len(conditioning_set) - 3) * abs(z))
-    p_value = float(2 * norm.sf(statistic))
+    p_value = _two_sided_normal_p(statistic)
     return TestResult(statistic, p_value, "fisher_z", conditioning_set_size=len(conditioning_set))
 
 
@@ -167,9 +186,26 @@ def distance_blocks(queries, width):
     two million entries; a caller that computes one matrix at a time keeps
     at most one alive.
     """
+    from scipy.spatial.distance import cdist
+
     chunk = max(1, int(2_000_000 / max(width, 1)))
     for start in range(0, len(queries), chunk):
         yield start, functools.partial(cdist, queries[start : start + chunk])
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical CDFs of ``a`` and ``b``, evaluated at every pooled sample.
+
+    Bit for bit the ``statistic`` of ``scipy.stats.ks_2samp``; identical
+    samples give ``+0.0``.
+    """
+    a = np.sort(a)
+    b = np.sort(b)
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / len(a)
+    cdf_b = np.searchsorted(b, pooled, side="right") / len(b)
+    return float(np.abs(cdf_a - cdf_b).max())
 
 
 def _kth_smallest(distances, k):

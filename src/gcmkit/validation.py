@@ -1,16 +1,21 @@
-"""Model diagnostics: falsify a graph against data, evaluate fitted mechanisms."""
+"""Model diagnostics: falsify a graph against data, evaluate fitted mechanisms.
+
+Refutation runs Fisher-z tests (:func:`~gcmkit.stats.fisher_z_test`), whose
+p-values import ``scipy.special`` on first use.  Evaluation compares
+distributions with the numpy two-sample KS statistic
+(:func:`~gcmkit.stats.ks_statistic`) and needs no scipy of its own.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .data import CONTINUOUS, Dataset
 from .exceptions import DataError, QueryError
 from .graph import CausalGraph
 from .model import GcmModel
 from .seeds import rng_for
-from .stats import fisher_z_test
+from .stats import fisher_z_test, ks_statistic
 
 
 @dataclass(frozen=True)
@@ -146,11 +151,7 @@ def evaluate_mechanisms(model: GcmModel, heldout: Dataset, seed=0) -> Evaluation
                     node,
                     "additive_noise",
                     rmse=float(np.sqrt(np.mean(residuals**2))),
-                    ks_statistic=float(
-                        ks_2samp(
-                            residuals, mechanism.noise_reference(n, rng), method="asymp"
-                        ).statistic
-                    ),
+                    ks_statistic=ks_statistic(residuals, mechanism.noise_reference(n, rng)),
                 )
             )
         elif not root:
@@ -170,7 +171,7 @@ def evaluate_mechanisms(model: GcmModel, heldout: Dataset, seed=0) -> Evaluation
                 NodeEvaluation(
                     node,
                     "root_continuous",
-                    ks_statistic=float(ks_2samp(column, draws, method="asymp").statistic),
+                    ks_statistic=ks_statistic(column, draws),
                 )
             )
     return EvaluationReport(tuple(evaluations))

@@ -122,6 +122,17 @@ class TestCpdagSerialization:
             Cpdag(("A", "B"), (("A", "Z"),), ())
         with pytest.raises(gk.GraphError, match="self-loop"):
             Cpdag(("A", "B"), (("A", "A"),), ())
+        with pytest.raises(gk.GraphError, match="unknown node 'Z'"):
+            Cpdag(("A", "B"), (), (("A", "Z"),))
+        with pytest.raises(gk.GraphError, match="self-loop on node 'B'"):
+            Cpdag(("A", "B"), (), (("B", "B"),))
+        for pairs in ((("A", "B"), ("A", "B")), (("A", "B"), ("B", "A"))):
+            with pytest.raises(gk.GraphError, match="duplicate edge"):
+                Cpdag(("A", "B"), (), pairs)
+
+    def test_undirected_triangle_is_valid(self):
+        cpdag = Cpdag(("A", "B", "C"), (), (("A", "B"), ("B", "C"), ("A", "C")))
+        assert len(cpdag.undirected) == 3
 
 
 def test_full_pipeline_recovers_collider_reliably():

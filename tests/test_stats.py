@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp, norm
 
 from gcmkit import (
     DataError,
@@ -11,7 +12,12 @@ from gcmkit import (
     kl_divergence,
     pairwise_independence_test,
 )
-from gcmkit.stats import distance_correlation
+from gcmkit.stats import _two_sided_normal_p, distance_correlation, ks_statistic
+
+
+def bits(value):
+    """The float64 bit pattern, so that -0.0 and +0.0 differ."""
+    return np.float64(value).view(np.int64)
 
 
 def dataset_with_exact_correlation(r, n=100, seed=0):
@@ -148,6 +154,44 @@ class TestFisherZ:
         result = fisher_z_test(data, "x", "y")
         assert math.isfinite(result.statistic)
         assert result.p_value <= 1e-12
+
+
+    @pytest.mark.parametrize("statistic", [0.0, 1e-300, 1.0, 8.3, 38.5, 40.0])
+    def test_p_value_bits_match_scipy_normal_tail(self, statistic):
+        assert bits(_two_sided_normal_p(statistic)) == bits(2 * norm.sf(statistic))
+
+    @pytest.mark.parametrize("r", [0.0, 0.05, 0.3, 0.8, 0.99])
+    def test_reported_p_value_is_the_normal_tail_of_the_statistic(self, r):
+        result = fisher_z_test(dataset_with_exact_correlation(r, n=200), "x", "y")
+        assert bits(result.p_value) == bits(2 * norm.sf(result.statistic))
+
+
+class TestKsStatistic:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 5.0, 5.0]),  # heavy ties
+            ([0.5, -1.0, 3.0], [3.0, 0.5, -1.0]),  # identical samples: +0.0
+            ([0.0], [1.0]),  # size 1
+            ([2.0], [-3.0, 2.0, 7.0]),
+        ],
+    )
+    # For two size-1 samples scipy's asymptotic p-value, unused here, divides by zero.
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_bits_match_scipy_on_edge_cases(self, a, b):
+        a, b = np.array(a), np.array(b)
+        expected = ks_2samp(a, b, method="asymp").statistic
+        assert bits(ks_statistic(a, b)) == bits(expected)
+
+    def test_bits_match_scipy_on_random_samples(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n, m = rng.integers(1, 60, size=2)
+            # Rounding to one decimal makes ties between and within samples common.
+            a = np.round(rng.standard_normal(n), rng.integers(0, 3))
+            b = np.round(rng.standard_normal(m) + rng.uniform(-1, 1), rng.integers(0, 3))
+            expected = ks_2samp(a, b, method="asymp").statistic
+            assert bits(ks_statistic(a, b)) == bits(expected)
 
 
 class TestKlDivergence:
