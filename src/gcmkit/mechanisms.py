@@ -9,7 +9,7 @@ distribution inferred from the residuals.  Categorical non-root nodes carry a
 All fitted objects are immutable; every stochastic operation takes an explicit
 numpy generator supplied by the caller.  Importing this module loads numpy
 only: ``scipy.optimize`` is imported by the first classifier fit, and
-``scipy.spatial`` by the first kNN search.
+``scipy.spatial`` by the first kNN search over two or more encoded columns.
 
 Every mechanism class implements the same protocol, and the query modules use
 nothing else:
@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import one_hot
 from .exceptions import FitError, NonInvertibleError, SerializationError
-from .stats import distance_blocks
+from .stats import nearest_neighbours
 
 _KNN_AUTO = "auto"
 _CV_FOLDS = 5
@@ -272,6 +272,11 @@ class LinearModel(_Serialized):
         self.coefficients = coefficients
         self.intercept = float(intercept)
 
+    @property
+    def width(self):
+        """Number of encoded input columns the model predicts from."""
+        return len(self.coefficients)
+
     def predict(self, encoded):
         return encoded @ self.coefficients + self.intercept
 
@@ -281,7 +286,15 @@ class LinearModel(_Serialized):
 
 
 class KnnRegressor(_Serialized):
-    """k-nearest-neighbour regression over the encoded parents."""
+    """k-nearest-neighbour regression over the encoded parents.
+
+    A prediction is ``offset`` plus the mean target of the ``k`` training rows
+    nearest to the query (Euclidean), ranked by distance and then by training
+    row, so ties resolve to the earliest rows.  The search is
+    :func:`~gcmkit.stats.nearest_neighbours`: for one encoded column it costs
+    O(n log n + m·k) for n training rows and m queries, and it compares all
+    n·m pairs otherwise.  The whole training set is stored.
+    """
 
     tag = "knn"
     fields = ("k", "offset", "inputs", "targets")
@@ -289,6 +302,13 @@ class KnnRegressor(_Serialized):
     def __init__(self, k, inputs, targets, offset=0.0):
         inputs = np.asarray(inputs, dtype=np.float64)
         targets = _as_float_array(targets, "targets")
+        if inputs.ndim != 2 or len(inputs) != len(targets):
+            raise FitError(
+                f"knn inputs must be a matrix with one row per target, got shape "
+                f"{inputs.shape} for {len(targets)} targets"
+            )
+        if not np.all(np.isfinite(inputs)):
+            raise FitError("knn inputs contain non-finite values")
         if not 1 <= k <= len(targets):
             raise FitError("k must be between 1 and the number of training rows")
         inputs.setflags(write=False)
@@ -298,13 +318,16 @@ class KnnRegressor(_Serialized):
         self.targets = targets
         self.offset = float(offset)
 
+    @property
+    def width(self):
+        """Number of encoded input columns the model predicts from."""
+        return self.inputs.shape[1]
+
     def predict(self, encoded):
         encoded = np.asarray(encoded, dtype=np.float64)
         out = np.empty(len(encoded))
-        for start, distances_to in distance_blocks(encoded, len(self.targets)):
-            # Stable sort keeps predictions deterministic when distances tie.
-            order = np.argsort(distances_to(self.inputs), axis=1, kind="stable")[:, : self.k]
-            out[start : start + len(order)] = self.targets[order].mean(axis=1)
+        for rows, order in nearest_neighbours(encoded, self.inputs, self.k):
+            out[rows] = self.targets[order].mean(axis=1)
         return out + self.offset
 
     def __repr__(self):
@@ -360,6 +383,11 @@ class AdditiveNoiseModel:
     def __init__(self, prediction, noise, encoder):
         if not isinstance(noise, (Empirical, Gaussian)):
             raise FitError("additive noise must be a continuous marginal model")
+        if prediction.width != encoder.width:
+            raise FitError(
+                f"the prediction model takes {prediction.width} encoded inputs, "
+                f"but the parents encode to {encoder.width}"
+            )
         self.prediction = prediction
         self.noise = noise
         self.encoder = encoder

@@ -2,17 +2,24 @@
 nonparametric KL estimation.
 
 Distances are Euclidean throughout.  Nearest neighbours, here and in
-:class:`~gcmkit.mechanisms.KnnRegressor`, are found by one chunked exhaustive
-search (:func:`distance_blocks`) with no spatial index, so the KL estimator
-costs O(n·(n + m)) distance evaluations for n samples of P and m of Q.
+:class:`~gcmkit.mechanisms.KnnRegressor`, are found exactly by
+:func:`nearest_neighbours` and :func:`kth_neighbour_distances`, the one
+neighbour search, which dispatches on the width of the points.  1-D points
+(one continuous parent, one target column) are searched in a reference
+sorted once: each query looks at the 2k + 2 sorted points around it, so n
+reference and m query points cost O(n log n + m·k).  Points of two or more
+dimensions are compared exhaustively, block by block (:func:`distance_blocks`),
+which costs O(n·m).  The KL estimator searches P against P and against Q, so
+it costs O(n log n + m log m + n·k) for 1-D samples and O(n·(n + m)) otherwise.
+Both paths rank and measure neighbours with the same arithmetic, so a result
+does not depend on which one ran.
 
 Importing this module loads numpy only.  ``scipy.spatial`` (pairwise
-distances, for kNN, KL and distance correlation) and ``scipy.special``
+distances between points of two or more dimensions) and ``scipy.special``
 (the normal tail, for Fisher-z) are imported inside the functions that use
 them, so a process that asks neither question never pays their import.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +66,7 @@ def _double_centered(distances):
 
 def _centered_distances(points):
     """Double-centred matrix of pairwise distances between the rows of ``points``."""
-    from scipy.spatial.distance import cdist
-
-    return _double_centered(cdist(points, points))
+    return _double_centered(pairwise_distances(points, points))
 
 
 def distance_correlation(x, y) -> float:
@@ -177,22 +182,6 @@ def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
     return TestResult(statistic, p_value, "fisher_z", conditioning_set_size=len(conditioning_set))
 
 
-def distance_blocks(queries, width):
-    """Yield ``(start, distances_to)`` over row blocks of ``queries``.
-
-    ``distances_to(reference)`` is the distance matrix from the block, rows
-    ``start:start + len(block)``, to the rows of ``reference``.  Blocks are
-    sized so that a matrix against up to ``width`` reference rows holds about
-    two million entries; a caller that computes one matrix at a time keeps
-    at most one alive.
-    """
-    from scipy.spatial.distance import cdist
-
-    chunk = max(1, int(2_000_000 / max(width, 1)))
-    for start in range(0, len(queries), chunk):
-        yield start, functools.partial(cdist, queries[start : start + chunk])
-
-
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
     empirical CDFs of ``a`` and ``b``, evaluated at every pooled sample.
@@ -208,15 +197,12 @@ def ks_statistic(a, b) -> float:
     return float(np.abs(cdf_a - cdf_b).max())
 
 
-def _kth_smallest(distances, k):
-    return np.partition(distances, k, axis=1)[:, k]
-
-
 def kl_divergence(samples_p, samples_q, k=5) -> float:
     """k-NN estimate of KL(P || Q) from samples, clamped below at zero.
 
     Uses the ratio of the k-th nearest-neighbour distance within P (excluding
-    the point itself) to the k-th nearest-neighbour distance into Q.
+    the point itself) to the k-th nearest-neighbour distance into Q (Wang,
+    Kulkarni & Verdú 2009).
     """
     p = np.asarray(samples_p, dtype=np.float64)
     q = np.asarray(samples_q, dtype=np.float64)
@@ -230,15 +216,165 @@ def kl_divergence(samples_p, samples_q, k=5) -> float:
     m = q.shape[0]
     if n < k + 1 or m < k + 1:
         raise QueryError(f"k-NN KL estimation needs at least k+1 = {k + 1} samples per side")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise DataError("k-NN KL estimation needs finite samples")
 
+    # k-th neighbour in P excluding the point itself: rank k including it.
+    rho = np.maximum(kth_neighbour_distances(p, p, k), 1e-12)
+    nu = np.maximum(kth_neighbour_distances(p, q, k - 1), 1e-12)
+    log_ratios = np.log(nu / rho)
+    # Summed in the row blocks of an exhaustive search against max(n, m)
+    # points, the order this estimate has always used, so its bits stay put.
     log_ratio_sum = 0.0
-    for _, distances_to in distance_blocks(p, max(n, m)):
-        # k-th neighbour in P excluding the point itself: position k including it.
-        rho = _kth_smallest(distances_to(p), k)
-        nu = _kth_smallest(distances_to(q), k - 1)
-        rho = np.maximum(rho, 1e-12)
-        nu = np.maximum(nu, 1e-12)
-        log_ratio_sum += float(np.sum(np.log(nu / rho)))
+    for rows in _row_blocks(n, max(n, m)):
+        log_ratio_sum += float(np.sum(log_ratios[rows]))
 
     estimate = d / n * log_ratio_sum + np.log(m / (n - 1))
     return max(float(estimate), 0.0)
+
+
+# --- nearest-neighbour search -------------------------------------------------
+#
+# Every distance is sqrt(sum((u - v)**2)), the arithmetic of scipy's cdist, so
+# both paths agree bit for bit.  For 1-D points that is sqrt((u - v)**2), which
+# is not |u - v| once the square underflows (|u - v| below about 1e-154).
+
+
+def _gaps(u, v):
+    """Distances between broadcast 1-D coordinates ``u`` and ``v``; a gap
+    whose square overflows is ``inf``, silently, as in ``cdist``."""
+    gaps = np.subtract(u, v)
+    with np.errstate(over="ignore"):
+        np.square(gaps, out=gaps)
+    return np.sqrt(gaps, out=gaps)
+
+
+def pairwise_distances(a, b):
+    """Matrix of Euclidean distances between the rows of ``a`` and of ``b``."""
+    if a.shape[1] == 1:
+        return _gaps(a, b.T)
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b)
+
+
+def _row_blocks(n_rows, width):
+    """Slices of ``n_rows`` query rows, each holding about two million
+    entries of a matrix ``width`` columns wide."""
+    chunk = max(1, int(2_000_000 / max(width, 1)))
+    return [slice(start, start + chunk) for start in range(0, n_rows, chunk)]
+
+
+def distance_blocks(queries, reference):
+    """Yield ``(rows, distances)``: the distance matrix from ``queries[rows]``
+    to every row of ``reference``, over blocks of about two million entries."""
+    for rows in _row_blocks(len(queries), len(reference)):
+        yield rows, pairwise_distances(queries[rows], reference)
+
+
+def nearest_neighbours(queries, reference, k):
+    """Yield ``(rows, order)`` over row blocks of the 2-D array ``queries``.
+
+    ``order[i]`` holds the indices of the ``k`` rows of ``reference`` nearest
+    to ``queries[rows][i]``, ranked by distance and, among equal distances,
+    by index: a stable argsort of the distance row, truncated to ``k``.
+    """
+    if reference.shape[1] == 1:
+        line = _SortedLine(reference[:, 0])
+        for rows in _row_blocks(len(queries), 2 * k + 2):
+            yield rows, line.nearest(queries[rows, 0], k)
+    else:
+        for rows, distances in distance_blocks(queries, reference):
+            yield rows, np.argsort(distances, axis=1, kind="stable")[:, :k]
+
+
+def kth_neighbour_distances(queries, reference, kth):
+    """Distance from each row of ``queries`` to its ``kth`` nearest row of
+    ``reference``, counting from 0 (``kth=0`` is the nearest)."""
+    out = np.empty(len(queries))
+    if reference.shape[1] == 1:
+        line = _SortedLine(reference[:, 0])
+        for rows in _row_blocks(len(queries), 2 * kth + 2):
+            out[rows] = line.kth_distances(queries[rows, 0], kth)
+    else:
+        for rows, distances in distance_blocks(queries, reference):
+            out[rows] = np.partition(distances, kth, axis=1)[:, kth]
+    return out
+
+
+class _SortedLine:
+    """1-D reference points, sorted once, searched near each query's place.
+
+    The distance to a query falls monotonically over the sorted points up to
+    the query's insertion point and rises after it.  So the j nearest lie
+    within j places on either side, and all the points within any radius form
+    one run of sorted positions.
+    """
+
+    def __init__(self, values):
+        self.index = np.argsort(values, kind="stable")
+        self.values = values[self.index]
+
+    def _window(self, queries, count):
+        """Sorted positions, ``count`` on either side of each query's place
+        (shifted inward at the ends of the line): a (queries, width) array."""
+        n = len(self.values)
+        width = min(n, 2 * count)
+        start = np.searchsorted(self.values, queries) - count
+        return np.clip(start, 0, n - width)[:, None] + np.arange(width)
+
+    def kth_distances(self, queries, kth):
+        positions = self._window(queries, kth + 1)
+        distances = _gaps(queries[:, None], self.values[positions])
+        return np.partition(distances, kth, axis=1)[:, kth]
+
+    def nearest(self, queries, k):
+        positions = self._window(queries, k + 1)
+        distances = _gaps(queries[:, None], self.values[positions])
+        index = self.index[positions]
+        ranked = np.lexsort((index, distances))[:, :k]
+        order = np.take_along_axis(index, ranked, axis=1)
+        radius = np.take_along_axis(distances, ranked[:, -1:], axis=1)[:, 0]
+        # The window holds every point nearer than the k-th distance.  Points
+        # at exactly that distance may go on past an edge of the window, and
+        # the lowest indices among them win: rank all of them for those rows.
+        last = len(self.values) - 1
+        open_tie = ((positions[:, 0] > 0) & (distances[:, 0] == radius)) | (
+            (positions[:, -1] < last) & (distances[:, -1] == radius)
+        )
+        rows = np.flatnonzero(open_tie)
+        if rows.size:
+            order[rows] = self._nearest_within(queries[rows], radius[rows], k)
+        return order
+
+    def _nearest_within(self, queries, radius, k):
+        """The ``k`` nearest points by (distance, index) among all points
+        within ``radius`` of each query; there are at least ``k`` of them."""
+        def gap(positions):
+            return _gaps(queries, self.values[positions])
+
+        place = np.searchsorted(self.values, queries)
+        lo = _first_true(lambda j: gap(j) <= radius, np.zeros_like(place), place)
+        hi = _first_true(lambda j: gap(j) > radius, place, np.full_like(place, len(self.values)))
+        # Every query's run lo:hi, laid end to end.
+        counts = hi - lo
+        starts = np.cumsum(counts) - counts
+        row = np.repeat(np.arange(len(queries)), counts)
+        positions = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
+        distances = _gaps(queries[row], self.values[positions])
+        index = self.index[positions]
+        ranked = index[np.lexsort((index, distances, row))]
+        return ranked[starts[:, None] + np.arange(k)]
+
+
+def _first_true(predicate, lo, hi):
+    """Per row, the first position in ``lo:hi`` at which ``predicate`` holds,
+    or ``hi``; along each row it must be false and then true (bisection)."""
+    while True:
+        searching = lo < hi
+        if not searching.any():
+            return lo
+        mid = (lo + hi) // 2
+        found = searching & predicate(np.where(searching, mid, 0))
+        hi = np.where(found, mid, hi)
+        lo = np.where(searching & ~found, mid + 1, lo)

@@ -226,3 +226,55 @@ def test_every_subcommand_keeps_the_exit_code_and_json_contract(files, data):
     argv = data.draw(invocations(files))
     code, stdout, _ = call(argv)
     assert_contract(code, stdout)
+
+
+def _knn_chain_payload():
+    """Model file payload of a chain X -> Y -> Z: a kNN Y and a linear Z."""
+    encoder = gk.InputEncoder.continuous(1)
+    inputs = np.linspace(-2.0, 2.0, 12)[:, None]
+    mechanisms = {
+        "X": gk.Gaussian(0.0, 1.0),
+        "Y": gk.AdditiveNoiseModel(
+            gk.KnnRegressor(3, inputs, np.sin(inputs[:, 0])), gk.Gaussian(0.0, 0.1), encoder
+        ),
+        "Z": gk.AdditiveNoiseModel(gk.LinearModel([1.5], 0.0), gk.Gaussian(0.0, 1.0), encoder),
+    }
+    model = gk.GcmModel(gk.parse_graph(CHAIN))
+    for node, mechanism in mechanisms.items():
+        model = gk.assign(model, node, mechanism, ground_truth=True)
+    return json.loads(gk.dumps_model(model))
+
+
+def _wider_knn_inputs(payload):
+    prediction = payload["mechanisms"]["Y"]["prediction"]
+    prediction["inputs"] = [row + [0.0] for row in prediction["inputs"]]
+
+
+def _shorter_knn_targets(payload):
+    prediction = payload["mechanisms"]["Y"]["prediction"]
+    prediction["targets"] = prediction["targets"][:-5]
+
+
+def _nan_knn_input(payload):
+    payload["mechanisms"]["Y"]["prediction"]["inputs"][4] = [float("nan")]
+
+
+def _two_linear_coefficients(payload):
+    payload["mechanisms"]["Z"]["prediction"]["coefficients"] = [1.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_wider_knn_inputs, _shorter_knn_targets, _nan_knn_input, _two_linear_coefficients],
+    ids=lambda corrupt: corrupt.__name__.strip("_"),
+)
+def test_model_file_with_misshapen_prediction_exits_2(tmp_path, corrupt):
+    payload = _knn_chain_payload()
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    assert call(["sample", "--model", tmp_path / "model.json", "-n", "5"])[0] == 0
+    corrupt(payload)
+    (tmp_path / "bad_model.json").write_text(json.dumps(payload))
+    code, stdout, stderr = call(["sample", "--model", tmp_path / "bad_model.json", "-n", "5"])
+    assert code == 2, stderr
+    assert stdout == ""
+    assert "corrupt mechanism payload" in stderr

@@ -1,17 +1,23 @@
 """The import contract: importing gcmkit loads numpy and the standard library
-only, and each scipy submodule is imported by the query that needs it.
+only, and each scipy submodule is imported by the query that needs it.  A
+neighbour search over one column (kNN, k-NN KL, distance correlation) needs
+none.
 
 Every check runs in a fresh interpreter, because this test process has
 scipy loaded already.
 """
 
+import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gcmkit as gk
 from conftest import make_ground_truth_chain
+
+CHAIN = '{"nodes":["X","Y","Z"],"edges":[["X","Y"],["Y","Z"]]}'
 
 # Run as ``python -c BLOCKED ARGS...``: the gcm CLI with every scipy import
 # failing, as if scipy were not installed.
@@ -82,3 +88,64 @@ def test_linear_queries_run_without_scipy(linear_files, command):
     assert blocked.returncode == 0, blocked.stderr
     assert plain.returncode == 0, plain.stderr
     assert blocked.stdout == plain.stdout
+
+
+def sine_chain_csv(seed, shift=0.0):
+    """X -> Y -> Z with sine mechanisms, on which ``auto`` picks kNN."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, 300)
+    y = np.sin(2.0 * x) + shift + 0.2 * rng.standard_normal(300)
+    z = np.sin(2.0 * y) + 0.2 * rng.standard_normal(300)
+    return gk.write_csv(gk.Dataset(["X", "Y", "Z"], [x, y, z]))
+
+
+def blocked_and_plain(*argv):
+    """Stdout of ``gcm ARGV`` with scipy blocked and of a plain run."""
+    blocked = python("-c", BLOCKED, *map(str, argv))
+    plain = python("-m", "gcmkit", *map(str, argv))
+    assert blocked.returncode == 0, blocked.stderr
+    assert plain.returncode == 0, plain.stderr
+    return blocked.stdout, plain.stdout
+
+
+def fit_argv(root, out):
+    return ["fit", "--graph", root / "chain.json", "--data", root / "old.csv", "--seed", "3", "--out", out]
+
+
+@pytest.fixture(scope="module")
+def sine_files(tmp_path_factory):
+    """Two batches of the sine chain, and a model fitted to the first."""
+    root = tmp_path_factory.mktemp("sine")
+    (root / "chain.json").write_text(CHAIN)
+    (root / "old.csv").write_text(sine_chain_csv(0))
+    (root / "new.csv").write_text(sine_chain_csv(1, shift=0.5))
+    fitted = python("-m", "gcmkit", *map(str, fit_argv(root, root / "model.json")))
+    assert fitted.returncode == 0, fitted.stderr
+    return root
+
+
+def test_one_column_knn_fit_runs_without_scipy(sine_files):
+    blocked, plain = blocked_and_plain(*fit_argv(sine_files, sine_files / "blocked.json"))
+    assert blocked == plain
+    model = (sine_files / "model.json").read_text()
+    assert (sine_files / "blocked.json").read_text() == model
+    mechanisms = json.loads(model)["mechanisms"]
+    assert [mechanisms[node]["prediction"]["type"] for node in "YZ"] == ["knn", "knn"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--model", "{model}", "--data", "{old}"],
+        ["intervene", "--model", "{model}", "--set", "X=1.5", "--target", "Z", "-n", "300"],
+        ["attribute-change", "--graph", "{chain}", "--old", "{old}", "--new", "{new}", "--target", "Z",
+         "--measure", "kl", "--num-samples", "300"],
+        ["test", "--data", "{old}", "--x", "X", "--y", "Z", "--method", "dcor", "--permutations", "20"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_one_column_neighbour_queries_run_without_scipy(sine_files, command):
+    paths = {name: sine_files / f"{name}.{ext}" for name, ext in
+             [("model", "json"), ("chain", "json"), ("old", "csv"), ("new", "csv")]}
+    blocked, plain = blocked_and_plain(*[arg.format(**paths) for arg in command], "--seed", "3")
+    assert blocked == plain

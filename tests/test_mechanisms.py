@@ -291,3 +291,86 @@ def test_knn_predict_across_blocks_matches_stable_argsort_oracle():
     squared = (queries**2).sum(1)[:, None] + (inputs**2).sum(1)[None, :] - 2 * queries @ inputs.T
     order = np.argsort(squared, axis=1, kind="stable")[:, :7]
     np.testing.assert_array_equal(knn.predict(queries), targets[order].mean(axis=1) + 0.5)
+
+
+def stable_argsort_oracle(knn, queries):
+    """Brute-force kNN prediction: every distance by scipy's cdist, ranked
+    by a stable argsort, so equal distances go to the lowest training index."""
+    from scipy.spatial.distance import cdist
+
+    order = np.argsort(cdist(queries, knn.inputs), axis=1, kind="stable")[:, : knn.k]
+    return knn.targets[order].mean(axis=1) + knn.offset
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(np.asarray(actual).view(np.int64), np.asarray(expected).view(np.int64))
+
+
+ONE_D_CASES = {
+    # Here every query's k-th distance is shared by points outside any window
+    # of 2k + 2 sorted candidates.
+    "integer-valued": lambda rng: (rng.integers(-5, 6, 3_000), rng.integers(-7, 8, 3_000), 55),
+    "duplicated": lambda rng: (np.repeat(rng.standard_normal(40), 25), rng.standard_normal(300), 30),
+    "k-1": lambda rng: (rng.integers(0, 4, 200), rng.uniform(-1, 4, 200), 1),
+    "k-n": lambda rng: (rng.integers(0, 4, 50), rng.uniform(-1, 4, 100), 50),
+    "n-below-2k+2": lambda rng: (rng.standard_normal(12), rng.standard_normal(100), 7),
+    "outside-range": lambda rng: (
+        rng.uniform(0, 1, 500), rng.uniform(-9, 9, 300) * 10.0 ** rng.integers(0, 3, 300), 22
+    ),
+    # Squares of gaps near 1e-160 lose bits (subnormal) and near 1e-170 vanish,
+    # so there sqrt((q - r)**2) is not |q - r|.
+    "underflow": lambda rng: (rng.integers(0, 6, 300) * 1e-160, rng.integers(0, 9, 200) * 0.6e-160, 9),
+    "vanishing": lambda rng: (rng.integers(0, 6, 300) * 1e-170, rng.integers(0, 9, 200) * 0.6e-170, 9),
+    # Gaps to far queries round, so distinct training values tie.
+    "rounded": lambda rng: (1e6 + rng.integers(0, 4, 400) * 1e-10, rng.integers(0, 3, 100) * 1e-3, 11),
+}
+
+
+@pytest.mark.parametrize("case", ONE_D_CASES)
+def test_knn_predict_on_one_column_matches_stable_argsort_oracle(case):
+    rng = np.random.default_rng(17)
+    inputs, queries, k = ONE_D_CASES[case](rng)
+    inputs = np.asarray(inputs, dtype=float)[:, None]
+    queries = np.asarray(queries, dtype=float)[:, None]
+    knn = KnnRegressor(k, inputs, rng.standard_normal(len(inputs)), offset=0.25)
+    assert_same_bits(knn.predict(queries), stable_argsort_oracle(knn, queries))
+
+
+one_d_values = st.one_of(
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=60),
+)
+
+
+@given(inputs=one_d_values, queries=one_d_values, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_knn_predict_on_one_column_matches_oracle_property(inputs, queries, data):
+    k = data.draw(st.integers(1, len(inputs)))
+    targets = np.arange(len(inputs), dtype=float) ** 1.5
+    knn = KnnRegressor(k, np.array(inputs)[:, None], targets)
+    queries = np.array(queries)[:, None]
+    assert_same_bits(knn.predict(queries), stable_argsort_oracle(knn, queries))
+
+
+@pytest.mark.parametrize(
+    ("inputs", "targets", "message"),
+    [
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], "matrix"),
+        ([[0.0], [1.0]], [1.0, 2.0, 3.0], "one row per target"),
+        ([[0.0], [np.nan], [2.0]], [1.0, 2.0, 3.0], "non-finite"),
+        ([[0.0], [np.inf], [2.0]], [1.0, 2.0, 3.0], "non-finite"),
+    ],
+)
+def test_knn_rejects_malformed_training_rows(inputs, targets, message):
+    with pytest.raises(FitError, match=message):
+        KnnRegressor(2, inputs, targets)
+
+
+@pytest.mark.parametrize(
+    "prediction",
+    [LinearModel([1.0, 2.0], 0.0), KnnRegressor(1, [[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0])],
+    ids=["linear", "knn"],
+)
+def test_anm_rejects_prediction_of_another_width(prediction):
+    with pytest.raises(FitError, match="takes 2 encoded inputs"):
+        AdditiveNoiseModel(prediction, Gaussian(0.0, 1.0), gk.InputEncoder.continuous(1))

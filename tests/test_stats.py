@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 from scipy.stats import ks_2samp, norm
 
 from gcmkit import (
@@ -12,7 +15,7 @@ from gcmkit import (
     kl_divergence,
     pairwise_independence_test,
 )
-from gcmkit.stats import _two_sided_normal_p, distance_correlation, ks_statistic
+from gcmkit.stats import _two_sided_normal_p, distance_correlation, ks_statistic, pairwise_distances
 
 
 def bits(value):
@@ -194,7 +197,59 @@ class TestKsStatistic:
             assert bits(ks_statistic(a, b)) == bits(expected)
 
 
+def kl_oracle(p, q, k):
+    """The k-NN KL estimate by exhaustive cdist blocks of about two million
+    distances, its log ratios summed block by block."""
+    p = np.asarray(p, dtype=float).reshape(len(p), -1)
+    q = np.asarray(q, dtype=float).reshape(len(q), -1)
+    n, m = len(p), len(q)
+    chunk = max(1, int(2_000_000 / max(n, m)))
+    total = 0.0
+    for start in range(0, n, chunk):
+        block = p[start : start + chunk]
+        rho = np.maximum(np.partition(cdist(block, p), k, axis=1)[:, k], 1e-12)
+        nu = np.maximum(np.partition(cdist(block, q), k - 1, axis=1)[:, k - 1], 1e-12)
+        total += float(np.sum(np.log(nu / rho)))
+    return max(float(p.shape[1] / n * total + np.log(m / (n - 1))), 0.0)
+
+
+KL_CASES = {
+    "continuous": lambda rng: (rng.standard_normal(700), rng.standard_normal(500) + 0.4),
+    "tied": lambda rng: (np.round(rng.standard_normal(600), 1), rng.integers(-3, 4, 800).astype(float)),
+    "duplicates": lambda rng: (np.repeat(rng.standard_normal(30), 20), np.repeat(rng.standard_normal(40), 9)),
+    # 1 500 * 1 700 > 2e6: the estimate sums two blocks.
+    "two-blocks": lambda rng: (rng.standard_normal(1_500), 1.5 * rng.standard_normal(1_700)),
+    # 2 200 * 2 200 > 2e6, with ties inside and across the samples.
+    "two-blocks-tied": lambda rng: (rng.integers(0, 40, 2_200).astype(float), np.round(rng.normal(20, 9, 900))),
+    "two-columns": lambda rng: (rng.standard_normal((400, 2)), rng.standard_normal((300, 2)) + 0.5),
+}
+
+
 class TestKlDivergence:
+    @pytest.mark.parametrize("case", KL_CASES)
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_exhaustive_oracle_bit_for_bit(self, case, k):
+        p, q = KL_CASES[case](np.random.default_rng(31))
+        assert bits(kl_divergence(p, q, k=k)) == bits(kl_oracle(p, q, k))
+        assert bits(kl_divergence(q, p, k=k)) == bits(kl_oracle(q, p, k))
+
+    @given(
+        p=st.lists(st.integers(-4, 4).map(float) | st.floats(-50, 50), min_size=6, max_size=80),
+        q=st.lists(st.integers(-4, 4).map(float) | st.floats(-50, 50), min_size=6, max_size=80),
+        k=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exhaustive_oracle_property(self, p, q, k):
+        assert bits(kl_divergence(p, q, k=k)) == bits(kl_oracle(p, q, k))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        p = np.arange(10.0)
+        with pytest.raises(DataError, match="finite"):
+            kl_divergence(np.append(p, bad), p)
+        with pytest.raises(DataError, match="finite"):
+            kl_divergence(p, np.append(p, bad))
+
     def test_identical_sample_sets_near_zero(self):
         rng = np.random.default_rng(8)
         p = rng.standard_normal(2000)
@@ -238,3 +293,11 @@ class TestKlDivergence:
         p = np.zeros(50)
         q = np.zeros(60)
         assert math.isfinite(kl_divergence(p, q, k=5))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-170, 1e300])
+def test_one_column_pairwise_distances_match_cdist(scale):
+    rng = np.random.default_rng(41)
+    a = rng.integers(-5, 6, (40, 1)) * scale
+    b = rng.standard_normal((30, 1)) * scale
+    assert np.array_equal(pairwise_distances(a, b).view(np.int64), cdist(a, b).view(np.int64))
