@@ -110,16 +110,12 @@ def _players_for(graph, target):
 def _target_samples(model, target, closure, n, seed, held):
     """The target column of ``n`` draws in which the ``held`` noises stay fixed.
 
-    ``held`` maps closure nodes to the noise value they keep in every draw; the
-    other closure nodes draw fresh noise, each from its own stream of ``seed``,
-    so which nodes are held changes no other node's draw.
+    ``held`` maps closure nodes to a one-element noise column, repeated in
+    every draw; the other closure nodes draw fresh noise, each from its own
+    stream of ``seed``, so which nodes are held changes no other node's draw.
     """
     noise = draw_noise_values(model, n, seed, [node for node in closure if node not in held])
-    for node, value in held.items():
-        if isinstance(value, str):
-            noise[node] = np.full(n, value, dtype=object)
-        else:
-            noise[node] = np.full(n, float(value))
+    noise.update({node: np.repeat(column, n) for node, column in held.items()})
     return propagate_from_noise(model, noise, nodes=closure)[target]
 
 
@@ -248,10 +244,7 @@ def intrinsic_influence(
         conditional_variances = np.empty(outer_samples)
         for outer in range(outer_samples):
             frozen_seed = derive_seed(subset_seed, f"frozen:{outer}")
-            held = {
-                node: column[0]
-                for node, column in draw_noise_values(model, 1, frozen_seed, frozen).items()
-            }
+            held = draw_noise_values(model, 1, frozen_seed, frozen)
             inner = _target_samples(
                 model, target, players, inner_samples, derive_seed(subset_seed, f"free:{outer}"), held
             )
@@ -293,7 +286,7 @@ def attribute_anomaly(
         model, target, players, num_samples, derive_seed(seed, "anomaly:reference"), {}
     )
     scorer = OutlierScorer(reference)
-    observed_feature = float(scorer.feature(observed[target]))
+    observed_feature = float(scorer.feature(observed[target])[0])
 
     def compute_bits(bits):
         if bits == 0:

@@ -20,8 +20,8 @@ nothing else:
 - ``draw_noise(n, rng)``: ``n`` draws of the node's noise;
 - ``forward(parent_columns, noise)``: the node's values from its parents'
   columns and a noise column;
-- ``abduct(parent_values, observed)``: the noise value that reproduces one
-  observed row, or :class:`~gcmkit.exceptions.NonInvertibleError`;
+- ``abduct(parent_columns, observed)``: the noise column that reproduces an
+  observed column, or :class:`~gcmkit.exceptions.NonInvertibleError`;
 - ``to_json()``: tagged parameters, read back by :func:`mechanism_from_json`
   through the class's ``tag``.
 """
@@ -84,7 +84,7 @@ class _Marginal(_Serialized):
     def forward(self, parent_columns, noise):
         return noise
 
-    def abduct(self, parent_values, observed):
+    def abduct(self, parent_columns, observed):
         return observed
 
 
@@ -241,9 +241,6 @@ class InputEncoder:
         ]
         return np.hstack(parts) if parts else np.zeros((n, 0))
 
-    def encode_row(self, parent_values):
-        return self.encode([np.asarray([v]) for v in parent_values])
-
     def to_json(self):
         return [
             {"kind": kind} if kind == "continuous" else {"kind": kind, "categories": list(categories)}
@@ -355,25 +352,6 @@ def _fit_linear(encoded, targets):
     return LinearModel(beta[:-1], beta[-1])
 
 
-class AbductedNoise(float):
-    """A recovered noise value that remembers the equation it inverts.
-
-    The float value is the correctly rounded residual ``observed -
-    prediction``.  The exact real-number sum ``prediction + (observed -
-    prediction)`` is ``observed`` itself, which one more IEEE addition cannot
-    always reproduce, so the defining pair is kept and
-    :meth:`AdditiveNoiseModel.evaluate` uses it to return the exact sum.
-    """
-
-    __slots__ = ("prediction", "observed")
-
-    def __new__(cls, prediction, observed):
-        self = super().__new__(cls, observed - prediction)
-        self.prediction = prediction
-        self.observed = observed
-        return self
-
-
 class AdditiveNoiseModel:
     """Structural assignment: value = prediction(parents) + noise."""
 
@@ -406,18 +384,14 @@ class AdditiveNoiseModel:
         """Vectorised prediction from raw (unencoded) parent columns."""
         return self.prediction.predict(self.encoder.encode(list(parent_columns)))
 
-    def predict_row(self, parent_values) -> float:
-        return float(self.prediction.predict(self.encoder.encode_row(parent_values))[0])
+    def abduct(self, parent_columns, observed) -> np.ndarray:
+        """The residuals ``observed - prediction``: the noise that ``forward`` adds back.
 
-    def evaluate(self, parent_values, noise_value) -> float:
-        prediction = self.predict_row(parent_values)
-        if isinstance(noise_value, AbductedNoise) and noise_value.prediction == prediction:
-            return noise_value.observed
-        return prediction + noise_value
-
-    def abduct(self, parent_values, observed) -> AbductedNoise:
-        """Recover the noise value that reproduces ``observed`` under evaluate."""
-        return AbductedNoise(self.predict_row(parent_values), float(observed))
+        One more IEEE addition cannot always give ``observed`` back, so a
+        counterfactual keeps the observed value wherever the prediction is
+        unchanged (see :func:`~gcmkit.sampling.propagate_from_noise`).
+        """
+        return observed - self.predict(parent_columns)
 
     def noise_reference(self, n, rng):
         """Residual sample for held-out checks: the stored one of empirical noise, else n draws."""
@@ -538,21 +512,13 @@ class ClassifierFcm:
         exp = np.exp(logits)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    def probs_row(self, parent_values) -> np.ndarray:
-        return self.predict_probs([np.asarray([v]) for v in parent_values])[0]
-
-    def sample_class(self, parent_values, rng) -> str:
-        probs = self.probs_row(parent_values)
-        value = categories_from_uniform(self.categories, probs[None, :], rng.random(1))
-        return str(value[0])
-
     def draw_noise(self, n, rng):
         return rng.random(n)
 
     def forward(self, parent_columns, noise) -> np.ndarray:
         return categories_from_uniform(self.categories, self.predict_probs(parent_columns), noise)
 
-    def abduct(self, parent_values, observed):
+    def abduct(self, parent_columns, observed):
         raise NonInvertibleError(
             "a classifier mechanism's noise cannot be recovered from an observed value "
             "(use additive noise mechanisms, or intervene on the node atomically)"

@@ -97,15 +97,26 @@ def draw_noise_values(model: GcmModel, n, seed, nodes=None) -> dict:
     }
 
 
-def propagate_from_noise(model: GcmModel, noise, interventions=None, nodes=None) -> dict:
+def propagate_from_noise(
+    model: GcmModel, noise, interventions=None, nodes=None, factual=None
+) -> dict:
     """Evaluate mechanisms in topological order from given noise columns.
 
     ``nodes``, when given, restricts propagation to an ancestrally closed
     subset.  Interventions override each intervened node's output before its
-    children consume it.
+    children consume it; an atomically set node needs no noise.
+
+    ``factual``, when given, holds the observed columns that ``noise`` was
+    abducted from.  A node then keeps its observed value wherever its
+    prediction (its output at zero noise) from the propagated parents equals
+    the one from the observed parents, so unchanged inputs give back the
+    observation exactly, not up to the round-off of prediction + residual.
+    A node whose parent columns all equal the observed ones needs no
+    prediction.
     """
     interventions = interventions or {}
     chosen = set(model.graph.nodes if nodes is None else nodes)
+    n = max(map(len, noise.values()), default=0)
     graph = model.graph
     values = {}
     for node in graph.topological_order():
@@ -116,17 +127,27 @@ def propagate_from_noise(model: GcmModel, noise, interventions=None, nodes=None)
         missing = [p for p in parents if p not in values]
         if missing:
             raise QueryError(f"propagation subset is not ancestrally closed: missing {missing}")
-        output = mechanism.forward([values[p] for p in parents], noise[node])
+        columns = [values[p] for p in parents]
         iv = interventions.get(node)
-        if iv is not None:
-            dtype = np.float64 if mechanism.is_continuous else object
-            if iv.kind == "atomic":
-                value = _node_value(model, node, iv.value, "intervention value")
-                output = np.full(len(output), value, dtype=dtype)
-            elif iv.kind == "shift":
-                output = output + iv.delta
-            else:
-                output = np.array([iv.mapping(v) for v in output], dtype=dtype)
+        dtype = np.float64 if mechanism.is_continuous else object
+        if iv is not None and iv.kind == "atomic":
+            value = _node_value(model, node, iv.value, "intervention value")
+            values[node] = np.full(n, value, dtype=dtype)
+            continue
+        if factual is None:
+            output = mechanism.forward(columns, noise[node])
+        elif all(np.array_equal(values[p], factual[p]) for p in parents):
+            output = factual[node]
+        else:
+            zero = np.zeros(n)
+            unchanged = mechanism.forward(columns, zero) == mechanism.forward(
+                [factual[p] for p in parents], zero
+            )
+            output = np.where(unchanged, factual[node], mechanism.forward(columns, noise[node]))
+        if iv is not None and iv.kind == "shift":
+            output = output + iv.delta
+        elif iv is not None:
+            output = np.array([iv.mapping(v) for v in output], dtype=dtype)
         values[node] = output
     return values
 
@@ -154,66 +175,50 @@ def interventional_samples(model: GcmModel, interventions, n, seed=0) -> Dataset
 def abduct_row(model: GcmModel, observed_row, nodes, skip=()):
     """Parse one observed row and recover the noise of every node in ``nodes``.
 
-    Returns the parsed values and the recovered noises of ``nodes`` (roots act
-    as their own noise).  A node in ``skip`` whose mechanism cannot be
-    inverted gets ``None`` as its noise instead of an error.
+    Returns one-element columns: the parsed values and the recovered noises
+    of ``nodes`` (roots act as their own noise).  A node in ``skip`` whose
+    mechanism cannot be inverted gets no noise instead of an error.
     """
     graph = model.graph
     missing = [node for node in graph.nodes if node not in observed_row]
     if missing:
         raise QueryError(f"observed row is missing nodes {missing}")
     observed = {
-        node: _node_value(model, node, observed_row[node], "observed value") for node in nodes
+        node: np.array(
+            [_node_value(model, node, observed_row[node], "observed value")],
+            dtype=np.float64 if model.mechanisms[node].is_continuous else object,
+        )
+        for node in nodes
     }
     noise = {}
     for node in graph.topological_order():
         if node not in observed:
             continue
-        parent_values = [observed[p] for p in graph.parents(node)]
+        parent_columns = [observed[p] for p in graph.parents(node)]
         try:
-            noise[node] = model.mechanisms[node].abduct(parent_values, observed[node])
+            noise[node] = model.mechanisms[node].abduct(parent_columns, observed[node])
         except NonInvertibleError as exc:
             if node not in skip:
                 raise NonInvertibleError(f"node {node!r}: {exc}") from exc
-            noise[node] = None
     return observed, noise
 
 
 def counterfactual(model: GcmModel, observed_row, interventions=()) -> dict:
     """Answer "what would this row have been under these interventions?".
 
-    Three steps: recover every node's noise from the observed row (roots act
-    as their own noise), apply the interventions, and re-propagate with the
-    recovered noise held fixed.  With no interventions the observed row is
-    returned exactly.  A node whose noise cannot be recovered must be
-    intervened on atomically.
+    Three steps: recover every node's noise column from the observed row
+    (roots act as their own noise), apply the interventions, and re-propagate
+    with the recovered noise held fixed and the row as the factual columns.
+    So a node whose prediction does not change keeps its observed value, and
+    with no interventions the observed row is returned exactly.  A node whose
+    noise cannot be recovered must be intervened on atomically.
     """
     model.require_fitted()
-    graph = model.graph
     intervention_map = _as_intervention_map(model, interventions)
     atomic_nodes = {node for node, iv in intervention_map.items() if iv.kind == "atomic"}
-    observed, noise = abduct_row(model, observed_row, graph.nodes, skip=atomic_nodes)
-
-    result = {}
-    for node in graph.topological_order():
-        parents = graph.parents(node)
-        if noise[node] is None or all(result[p] == observed[p] for p in parents):
-            # Unchanged inputs reproduce the observed value exactly; taking
-            # it directly avoids round-off in predict + recovered noise.  A
-            # node without recovered noise is overridden below.
-            output = observed[node]
-        else:
-            output = model.mechanisms[node].evaluate([result[p] for p in parents], noise[node])
-        iv = intervention_map.get(node)
-        if iv is not None:
-            if iv.kind == "atomic":
-                output = _node_value(model, node, iv.value, "intervention value")
-            elif iv.kind == "shift":
-                output = output + iv.delta
-            else:
-                output = iv.mapping(output)
-        result[node] = output
-    return result
+    observed, noise = abduct_row(model, observed_row, model.graph.nodes, skip=atomic_nodes)
+    values = propagate_from_noise(model, noise, intervention_map, factual=observed)
+    return {node: column.tolist()[0] for node, column in values.items()}
 
 
 def average_causal_effect(

@@ -31,11 +31,7 @@ class ShapleyConfig:
 
 
 def _mask_from_bits(bits, arity):
-    mask = np.zeros(arity, dtype=bool)
-    for i in range(arity):
-        if bits >> i & 1:
-            mask[i] = True
-    return mask
+    return (bits >> np.arange(arity) & 1).astype(bool)
 
 
 def _checked(value):
@@ -78,12 +74,13 @@ def _exact(set_function, n):
 
     # weight[s] = s!(n-s-1)!/n! for a subset of size s not containing the player
     weight = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
-    size_of = np.array([bin(bits).count("1") for bits in range(1 << n)])
+    subsets = np.arange(1 << n)
+    size_of = sum(subsets >> i & 1 for i in range(n))
 
     phi = np.zeros(n)
     for player in range(n):
         bit = 1 << player
-        without = np.array([bits for bits in range(1 << n) if not bits & bit])
+        without = subsets[(subsets & bit) == 0]
         gains = values[without | bit] - values[without]
         phi[player] = float(np.sum(weight[size_of[without]] * gains))
     return phi

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import gcmkit as gk
 
@@ -54,3 +55,26 @@ def fitted_chain():
     data = sample_chain_data(2000, seed=42)
     graph = make_chain_graph()
     return gk.fit(gk.auto_assign(graph, data), data), data
+
+
+@st.composite
+def linear_gaussian_models(draw):
+    """A ground-truth linear-Gaussian model on 2-4 nodes, plus one target node."""
+    size = draw(st.integers(2, 4))
+    names = [f"V{i}" for i in range(size)]
+    edges = [
+        (names[i], names[j]) for j in range(size) for i in range(j) if draw(st.booleans())
+    ]
+    graph = gk.CausalGraph(names, edges)
+    coefficients = st.floats(-2.0, 2.0, allow_nan=False)
+    model = gk.GcmModel(graph)
+    for node in names:
+        parents = graph.parents(node)
+        noise = gk.Gaussian(0.0, draw(st.floats(0.1, 2.0)))
+        if parents:
+            weights = [draw(coefficients) for _ in parents]
+            noise = gk.AdditiveNoiseModel(
+                gk.LinearModel(weights, 0.0), noise, gk.InputEncoder.continuous(len(parents))
+            )
+        model = gk.assign(model, node, noise, ground_truth=True)
+    return model, draw(st.sampled_from(names))

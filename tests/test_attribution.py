@@ -19,7 +19,9 @@ from gcmkit import (
     OutlierScorer,
     QueryError,
 )
-from conftest import make_ground_truth_chain, sample_chain_data
+from gcmkit import attribution
+from gcmkit.sampling import propagate_from_noise
+from conftest import linear_gaussian_models, make_ground_truth_chain, sample_chain_data
 
 
 def make_two_node_model(coef, noise_std=1.0):
@@ -125,6 +127,24 @@ class TestIntrinsicInfluence:
         # nearly all of Y's variance comes from the categorical switch
         assert result.scores["C"] > 10 * result.scores["Y"]
         assert sum(result.scores.values()) == pytest.approx(result.total, abs=1e-9)
+
+    def test_held_categorical_root_stays_an_object_column(self, monkeypatch):
+        # a held categorical noise is repeated as labels, not as a fixed-width
+        # string array
+        rng = np.random.default_rng(8)
+        labels = np.array(rng.choice(["a", "bb"], 200), dtype=object)
+        y = np.where(labels == "a", -2.0, 2.0) + 0.1 * rng.standard_normal(200)
+        data = Dataset(["C", "Y"], [labels, y])
+        model = gk.fit(gk.auto_assign(CausalGraph(["C", "Y"], [("C", "Y")]), data), data)
+        dtypes = []
+
+        def recording(model, noise, *args, **kwargs):
+            dtypes.append(noise["C"].dtype)
+            return propagate_from_noise(model, noise, *args, **kwargs)
+
+        monkeypatch.setattr(attribution, "propagate_from_noise", recording)
+        gk.intrinsic_influence(model, "Y", outer_samples=3, inner_samples=10, seed=4)
+        assert dtypes and set(dtypes) == {np.dtype(object)}
 
 
 class TestOutlierScorer:
@@ -285,29 +305,6 @@ def test_permutation_shapley_through_the_subset_cache(query):
     assert sum(result.scores.values()) == pytest.approx(result.total - result.baseline, abs=1e-9)
     again = PERMUTATION_QUERIES[query](config)
     assert json.dumps(again.to_json()) == json.dumps(result.to_json())
-
-
-@st.composite
-def linear_gaussian_models(draw):
-    """A ground-truth linear-Gaussian model on 2-4 nodes, plus one target node."""
-    size = draw(st.integers(2, 4))
-    names = [f"V{i}" for i in range(size)]
-    edges = [
-        (names[i], names[j]) for j in range(size) for i in range(j) if draw(st.booleans())
-    ]
-    graph = CausalGraph(names, edges)
-    coefficients = st.floats(-2.0, 2.0, allow_nan=False)
-    model = GcmModel(graph)
-    for node in names:
-        parents = graph.parents(node)
-        noise = Gaussian(0.0, draw(st.floats(0.1, 2.0)))
-        if parents:
-            weights = [draw(coefficients) for _ in parents]
-            noise = AdditiveNoiseModel(
-                LinearModel(weights, 0.0), noise, gk.InputEncoder.continuous(len(parents))
-            )
-        model = gk.assign(model, node, noise, ground_truth=True)
-    return model, draw(st.sampled_from(names))
 
 
 def _shapley_axiom_queries(model, target, seed):

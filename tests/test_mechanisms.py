@@ -17,6 +17,7 @@ from gcmkit import (
     fit_classifier,
     fit_stochastic,
 )
+from gcmkit.sampling import propagate_from_noise
 
 
 class TestFitStochastic:
@@ -126,14 +127,15 @@ class TestFitAnm:
         c = np.array(["a", "b", "a", "b", "a", "b"], dtype=object)
         y = np.where(c == "a", 1.0, 3.0)
         anm = fit_anm([c], y, model_kind="linear")
-        assert anm.predict_row(["a"]) == pytest.approx(1.0, abs=1e-6)
-        assert anm.predict_row(["b"]) == pytest.approx(3.0, abs=1e-6)
+        predicted = anm.predict([np.array(["a", "b"], dtype=object)])
+        assert predicted[0] == pytest.approx(1.0, abs=1e-6)
+        assert predicted[1] == pytest.approx(3.0, abs=1e-6)
 
     def test_unseen_category(self):
         c = np.array(["a", "b", "a", "b"], dtype=object)
         anm = fit_anm([c], np.array([1.0, 2.0, 1.0, 2.0]), model_kind="linear")
         with pytest.raises(UnseenCategoryError):
-            anm.predict_row(["c"])
+            anm.predict([np.array(["c"], dtype=object)])
 
     def test_residual_orthogonality_and_zero_mean(self):
         rng = np.random.default_rng(11)
@@ -160,6 +162,16 @@ class TestFitAnm:
         assert abs(draws.mean()) <= 3 * anm.noise.samples.std() / np.sqrt(n)
 
 
+def _abduct_and_propagate(anm, x, y):
+    """Y's column after abducting its noise from (x, y) and propagating it back
+    with (x, y) as the factual columns, as a counterfactual does."""
+    model = gk.GcmModel(gk.CausalGraph(["X", "Y"], [("X", "Y")]))
+    model = gk.assign(model, "X", Empirical(x), ground_truth=True)
+    model = gk.assign(model, "Y", anm, ground_truth=True)
+    noise = {"X": x, "Y": anm.abduct([x], y)}
+    return propagate_from_noise(model, noise, factual={"X": x, "Y": y})["Y"]
+
+
 class TestEvaluateAndAbduction:
     def make_linear(self):
         return AdditiveNoiseModel(
@@ -168,27 +180,28 @@ class TestEvaluateAndAbduction:
 
     def test_evaluate_linear(self):
         anm = self.make_linear()
-        assert anm.evaluate([3.0], 0.5) == 7.5
+        assert anm.forward([np.array([3.0])], np.array([0.5]))[0] == 7.5
 
     def test_zero_noise_is_prediction(self):
         anm = self.make_linear()
-        assert anm.evaluate([3.0], 0.0) == anm.predict_row([3.0])
+        x = np.array([3.0])
+        assert anm.forward([x], np.zeros(1))[0] == anm.predict([x])[0]
 
     def test_estimate_noise_simple(self):
         anm = AdditiveNoiseModel(
             LinearModel([2.0], 0.0), Gaussian(0.0, 1.0), gk.InputEncoder.continuous(1)
         )
-        assert anm.abduct([1.0], 3.0) == 1.0
-        assert anm.abduct([1.0], anm.predict_row([1.0])) == 0.0
+        x = np.array([1.0])
+        assert anm.abduct([x], np.array([3.0]))[0] == 1.0
+        assert anm.abduct([x], anm.predict([x]))[0] == 0.0
 
     def test_abduction_round_trip_random_cases(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(200)
         y = 1.5 * x + rng.standard_normal(200)
         anm = fit_anm([x], y, model_kind="linear")
-        for i in rng.integers(0, 200, size=100):
-            noise = anm.abduct([x[i]], y[i])
-            assert anm.evaluate([x[i]], noise) == y[i]
+        rows = rng.integers(0, 200, size=100)
+        assert (_abduct_and_propagate(anm, x[rows], y[rows]) == y[rows]).all()
 
     @given(
         st.lists(
@@ -202,8 +215,7 @@ class TestEvaluateAndAbduction:
         x = np.asarray(xs)
         y = 0.5 * x - 2 + rng.standard_normal(len(x))
         anm = fit_anm([x], y, model_kind="linear")
-        for i in range(len(x)):
-            assert anm.evaluate([x[i]], anm.abduct([x[i]], y[i])) == y[i]
+        assert (_abduct_and_propagate(anm, x, y) == y).all()
 
 
 class TestClassifier:
@@ -213,8 +225,9 @@ class TestClassifier:
         y = np.array(["low"] * 200 + ["high"] * 200, dtype=object)
         clf = fit_classifier([x], y)
         assert clf.categories == ("high", "low")
-        assert clf.probs_row([-2.0])[clf.categories.index("low")] > 0.9
-        assert clf.probs_row([2.0])[clf.categories.index("high")] > 0.9
+        probs = clf.predict_probs([np.array([-2.0, 2.0])])
+        assert probs[0, clf.categories.index("low")] > 0.9
+        assert probs[1, clf.categories.index("high")] > 0.9
 
     def test_probabilities_form_simplex(self):
         rng = np.random.default_rng(4)
@@ -230,9 +243,10 @@ class TestClassifier:
         x = rng.standard_normal(60)
         y = np.array(["a" if v < 0 else "b" for v in x], dtype=object)
         clf = fit_classifier([x], y)
-        a = clf.sample_class([0.1], np.random.default_rng(8))
-        b = clf.sample_class([0.1], np.random.default_rng(8))
-        assert a == b
+        x = np.array([0.1])
+        a = clf.forward([x], clf.draw_noise(1, np.random.default_rng(8)))
+        b = clf.forward([x], clf.draw_noise(1, np.random.default_rng(8)))
+        assert a[0] == b[0]
 
 
 def _cv_mse_oracle(x, y, family):

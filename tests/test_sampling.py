@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import gcmkit as gk
@@ -13,7 +15,7 @@ from gcmkit import (
     NonInvertibleError,
     QueryError,
 )
-from conftest import make_ground_truth_chain
+from conftest import linear_gaussian_models, make_ground_truth_chain
 
 
 def make_two_node_model(coef=2.0, intercept=1.0, noise_std=1.0, root_std=1.0):
@@ -105,6 +107,19 @@ class TestInterventionalSamples:
         p = ks_2samp(observational.column("X"), intervened.column("X")).pvalue
         assert p > 0.01
 
+    def test_atomically_set_node_ignores_its_parents(self):
+        # Y's mechanism is not evaluated under do(Y), so a parent value it
+        # could not encode does not matter
+        rng = np.random.default_rng(2)
+        labels = np.array(rng.choice(["a", "b"], 200), dtype=object)
+        y = np.where(labels == "a", 1.0, 0.0) + 0.3 * rng.standard_normal(200)
+        data = Dataset(["C", "Y"], [labels, y])
+        model = gk.fit(gk.auto_assign(CausalGraph(["C", "Y"], [("C", "Y")]), data), data)
+        ivs = [gk.atomic("C", "unseen"), gk.atomic("Y", 1.0)]
+        assert gk.interventional_samples(model, ivs, 5, seed=1).column("Y").tolist() == [1.0] * 5
+        row = {"C": "a", "Y": 0.5}
+        assert gk.counterfactual(model, row, ivs) == {"C": "unseen", "Y": 1.0}
+
 
 class TestCounterfactual:
     def test_worked_example(self):
@@ -156,6 +171,38 @@ class TestCounterfactual:
         model = make_two_node_model()
         with pytest.raises(QueryError, match="missing"):
             gk.counterfactual(model, {"X": 1.0}, [])
+
+    def test_parent_shift_within_the_same_knn_neighbours_keeps_the_child_exact(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-3.0, 3.0, 300)
+        y = np.sin(x) + 0.1 * rng.standard_normal(300)
+        anm = gk.fit_anm([x], y, model_kind="knn")
+        graph = CausalGraph(["X", "Y"], [("X", "Y")])
+        model = gk.assign(GcmModel(graph), "X", gk.Empirical(x), ground_truth=True)
+        model = gk.assign(model, "Y", anm, ground_truth=True)
+        delta = 1e-9
+        prediction = anm.predict([x])
+        # rows where prediction + (observed - prediction) rounds away from the
+        # observed value, and the shifted parent keeps the same neighbours
+        inexact = prediction + (y - prediction) != y
+        same_neighbours = anm.predict([x + delta]) == prediction
+        candidates = np.flatnonzero(inexact & same_neighbours)
+        assert candidates.size
+        i = candidates[0]
+        result = gk.counterfactual(model, {"X": x[i], "Y": y[i]}, [gk.shift("X", delta)])
+        assert result["X"] == x[i] + delta
+        assert result["Y"] == y[i]
+
+
+@given(drawn=linear_gaussian_models(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_counterfactual_without_interventions_returns_the_row(drawn, data):
+    model, _ = drawn
+    values = st.floats(-100.0, 100.0, allow_nan=False)
+    row = {node: data.draw(values, label=node) for node in model.graph.nodes}
+    result = gk.counterfactual(model, row, [])
+    assert result == row
+    assert all(type(value) is float for value in result.values())
 
 
 class TestAverageCausalEffect:
