@@ -5,16 +5,18 @@ share one pattern: a set function over "players" (the target and its
 ancestors; every other node is a null player), evaluated by seeded Monte
 Carlo, with the total distributed by Shapley values.  ``_target_samples`` is
 the one simulation behind every subset value: the noise of some nodes is
-held at fixed values and the rest is redrawn.  Intrinsic influence holds a
-subset's noises at an outer draw and redraws the rest; outlier attribution
-redraws a subset's noises and holds the rest at the row's recovered noise;
-distribution change redraws everything from a model that takes the subset's
-mechanisms from the new data.
+held at fixed values and the rest is redrawn, for a batch of subsets stacked
+into one propagation.  Intrinsic influence holds a subset's noises at each of
+its outer draws and redraws the rest; outlier attribution redraws a subset's
+noises and holds the rest at the row's recovered noise; distribution change
+redraws everything from a model that takes the subset's mechanisms from the
+new data.
 
 ``_attribute`` is the one Shapley step: every subset, keyed by its bitmask,
 draws from a seed derived from (master seed, bitmask) and is evaluated once
 per query, so results do not depend on how the Shapley engine schedules
-evaluations.  Arrow strength cuts one edge instead and needs no Shapley step.
+evaluations or on how subsets are batched.  Arrow strength cuts one edge
+instead and needs no Shapley step.
 """
 
 import math
@@ -35,6 +37,10 @@ DEFAULT_ICC_INNER_SAMPLES = 500
 DEFAULT_ANOMALY_SAMPLES = 5000
 DEFAULT_CHANGE_SAMPLES = 10000
 _KL_NEIGHBORS = 5
+# The subsets evaluated together stack about this many Monte-Carlo rows into
+# one propagation: enough to spread the per-call cost, small enough to keep a
+# batch's columns to a few MB.
+_STACKED_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,42 +113,62 @@ def _players_for(graph, target):
     return tuple(node for node in graph.nodes if node in relevant)
 
 
-def _target_samples(model, target, closure, n, seed, held):
-    """The target column of ``n`` draws in which the ``held`` noises stay fixed.
+def _target_samples(model, target, closure, n, jobs):
+    """The target columns of ``n`` draws for each ``(seed, held)`` job: a (jobs, n) block.
 
-    ``held`` maps closure nodes to a one-element noise column, repeated in
-    every draw; the other closure nodes draw fresh noise, each from its own
-    stream of ``seed``, so which nodes are held changes no other node's draw.
+    ``held`` maps closure nodes to a noise column whose length divides ``n``;
+    each of its values is repeated over a run of consecutive draws (a
+    one-element column is held in every draw).  The other closure nodes draw
+    fresh noise, each from its own stream of the job's ``seed``, so which
+    nodes are held changes no other node's draw.  The jobs' columns are
+    stacked and propagated once.
     """
-    noise = draw_noise_values(model, n, seed, [node for node in closure if node not in held])
-    noise.update({node: np.repeat(column, n) for node, column in held.items()})
-    return propagate_from_noise(model, noise, nodes=closure)[target]
+    if not jobs:
+        return np.empty((0, n))
+    stacked = {node: [] for node in closure}
+    for seed, held in jobs:
+        drawn = draw_noise_values(model, n, seed, [node for node in closure if node not in held])
+        for node, columns in stacked.items():
+            columns.append(np.repeat(held[node], n // len(held[node])) if node in held else drawn[node])
+    noise = {node: np.concatenate(columns) for node, columns in stacked.items()}
+    return propagate_from_noise(model, noise, nodes=closure)[target].reshape(len(jobs), n)
 
 
-def _attribute(players, compute_bits, shapley_config, measure, mc_budget, seed):
-    """Shapley scores of the set function ``compute_bits`` over ``players``.
+def _attribute(players, values_of, rows_per_subset, shapley_config, measure, mc_budget, seed):
+    """Shapley scores of the set function ``values_of`` over ``players``.
 
-    ``compute_bits`` takes a subset as a bitmask (bit i set when ``players[i]``
-    is in it) and runs once per subset, however often the Shapley engine asks.
+    ``values_of`` takes a list of subsets as bitmasks (bit i set when
+    ``players[i]`` is in it) and returns their values.  Each subset is
+    evaluated once, however often the Shapley engine asks.  The exact method
+    asks for every subset, so on the first request all 2^p are evaluated, in
+    chunks of about ``_STACKED_ROWS`` Monte-Carlo rows (``rows_per_subset``
+    each, at least one subset per chunk); the permutation method evaluates a
+    subset on first use, as a chunk of one.
     """
+    config = shapley_config or ShapleyConfig(method="exact")
     cache = {}
 
     def value(mask):
         bits = sum(1 << i for i, member in enumerate(mask) if member)
         if bits not in cache:
-            cache[bits] = compute_bits(bits)
+            if config.method == "exact":
+                everything = range(1 << len(players))
+                chunk = max(1, _STACKED_ROWS // rows_per_subset)
+                for start in everything[::chunk]:
+                    subsets = everything[start : start + chunk]
+                    cache.update(zip(subsets, values_of(subsets)))
+            else:
+                cache[bits] = values_of([bits])[0]
         return cache[bits]
 
-    config = shapley_config or ShapleyConfig(method="exact")
     phi = estimate_shapley(SetFunction(len(players), value), config)
-    everyone = np.ones(len(players), dtype=bool)
     return AttributionResult(
         scores={player: float(phi[i]) for i, player in enumerate(players)},
         measure=measure,
         mc_budget=mc_budget,
         seed=seed,
-        total=float(value(everyone)),
-        baseline=float(value(~everyone)),
+        total=float(cache[(1 << len(players)) - 1]),
+        baseline=float(cache[0]),
     )
 
 
@@ -215,9 +241,13 @@ def intrinsic_influence(
 
     The value of a noise subset is the expected reduction in the target's
     variance from freezing those noises: Var(Y) - E[Var(Y | N_S)], estimated
-    by nested Monte Carlo (outer draws of the frozen noises, inner propagation
-    of the rest).  The empty set is worth 0 and the full set Var(Y), so exact
-    Shapley scores sum to the target's variance.
+    by nested Monte Carlo.  Per subset, each frozen node draws one block of
+    ``outer_samples`` values and each free node one block of
+    ``outer_samples * inner_samples`` values, from per-node streams of the
+    subset's "frozen" and "free" seeds; every frozen value is held over a run
+    of ``inner_samples`` draws, whose variance is one conditional variance.
+    The empty set is worth 0 and the full set Var(Y), so exact Shapley scores
+    sum to the target's variance.
     """
     model.require_fitted()
     require_continuous_target(model, target)
@@ -230,33 +260,35 @@ def intrinsic_influence(
 
     variance_samples = outer_samples * inner_samples
     target_values = _target_samples(
-        model, target, players, variance_samples, derive_seed(seed, "icc:variance"), {}
-    )
+        model, target, players, variance_samples, [(derive_seed(seed, "icc:variance"), {})]
+    )[0]
     total_variance = float(np.var(target_values, ddof=1))
 
-    def compute_bits(bits):
-        if bits == 0:
-            return 0.0
-        if bits == full_bits:
-            return total_variance
-        frozen = [players[i] for i in range(len(players)) if bits >> i & 1]
-        subset_seed = derive_seed(seed, f"icc:{bits}")
-        conditional_variances = np.empty(outer_samples)
-        for outer in range(outer_samples):
-            frozen_seed = derive_seed(subset_seed, f"frozen:{outer}")
-            held = draw_noise_values(model, 1, frozen_seed, frozen)
-            inner = _target_samples(
-                model, target, players, inner_samples, derive_seed(subset_seed, f"free:{outer}"), held
-            )
-            conditional_variances[outer] = np.var(inner, ddof=1)
-        return total_variance - float(conditional_variances.mean())
+    def values_of(subsets):
+        partial = [bits for bits in subsets if 0 < bits < full_bits]
+        jobs = []
+        for bits in partial:
+            frozen = [players[i] for i in range(len(players)) if bits >> i & 1]
+            subset_seed = derive_seed(seed, f"icc:{bits}")
+            held = draw_noise_values(model, outer_samples, derive_seed(subset_seed, "frozen"), frozen)
+            jobs.append((derive_seed(subset_seed, "free"), held))
+        block = _target_samples(model, target, players, variance_samples, jobs)
+        # Row (j, o) holds the inner draws of job j around its o-th frozen draw.
+        conditional = np.var(
+            block.reshape(len(jobs), outer_samples, inner_samples), axis=2, ddof=1
+        ).mean(axis=1)
+        values = {0: 0.0, full_bits: total_variance}
+        values.update(zip(partial, (total_variance - conditional).tolist()))
+        return [values[bits] for bits in subsets]
 
     budget = {
         "outer_samples": outer_samples,
         "inner_samples": inner_samples,
         "variance_samples": variance_samples,
     }
-    return _attribute(players, compute_bits, shapley_config, "intrinsic_influence", budget, seed)
+    return _attribute(
+        players, values_of, variance_samples, shapley_config, "intrinsic_influence", budget, seed
+    )
 
 
 def attribute_anomaly(
@@ -283,23 +315,32 @@ def attribute_anomaly(
     observed, recovered = abduct_row(model, anomalous_row, players)
 
     reference = _target_samples(
-        model, target, players, num_samples, derive_seed(seed, "anomaly:reference"), {}
-    )
+        model, target, players, num_samples, [(derive_seed(seed, "anomaly:reference"), {})]
+    )[0]
     scorer = OutlierScorer(reference)
     observed_feature = float(scorer.feature(observed[target])[0])
 
-    def compute_bits(bits):
-        if bits == 0:
-            return 0.0
-        held = {node: recovered[node] for i, node in enumerate(players) if not bits >> i & 1}
-        samples = _target_samples(
-            model, target, players, num_samples, derive_seed(seed, f"anomaly:{bits}"), held
+    def values_of(subsets):
+        redrawn = [bits for bits in subsets if bits]
+        jobs = [
+            (
+                derive_seed(seed, f"anomaly:{bits}"),
+                {node: recovered[node] for i, node in enumerate(players) if not bits >> i & 1},
+            )
+            for bits in redrawn
+        ]
+        samples = _target_samples(model, target, players, num_samples, jobs)
+        tails = np.sum(scorer.feature(samples) >= observed_feature, axis=1)
+        values = {0: 0.0}
+        values.update(
+            (bits, tail_log_score(int(tail), num_samples)) for bits, tail in zip(redrawn, tails)
         )
-        tail = int(np.sum(scorer.feature(samples) >= observed_feature))
-        return tail_log_score(tail, num_samples)
+        return [values[bits] for bits in subsets]
 
     budget = {"reference_samples": num_samples, "samples_per_subset": num_samples}
-    return _attribute(players, compute_bits, shapley_config, "it_outlier_score", budget, seed)
+    return _attribute(
+        players, values_of, num_samples, shapley_config, "it_outlier_score", budget, seed
+    )
 
 
 def distribution_change(
@@ -340,21 +381,30 @@ def distribution_change(
     new_model = fit(auto_assign(graph, new_data), new_data)
     players = _players_for(graph, target)
     baseline = _target_samples(
-        old_model, target, players, num_samples, derive_seed(seed, "change:baseline"), {}
-    )
+        old_model, target, players, num_samples, [(derive_seed(seed, "change:baseline"), {})]
+    )[0]
 
-    def compute_bits(bits):
+    def value_of(bits):
+        # Each subset has its own hybrid model, so it is propagated alone.
         mechanisms = {
             node: (new_model if bits >> i & 1 else old_model).mechanisms[node]
             for i, node in enumerate(players)
         }
         hybrid = GcmModel(graph, mechanisms, ready=players)
         samples = _target_samples(
-            hybrid, target, players, num_samples, derive_seed(seed, f"change:{bits}"), {}
-        )
+            hybrid, target, players, num_samples, [(derive_seed(seed, f"change:{bits}"), {})]
+        )[0]
         if measure == "mean_diff":
             return abs(float(samples.mean() - baseline.mean()))
         return kl_divergence(samples, baseline, k=_KL_NEIGHBORS)
 
     budget = {"samples_per_subset": num_samples, "baseline_samples": num_samples}
-    return _attribute(players, compute_bits, shapley_config, measure, budget, seed)
+    return _attribute(
+        players,
+        lambda subsets: [value_of(bits) for bits in subsets],
+        num_samples,
+        shapley_config,
+        measure,
+        budget,
+        seed,
+    )

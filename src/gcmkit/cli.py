@@ -1,8 +1,9 @@
 """Batch command-line interface: ``gcm <subcommand>`` over files, JSON results.
 
-Exit codes: 0 success, 1 usage error, 2 input error (graph/data/model files),
-3 numeric failure.  All randomness flows through ``--seed`` (default 0), so a
-command run twice with the same seed prints byte-identical output.
+Exit codes: 0 success, 1 usage error, 2 input error (graph/data/model files,
+or a Monte-Carlo budget too large for memory), 3 numeric failure.  All
+randomness flows through ``--seed`` (default 0), so a command run twice with
+the same seed prints byte-identical output.
 """
 
 import argparse
@@ -30,6 +31,9 @@ from .stats import fisher_z_test, pairwise_independence_test
 from .validation import evaluate_mechanisms, refute_graph
 
 SCHEMA_VERSION = 1
+# The options that set a command's Monte-Carlo budget, named when it runs out
+# of memory.
+_BUDGET_OPTIONS = ("n", "num_samples", "outer_samples", "inner_samples", "permutations")
 
 
 class _UsageError(Exception):
@@ -373,6 +377,15 @@ def run(argv=None) -> int:
         return 3
     except (GcmError, OSError, json.JSONDecodeError) as exc:
         print(f"gcm {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        budget = " ".join(
+            f"{'-n' if dest == 'n' else '--' + dest.replace('_', '-')} {getattr(args, dest)}"
+            for dest in _BUDGET_OPTIONS
+            if hasattr(args, dest)
+        )
+        cause = f" for the Monte-Carlo budget {budget}" if budget else ""
+        print(f"gcm {args.command}: error: out of memory{cause}", file=sys.stderr)
         return 2
     return 0
 

@@ -27,12 +27,13 @@ nothing else:
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .data import one_hot
 from .exceptions import FitError, NonInvertibleError, SerializationError
-from .stats import nearest_neighbours
+from .stats import nearest_neighbours, sorted_line
 
 _KNN_AUTO = "auto"
 _CV_FOLDS = 5
@@ -288,9 +289,10 @@ class KnnRegressor(_Serialized):
     A prediction is ``offset`` plus the mean target of the ``k`` training rows
     nearest to the query (Euclidean), ranked by distance and then by training
     row, so ties resolve to the earliest rows.  The search is
-    :func:`~gcmkit.stats.nearest_neighbours`: for one encoded column it costs
-    O(n log n + m·k) for n training rows and m queries, and it compares all
-    n·m pairs otherwise.  The whole training set is stored.
+    :func:`~gcmkit.stats.nearest_neighbours`: for one encoded column it sorts
+    the n training rows on the first prediction, keeps that sorted line and
+    then costs O(m·k) for m queries; otherwise it compares all n·m pairs.
+    The whole training set is stored.
     """
 
     tag = "knn"
@@ -323,9 +325,15 @@ class KnnRegressor(_Serialized):
     def predict(self, encoded):
         encoded = np.asarray(encoded, dtype=np.float64)
         out = np.empty(len(encoded))
-        for rows, order in nearest_neighbours(encoded, self.inputs, self.k):
+        for rows, order in nearest_neighbours(encoded, self.inputs, self.k, self._line):
             out[rows] = self.targets[order].mean(axis=1)
         return out + self.offset
+
+    @cached_property
+    def _line(self):
+        """The sorted training line, built on the first prediction (None
+        for more than one encoded column)."""
+        return sorted_line(self.inputs)
 
     def __repr__(self):
         return f"KnnRegressor(k={self.k}, n_train={len(self.targets)})"

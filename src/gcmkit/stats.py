@@ -272,15 +272,23 @@ def distance_blocks(queries, reference):
         yield rows, pairwise_distances(queries[rows], reference)
 
 
-def nearest_neighbours(queries, reference, k):
+def sorted_line(reference):
+    """The sorted search structure of a one-column ``reference``, or None
+    for wider points: pass it to :func:`nearest_neighbours` to search the
+    same reference again without sorting it again."""
+    return _SortedLine(reference[:, 0]) if reference.shape[1] == 1 else None
+
+
+def nearest_neighbours(queries, reference, k, line=None):
     """Yield ``(rows, order)`` over row blocks of the 2-D array ``queries``.
 
     ``order[i]`` holds the indices of the ``k`` rows of ``reference`` nearest
     to ``queries[rows][i]``, ranked by distance and, among equal distances,
     by index: a stable argsort of the distance row, truncated to ``k``.
+    ``line`` is ``sorted_line(reference)`` kept from an earlier search, if any.
     """
     if reference.shape[1] == 1:
-        line = _SortedLine(reference[:, 0])
+        line = sorted_line(reference) if line is None else line
         for rows in _row_blocks(len(queries), 2 * k + 2):
             yield rows, line.nearest(queries[rows, 0], k)
     else:
@@ -293,7 +301,7 @@ def kth_neighbour_distances(queries, reference, kth):
     ``reference``, counting from 0 (``kth=0`` is the nearest)."""
     out = np.empty(len(queries))
     if reference.shape[1] == 1:
-        line = _SortedLine(reference[:, 0])
+        line = sorted_line(reference)
         for rows in _row_blocks(len(queries), 2 * kth + 2):
             out[rows] = line.kth_distances(queries[rows, 0], kth)
     else:

@@ -333,3 +333,102 @@ def test_attribution_queries_keep_the_shapley_axioms(drawn, seed):
             result.total - result.baseline, abs=1e-9
         )
         assert json.dumps(query().to_json()) == json.dumps(result.to_json())
+
+
+def mixed_model():
+    """Hand-built C, X -> Y (kNN) -> W (C one-hot) -> Z, with a classifier K(C, Y) -> Z."""
+    graph = CausalGraph(
+        ["C", "X", "Y", "W", "K", "Z"],
+        [("X", "Y"), ("C", "W"), ("Y", "W"), ("C", "K"), ("Y", "K"), ("W", "Z"), ("K", "Z")],
+    )
+    grid = np.linspace(-3.0, 3.0, 61)
+    categorical_then_y = gk.InputEncoder([("categorical", ("a", "b")), ("continuous", None)])
+    mechanisms = {
+        "C": gk.Multinomial(["a", "b"], [0.4, 0.6]),
+        "X": Gaussian(0.0, 1.0),
+        "Y": AdditiveNoiseModel(
+            gk.KnnRegressor(5, grid[:, None], np.sin(2.0 * grid)),
+            Gaussian(0.0, 0.3),
+            gk.InputEncoder.continuous(1),
+        ),
+        "W": AdditiveNoiseModel(
+            LinearModel([1.0, -0.5, 2.0], 0.1), Gaussian(0.0, 0.5), categorical_then_y
+        ),
+        "K": gk.ClassifierFcm(
+            categorical_then_y, ("hi", "lo"), [[0.5, -0.5], [-0.5, 0.5], [1.5, -1.5], [0.0, 0.0]]
+        ),
+        "Z": AdditiveNoiseModel(
+            LinearModel([1.5, 1.0, 0.0], 0.0),
+            Empirical([-1.0, -0.2, 0.0, 0.4, 1.3]),
+            gk.InputEncoder([("continuous", None), ("categorical", ("hi", "lo"))]),
+        ),
+    }
+    model = GcmModel(graph)
+    for node, mechanism in mechanisms.items():
+        model = gk.assign(model, node, mechanism, ground_truth=True)
+    return model
+
+
+MIXED_ROW = {"C": "b", "X": 0.4, "Y": 0.9, "W": 4.5, "K": "hi", "Z": 8.0}
+BATCHED_QUERIES = {
+    # (query, Monte-Carlo rows per subset)
+    "icc": (lambda: gk.intrinsic_influence(mixed_model(), "Z", None, 4, 10, seed=5), 40),
+    "outlier": (lambda: gk.attribute_anomaly(mixed_model(), "W", MIXED_ROW, 50, None, seed=5), 50),
+}
+
+
+@pytest.mark.parametrize("subsets_per_chunk", [1, 3])
+@pytest.mark.parametrize("query", sorted(BATCHED_QUERIES))
+def test_results_do_not_depend_on_batching(query, subsets_per_chunk, monkeypatch):
+    run, rows_per_subset = BATCHED_QUERIES[query]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return propagate_from_noise(*args, **kwargs)
+
+    monkeypatch.setattr(attribution, "propagate_from_noise", counting)
+    default = json.dumps(run().to_json())
+    assert len(calls) == 2  # the reference sample, then all subsets in one chunk
+    calls.clear()
+    monkeypatch.setattr(attribution, "_STACKED_ROWS", subsets_per_chunk * rows_per_subset)
+    assert json.dumps(run().to_json()) == default
+    # One propagation for the reference sample, then one per chunk of
+    # subsets, except a chunk that holds only subsets with a known value (the
+    # empty set, and for ICC the full set): ICC has 64 subsets, outliers 16.
+    expected = {("icc", 1): 62, ("icc", 3): 21, ("outlier", 1): 15, ("outlier", 3): 6}
+    assert len(calls) == 1 + expected[query, subsets_per_chunk]
+
+
+PINNED_OUTLIER = {
+    "scores": {
+        "C": -0.25596869729176785,
+        "X": 0.5141683359678918,
+        "Y": 0.5553511346906755,
+        "W": 3.118274859357526,
+    },
+    "measure": "it_outlier_score",
+    "seed": 5,
+    "budget": {"reference_samples": 50, "samples_per_subset": 50},
+    "total": 3.9318256327243257,
+    "baseline": 0.0,
+}
+PINNED_CHAIN_OUTLIER = {
+    "scores": {"X": -0.06802954632106908, "Y": 4.113991459639962, "Z": -0.5360762259062364},
+    "measure": "it_outlier_score",
+    "seed": 3,
+    "budget": {"reference_samples": 300, "samples_per_subset": 300},
+    "total": 3.5098856874126563,
+    "baseline": 0.0,
+}
+
+
+def test_outlier_scores_are_pinned():
+    # The values these queries gave when every subset was propagated on its
+    # own: stacking subsets into one propagation must not move a bit.
+    result = gk.attribute_anomaly(mixed_model(), "W", MIXED_ROW, 50, None, seed=5)
+    assert result.to_json() == PINNED_OUTLIER
+    chain = gk.attribute_anomaly(
+        make_ground_truth_chain(), "Z", {"X": 0.0, "Y": 4.0, "Z": 4.0}, 300, None, seed=3
+    )
+    assert chain.to_json() == PINNED_CHAIN_OUTLIER

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcmkit as gk
-from gcmkit import cli
+from gcmkit import attribution, cli, sampling
 
 NODES = ["C", "X", "Y", "K", "Z"]
 GRAPH = '{"nodes":["C","X","Y","K","Z"],"edges":[["C","Y"],["X","Y"],["X","K"],["Y","Z"]]}'
@@ -105,6 +105,28 @@ def test_out_of_range_budget_exits_2(files, command, args, flag, value):
     assert code == 2, stderr
     assert stdout == ""
     assert "at least" in stderr
+
+
+@pytest.mark.parametrize(
+    ("module", "argv", "budget"),
+    [
+        (attribution, ["icc", "--model", "model.json", "--target", "Z", "--outer-samples", "100000",
+                       "--inner-samples", "1000000"], "--outer-samples 100000 --inner-samples 1000000"),
+        (sampling, ["sample", "--model", "model.json", "-n", "1000000000000"], "-n 1000000000000"),
+    ],
+    ids=["icc", "sample"],
+)
+def test_budget_too_large_for_memory_exits_2(files, monkeypatch, module, argv, budget):
+    # A draw that cannot be allocated raises MemoryError; it is simulated, so
+    # nothing large is allocated.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. TiB for an array")
+
+    monkeypatch.setattr(module, "draw_noise_values", out_of_memory)
+    code, stdout, stderr = call([files / a if a.endswith(".json") else a for a in argv])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"gcm {argv[0]}: error: out of memory for the Monte-Carlo budget {budget}\n"
 
 
 @pytest.mark.parametrize("alpha", ["nan", "0", "1", "-0.5"])

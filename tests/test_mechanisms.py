@@ -17,6 +17,7 @@ from gcmkit import (
     fit_classifier,
     fit_stochastic,
 )
+from gcmkit import stats
 from gcmkit.sampling import propagate_from_noise
 
 
@@ -364,6 +365,27 @@ def test_knn_predict_on_one_column_matches_oracle_property(inputs, queries, data
     knn = KnnRegressor(k, np.array(inputs)[:, None], targets)
     queries = np.array(queries)[:, None]
     assert_same_bits(knn.predict(queries), stable_argsort_oracle(knn, queries))
+
+
+def test_knn_sorts_its_training_line_once(monkeypatch):
+    sorts = []
+
+    class CountingLine(stats._SortedLine):
+        def __init__(self, values):
+            sorts.append(len(values))
+            super().__init__(values)
+
+    monkeypatch.setattr(stats, "_SortedLine", CountingLine)
+    rng = np.random.default_rng(23)
+    inputs, targets = rng.integers(-20, 21, (2_000, 1)).astype(float), rng.standard_normal(2_000)
+    first_queries, second_queries = rng.uniform(-25, 25, (300, 1)), rng.uniform(-25, 25, (1, 1))
+    knn = KnnRegressor(9, inputs, targets, offset=0.5)
+    assert sorts == []  # nothing is sorted before the first prediction
+    first, second = knn.predict(first_queries), knn.predict(second_queries)
+    assert sorts == [2_000]
+    assert_same_bits(first, KnnRegressor(9, inputs, targets, offset=0.5).predict(first_queries))
+    assert_same_bits(second, KnnRegressor(9, inputs, targets, offset=0.5).predict(second_queries))
+    assert sorts == [2_000] * 3
 
 
 @pytest.mark.parametrize(
