@@ -36,9 +36,10 @@ q_samples = rng.standard_normal(5000) + 1.0
 estimate = gk.kl_divergence(p_samples, q_samples, k=5)
 print(f"\nKL(N(0,1) || N(1,1)): estimated {estimate:.3f}, analytic 0.5")
 
-# the Shapley engine works with any set function; here, the glove game
-def glove(mask):
-    return float(min(int(mask[0]) + int(mask[1]), int(mask[2])))
+# the Shapley engine works with any set function; here, the glove game.
+# Subsets arrive in batches, each as a bitmask: bit i set when player i is in it.
+def glove(subsets):
+    return [float(min((bits & 1) + (bits >> 1 & 1), bits >> 2 & 1)) for bits in subsets]
 
 exact = gk.estimate_shapley(SetFunction(3, glove), ShapleyConfig("exact"))
 sampled = gk.estimate_shapley(

@@ -12,11 +12,11 @@ noises and holds the rest at the row's recovered noise; distribution change
 redraws everything from a model that takes the subset's mechanisms from the
 new data.
 
-``_attribute`` is the one Shapley step: every subset, keyed by its bitmask,
-draws from a seed derived from (master seed, bitmask) and is evaluated once
-per query, so results do not depend on how the Shapley engine schedules
-evaluations or on how subsets are batched.  Arrow strength cuts one edge
-instead and needs no Shapley step.
+``_attribute`` is the one Shapley step and the one evaluator the Shapley
+engine calls: every subset, keyed by its bitmask, draws from a seed derived
+from (master seed, bitmask) and is evaluated once per query, so results do
+not depend on which subsets the engine asks for together or on how they are
+batched.  Arrow strength cuts one edge instead and needs no Shapley step.
 """
 
 import math
@@ -123,8 +123,6 @@ def _target_samples(model, target, closure, n, jobs):
     nodes are held changes no other node's draw.  The jobs' columns are
     stacked and propagated once.
     """
-    if not jobs:
-        return np.empty((0, n))
     stacked = {node: [] for node in closure}
     for seed, held in jobs:
         drawn = draw_noise_values(model, n, seed, [node for node in closure if node not in held])
@@ -134,34 +132,28 @@ def _target_samples(model, target, closure, n, jobs):
     return propagate_from_noise(model, noise, nodes=closure)[target].reshape(len(jobs), n)
 
 
-def _attribute(players, values_of, rows_per_subset, shapley_config, measure, mc_budget, seed):
+def _attribute(players, values_of, rows_per_subset, known, shapley_config, measure, mc_budget, seed):
     """Shapley scores of the set function ``values_of`` over ``players``.
 
     ``values_of`` takes a list of subsets as bitmasks (bit i set when
-    ``players[i]`` is in it) and returns their values.  Each subset is
-    evaluated once, however often the Shapley engine asks.  The exact method
-    asks for every subset, so on the first request all 2^p are evaluated, in
-    chunks of about ``_STACKED_ROWS`` Monte-Carlo rows (``rows_per_subset``
-    each, at least one subset per chunk); the permutation method evaluates a
-    subset on first use, as a chunk of one.
+    ``players[i]`` is in it) and returns their values.  ``known`` maps the
+    subsets whose value needs no simulation to that value.  Each other
+    subset is evaluated once, however often the Shapley engine asks for it:
+    the missing subsets of a request go to ``values_of`` in chunks of about
+    ``_STACKED_ROWS`` Monte-Carlo rows (``rows_per_subset`` each, at least
+    one subset per chunk).
     """
-    config = shapley_config or ShapleyConfig(method="exact")
-    cache = {}
+    cache = dict(known)
+    chunk = max(1, _STACKED_ROWS // rows_per_subset)
 
-    def value(mask):
-        bits = sum(1 << i for i, member in enumerate(mask) if member)
-        if bits not in cache:
-            if config.method == "exact":
-                everything = range(1 << len(players))
-                chunk = max(1, _STACKED_ROWS // rows_per_subset)
-                for start in everything[::chunk]:
-                    subsets = everything[start : start + chunk]
-                    cache.update(zip(subsets, values_of(subsets)))
-            else:
-                cache[bits] = values_of([bits])[0]
-        return cache[bits]
+    def evaluate(subsets):
+        missing = list(dict.fromkeys(bits for bits in subsets if bits not in cache))
+        for start in range(0, len(missing), chunk):
+            batch = missing[start : start + chunk]
+            cache.update(zip(batch, values_of(batch)))
+        return [cache[bits] for bits in subsets]
 
-    phi = estimate_shapley(SetFunction(len(players), value), config)
+    phi = estimate_shapley(SetFunction(len(players), evaluate), shapley_config or ShapleyConfig())
     return AttributionResult(
         scores={player: float(phi[i]) for i, player in enumerate(players)},
         measure=measure,
@@ -256,7 +248,6 @@ def intrinsic_influence(
     if inner_samples < 2:
         raise QueryError("inner_samples must be at least 2")
     players = _players_for(model.graph, target)
-    full_bits = (1 << len(players)) - 1
 
     variance_samples = outer_samples * inner_samples
     target_values = _target_samples(
@@ -265,9 +256,8 @@ def intrinsic_influence(
     total_variance = float(np.var(target_values, ddof=1))
 
     def values_of(subsets):
-        partial = [bits for bits in subsets if 0 < bits < full_bits]
         jobs = []
-        for bits in partial:
+        for bits in subsets:
             frozen = [players[i] for i in range(len(players)) if bits >> i & 1]
             subset_seed = derive_seed(seed, f"icc:{bits}")
             held = draw_noise_values(model, outer_samples, derive_seed(subset_seed, "frozen"), frozen)
@@ -277,17 +267,16 @@ def intrinsic_influence(
         conditional = np.var(
             block.reshape(len(jobs), outer_samples, inner_samples), axis=2, ddof=1
         ).mean(axis=1)
-        values = {0: 0.0, full_bits: total_variance}
-        values.update(zip(partial, (total_variance - conditional).tolist()))
-        return [values[bits] for bits in subsets]
+        return total_variance - conditional
 
     budget = {
         "outer_samples": outer_samples,
         "inner_samples": inner_samples,
         "variance_samples": variance_samples,
     }
+    known = {0: 0.0, (1 << len(players)) - 1: total_variance}
     return _attribute(
-        players, values_of, variance_samples, shapley_config, "intrinsic_influence", budget, seed
+        players, values_of, variance_samples, known, shapley_config, "intrinsic_influence", budget, seed
     )
 
 
@@ -321,25 +310,20 @@ def attribute_anomaly(
     observed_feature = float(scorer.feature(observed[target])[0])
 
     def values_of(subsets):
-        redrawn = [bits for bits in subsets if bits]
         jobs = [
             (
                 derive_seed(seed, f"anomaly:{bits}"),
                 {node: recovered[node] for i, node in enumerate(players) if not bits >> i & 1},
             )
-            for bits in redrawn
+            for bits in subsets
         ]
         samples = _target_samples(model, target, players, num_samples, jobs)
         tails = np.sum(scorer.feature(samples) >= observed_feature, axis=1)
-        values = {0: 0.0}
-        values.update(
-            (bits, tail_log_score(int(tail), num_samples)) for bits, tail in zip(redrawn, tails)
-        )
-        return [values[bits] for bits in subsets]
+        return [tail_log_score(int(tail), num_samples) for tail in tails]
 
     budget = {"reference_samples": num_samples, "samples_per_subset": num_samples}
     return _attribute(
-        players, values_of, num_samples, shapley_config, "it_outlier_score", budget, seed
+        players, values_of, num_samples, {0: 0.0}, shapley_config, "it_outlier_score", budget, seed
     )
 
 
@@ -403,6 +387,7 @@ def distribution_change(
         players,
         lambda subsets: [value_of(bits) for bits in subsets],
         num_samples,
+        {},
         shapley_config,
         measure,
         budget,

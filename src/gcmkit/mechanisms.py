@@ -515,10 +515,7 @@ class ClassifierFcm:
     def predict_probs(self, parent_columns) -> np.ndarray:
         encoded = self.encoder.encode(list(parent_columns))
         design = np.hstack([encoded, np.ones((len(encoded), 1))])
-        logits = design @ self.weights
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return _softmax(design @ self.weights)
 
     def draw_noise(self, n, rng):
         return rng.random(n)
@@ -548,6 +545,12 @@ class ClassifierFcm:
 
     def __repr__(self):
         return f"ClassifierFcm(categories={list(self.categories)})"
+
+
+def _softmax(logits):
+    """Row-wise softmax of a logit matrix, shifted by each row's maximum."""
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def minimize(*args, **kwargs):
@@ -585,10 +588,7 @@ def fit_classifier(parent_columns, targets):
 
     def objective(flat):
         weights = flat.reshape(d + 1, n_classes)
-        logits = design @ weights
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        probs = _softmax(design @ weights)
         nll = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
         grad = design.T @ (probs - onehot) / n + 2 * reg * weights
         return nll + reg * float((weights**2).sum()), grad.ravel()

@@ -1,22 +1,30 @@
-"""Shapley values of arbitrary set functions, exact or by permutation sampling."""
+"""Shapley values of arbitrary set functions, exact or by permutation sampling.
 
+A set function is asked for its values in batches: each subset is a Python
+``int`` bitmask (bit i set when player i is in it), so the permutation
+method has no limit on the number of players.
+"""
+
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericError, QueryError
-from .seeds import derive_seed
+from .seeds import rng_for
 
 _EXACT_LIMIT = 20
 
 
 @dataclass(frozen=True)
 class SetFunction:
-    """A game: ``evaluator`` maps a boolean player mask of length ``arity`` to a value.
+    """A game: ``evaluator`` maps a list of subsets to one value per subset.
 
-    The evaluator must be defined for every subset, including the empty one,
-    and may be stochastic.
+    Each subset is an ``int`` bitmask over ``arity`` players.  The evaluator
+    must be defined for every subset, including the empty one (bitmask 0).
+    It may be stochastic: a subset listed twice is then sampled twice.
     """
 
     arity: int
@@ -30,26 +38,25 @@ class ShapleyConfig:
     seed: int = 0
 
 
-def _mask_from_bits(bits, arity):
-    return (bits >> np.arange(arity) & 1).astype(bool)
-
-
-def _checked(value):
-    value = float(value)
-    if not math.isfinite(value):
+def _evaluate(set_function, subsets):
+    values = np.asarray(set_function.evaluator(subsets), dtype=np.float64)
+    if values.shape != (len(subsets),):
+        raise QueryError(f"set function returned {values.size} values for {len(subsets)} subsets")
+    if not np.isfinite(values).all():
         raise NumericError("set function returned a non-finite value")
-    return value
+    return values
 
 
 def estimate_shapley(set_function: SetFunction, config: ShapleyConfig = ShapleyConfig()) -> np.ndarray:
-    """Attribute ``evaluator(all) - evaluator(none)`` across players.
+    """Attribute ``v(all) - v(none)`` across players, in one evaluator call.
 
-    The exact method enumerates all subsets once (memoised) and weights
-    marginal contributions by |S|!(n-|S|-1)!/n!, so efficiency, symmetry, and
-    the null-player property hold up to float rounding.  The permutation
-    method averages marginal contributions along randomly ordered insertions;
-    each permutation draws its own seeded ordering and re-evaluates its chain,
-    so stochastic evaluators are sampled once per occurrence.
+    The exact method asks for all 2^n subsets and weights marginal
+    contributions by |S|!(n-|S|-1)!/n!, so efficiency, symmetry, and the
+    null-player property hold up to float rounding.  The permutation method
+    averages marginal contributions along randomly ordered insertions: each
+    permutation draws its own seeded ordering, and the n + 1 subsets of every
+    ordering's chain are asked for together, so stochastic evaluators are
+    sampled once per occurrence.
     """
     n = set_function.arity
     if n < 1:
@@ -68,9 +75,7 @@ def estimate_shapley(set_function: SetFunction, config: ShapleyConfig = ShapleyC
 
 
 def _exact(set_function, n):
-    values = np.empty(1 << n)
-    for bits in range(1 << n):
-        values[bits] = _checked(set_function.evaluator(_mask_from_bits(bits, n)))
+    values = _evaluate(set_function, range(1 << n))
 
     # weight[s] = s!(n-s-1)!/n! for a subset of size s not containing the player
     weight = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
@@ -87,15 +92,14 @@ def _exact(set_function, n):
 
 
 def _permutation(set_function, n, num_permutations, seed):
+    orders = [rng_for(seed, f"perm:{index}").permutation(n) for index in range(num_permutations)]
+    chains = [
+        itertools.accumulate((1 << int(player) for player in order), operator.or_, initial=0)
+        for order in orders
+    ]
+    values = _evaluate(set_function, [bits for chain in chains for bits in chain])
+    gains = np.diff(values.reshape(num_permutations, n + 1), axis=1)
     phi = np.zeros(n)
-    for index in range(num_permutations):
-        rng = np.random.default_rng(derive_seed(seed, f"perm:{index}"))
-        order = rng.permutation(n)
-        mask = np.zeros(n, dtype=bool)
-        previous = _checked(set_function.evaluator(mask.copy()))
-        for player in order:
-            mask[player] = True
-            current = _checked(set_function.evaluator(mask.copy()))
-            phi[player] += current - previous
-            previous = current
+    for order, gain in zip(orders, gains):
+        phi[order] += gain
     return phi / num_permutations

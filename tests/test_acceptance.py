@@ -47,48 +47,53 @@ def test_criterion_1_shapley_exactness(criterion):
     start = time.perf_counter()
     failures = []
 
+    def batched(game):
+        return lambda subsets: [game(bits) for bits in subsets]
+
     weights = np.array([1.0, 2.0, 3.0])
     additive = gk.estimate_shapley(
-        SetFunction(3, lambda mask: float(weights[mask].sum())), ShapleyConfig("exact")
+        SetFunction(3, batched(lambda bits: float(weights[[bool(bits >> i & 1) for i in range(3)]].sum()))),
+        ShapleyConfig("exact"),
     )
     if not np.allclose(additive, weights, atol=1e-12, rtol=0):
         failures.append(f"additive-game identity violated: {additive}")
 
-    def symmetric_game(mask):
-        return float(mask[0] + mask[1] + 0.25 * (mask[0] & mask[1]))
+    def symmetric_game(bits):
+        first, second = bits & 1, bits >> 1 & 1
+        return float(first + second + 0.25 * (first & second))
 
-    symmetric = gk.estimate_shapley(SetFunction(2, symmetric_game), ShapleyConfig("exact"))
+    symmetric = gk.estimate_shapley(SetFunction(2, batched(symmetric_game)), ShapleyConfig("exact"))
     if symmetric[0] != symmetric[1]:
         failures.append(f"symmetry violated: {symmetric}")
 
     null = gk.estimate_shapley(
-        SetFunction(2, lambda mask: 2.0 * mask[0]), ShapleyConfig("exact")
+        SetFunction(2, batched(lambda bits: 2.0 * (bits & 1))), ShapleyConfig("exact")
     )
     if null[1] != 0.0:
         failures.append(f"null player nonzero: {null}")
 
-    def glove(mask):
-        return float(min(int(mask[0]) + int(mask[1]), int(mask[2])))
+    def glove(bits):
+        return float(min((bits & 1) + (bits >> 1 & 1), bits >> 2 & 1))
 
     # brute-force oracle: enumerate all 3! = 6 insertion orders
     oracle = np.zeros(3)
     for order in itertools.permutations(range(3)):
-        members = np.zeros(3, dtype=bool)
-        previous = glove(members)
+        bits = 0
+        previous = glove(bits)
         for player in order:
-            members[player] = True
-            current = glove(members)
+            bits |= 1 << player
+            current = glove(bits)
             oracle[player] += current - previous
             previous = current
     oracle /= 6
-    exact = gk.estimate_shapley(SetFunction(3, glove), ShapleyConfig("exact"))
+    exact = gk.estimate_shapley(SetFunction(3, batched(glove)), ShapleyConfig("exact"))
     if not np.allclose(exact, oracle, atol=1e-12, rtol=0):
         failures.append(f"glove game mismatch: {exact} vs {oracle}")
     if not np.allclose(oracle, [1 / 6, 1 / 6, 2 / 3], atol=1e-12, rtol=0):
         failures.append("brute-force oracle sanity check failed")
 
     sampled = gk.estimate_shapley(
-        SetFunction(3, glove), ShapleyConfig("permutation", num_permutations=2000, seed=11)
+        SetFunction(3, batched(glove)), ShapleyConfig("permutation", num_permutations=2000, seed=11)
     )
     if np.max(np.abs(sampled - oracle)) > 0.05:
         failures.append(f"permutation estimate off by {np.max(np.abs(sampled - oracle)):.4f}")

@@ -372,14 +372,32 @@ def mixed_model():
 MIXED_ROW = {"C": "b", "X": 0.4, "Y": 0.9, "W": 4.5, "K": "hi", "Z": 8.0}
 BATCHED_QUERIES = {
     # (query, Monte-Carlo rows per subset)
-    "icc": (lambda: gk.intrinsic_influence(mixed_model(), "Z", None, 4, 10, seed=5), 40),
-    "outlier": (lambda: gk.attribute_anomaly(mixed_model(), "W", MIXED_ROW, 50, None, seed=5), 50),
+    "icc": (lambda config: gk.intrinsic_influence(mixed_model(), "Z", config, 4, 10, seed=5), 40),
+    "outlier": (
+        lambda config: gk.attribute_anomaly(mixed_model(), "W", MIXED_ROW, 50, config, seed=5),
+        50,
+    ),
+}
+SEVEN_PERMUTATIONS = gk.ShapleyConfig("permutation", num_permutations=7, seed=11)
+# The distinct subsets each query simulates: all but the empty set (and, for
+# ICC, the full set), whose values are known.  ICC has 6 players, outlier
+# attribution 4; seven permutations reach 30 and 14 distinct subsets.
+SIMULATED_SUBSETS = {
+    ("icc", "exact"): 62,
+    ("icc", "permutation"): 28,
+    ("outlier", "exact"): 15,
+    ("outlier", "permutation"): 13,
 }
 
 
 @pytest.mark.parametrize("subsets_per_chunk", [1, 3])
-@pytest.mark.parametrize("query", sorted(BATCHED_QUERIES))
-def test_results_do_not_depend_on_batching(query, subsets_per_chunk, monkeypatch):
+@pytest.mark.parametrize(
+    "query, config",
+    [(query, None) for query in sorted(BATCHED_QUERIES)]
+    + [(query, SEVEN_PERMUTATIONS) for query in sorted(BATCHED_QUERIES)],
+    ids=sorted(BATCHED_QUERIES) + [f"{query}-permutation" for query in sorted(BATCHED_QUERIES)],
+)
+def test_results_do_not_depend_on_batching(query, config, subsets_per_chunk, monkeypatch):
     run, rows_per_subset = BATCHED_QUERIES[query]
     calls = []
 
@@ -388,16 +406,15 @@ def test_results_do_not_depend_on_batching(query, subsets_per_chunk, monkeypatch
         return propagate_from_noise(*args, **kwargs)
 
     monkeypatch.setattr(attribution, "propagate_from_noise", counting)
-    default = json.dumps(run().to_json())
+    default = json.dumps(run(config).to_json())
     assert len(calls) == 2  # the reference sample, then all subsets in one chunk
     calls.clear()
     monkeypatch.setattr(attribution, "_STACKED_ROWS", subsets_per_chunk * rows_per_subset)
-    assert json.dumps(run().to_json()) == default
-    # One propagation for the reference sample, then one per chunk of
-    # subsets, except a chunk that holds only subsets with a known value (the
-    # empty set, and for ICC the full set): ICC has 64 subsets, outliers 16.
-    expected = {("icc", 1): 62, ("icc", 3): 21, ("outlier", 1): 15, ("outlier", 3): 6}
-    assert len(calls) == 1 + expected[query, subsets_per_chunk]
+    assert json.dumps(run(config).to_json()) == default
+    # One propagation for the reference sample, then one per chunk of the
+    # subsets whose value is not known.
+    simulated = SIMULATED_SUBSETS[query, (config or gk.ShapleyConfig()).method]
+    assert len(calls) == 1 + math.ceil(simulated / subsets_per_chunk)
 
 
 PINNED_OUTLIER = {
@@ -421,6 +438,19 @@ PINNED_CHAIN_OUTLIER = {
     "total": 3.5098856874126563,
     "baseline": 0.0,
 }
+PINNED_PERMUTATION_OUTLIER = {
+    "scores": {
+        "C": -0.6136285427319043,
+        "X": 0.6861633937645589,
+        "Y": 0.6570935721857115,
+        "W": 3.2021972095059588,
+    },
+    "measure": "it_outlier_score",
+    "seed": 5,
+    "budget": {"reference_samples": 50, "samples_per_subset": 50},
+    "total": 3.9318256327243257,
+    "baseline": 0.0,
+}
 
 
 def test_outlier_scores_are_pinned():
@@ -432,3 +462,6 @@ def test_outlier_scores_are_pinned():
         make_ground_truth_chain(), "Z", {"X": 0.0, "Y": 4.0, "Z": 4.0}, 300, None, seed=3
     )
     assert chain.to_json() == PINNED_CHAIN_OUTLIER
+    # The value the permutation method gave when it asked for one subset at a time.
+    permuted = gk.attribute_anomaly(mixed_model(), "W", MIXED_ROW, 50, SEVEN_PERMUTATIONS, seed=5)
+    assert permuted.to_json() == PINNED_PERMUTATION_OUTLIER

@@ -7,62 +7,89 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcmkit import NumericError, QueryError, SetFunction, ShapleyConfig, estimate_shapley
+from gcmkit.seeds import derive_seed
 
 
-def shapley_by_permutation_enumeration(evaluator, n):
+def batched(game):
+    """The set function asking ``game`` for each subset of a batch in turn."""
+    return lambda subsets: [game(bits) for bits in subsets]
+
+
+def members(bits, n):
+    return np.array([bool(bits >> i & 1) for i in range(n)])
+
+
+def shapley_by_permutation_enumeration(game, n):
     """Independent oracle: average marginal contributions over all n! orders."""
     totals = np.zeros(n)
     for order in itertools.permutations(range(n)):
-        members = np.zeros(n, dtype=bool)
-        previous = evaluator(members.copy())
+        bits = 0
+        previous = game(bits)
         for player in order:
-            members[player] = True
-            current = evaluator(members.copy())
+            bits |= 1 << player
+            current = game(bits)
             totals[player] += current - previous
             previous = current
     return totals / math.factorial(n)
 
 
-def glove_game(mask):
-    left = int(mask[0]) + int(mask[1])
-    right = int(mask[2])
+def sequential_permutation_shapley(game_of_mask, n, num_permutations, seed):
+    """The permutation method as one evaluation per boolean mask, in chain order."""
+    phi = np.zeros(n)
+    for index in range(num_permutations):
+        rng = np.random.default_rng(derive_seed(seed, f"perm:{index}"))
+        order = rng.permutation(n)
+        mask = np.zeros(n, dtype=bool)
+        previous = float(game_of_mask(mask.copy()))
+        for player in order:
+            mask[player] = True
+            current = float(game_of_mask(mask.copy()))
+            phi[player] += current - previous
+            previous = current
+    return phi / num_permutations
+
+
+def glove_game(bits):
+    left = (bits & 1) + (bits >> 1 & 1)
+    right = bits >> 2 & 1
     return float(min(left, right))
 
 
 def test_additive_game_returns_weights():
     weights = np.array([1.0, 2.0, 3.0])
-    f = SetFunction(3, lambda mask: float(weights[mask].sum()))
+    f = SetFunction(3, batched(lambda bits: float(weights[members(bits, 3)].sum())))
     values = estimate_shapley(f, ShapleyConfig(method="exact"))
     assert np.allclose(values, weights, rtol=0, atol=1e-12)
 
 
 def test_symmetric_two_player_game():
-    f = SetFunction(2, lambda mask: float(mask.sum() if mask.sum() < 2 else 2.0))
+    f = SetFunction(2, batched(lambda bits: float(bits.bit_count() if bits.bit_count() < 2 else 2.0)))
     values = estimate_shapley(f, ShapleyConfig(method="exact"))
     assert np.allclose(values, [1.0, 1.0], atol=1e-12)
 
 
 def test_glove_game_matches_brute_force():
-    exact = estimate_shapley(SetFunction(3, glove_game), ShapleyConfig(method="exact"))
+    exact = estimate_shapley(SetFunction(3, batched(glove_game)), ShapleyConfig(method="exact"))
     oracle = shapley_by_permutation_enumeration(glove_game, 3)
     assert np.allclose(exact, oracle, atol=1e-12)
     assert np.allclose(exact, [1 / 6, 1 / 6, 2 / 3], atol=1e-12)
 
 
 def test_null_player_gets_exact_zero():
-    def game(mask):
-        return float(mask[0]) * 2.0  # player 1 never matters
+    def game(bits):
+        return float(bits & 1) * 2.0  # player 1 never matters
 
-    values = estimate_shapley(SetFunction(2, game), ShapleyConfig(method="exact"))
+    values = estimate_shapley(SetFunction(2, batched(game)), ShapleyConfig(method="exact"))
     assert values[1] == 0.0
 
 
 def test_symmetry_is_bit_identical():
-    def game(mask):
+    def game(bits):
         # players 0 and 1 interchangeable
-        return float(mask[0] + mask[1] + 0.5 * (mask[0] & mask[1]) + 3.0 * mask[2])
+        first, second, third = (bits >> i & 1 for i in range(3))
+        return float(first + second + 0.5 * (first & second) + 3.0 * third)
 
-    values = estimate_shapley(SetFunction(3, game), ShapleyConfig(method="exact"))
+    values = estimate_shapley(SetFunction(3, batched(game)), ShapleyConfig(method="exact"))
     assert values[0] == values[1]
 
 
@@ -74,25 +101,24 @@ def test_exact_efficiency_property(weights, interaction_seed):
     rng = np.random.default_rng(interaction_seed)
     bonus = rng.uniform(-1, 1, size=1 << n)
 
-    def game(mask):
-        bits = sum(1 << i for i in range(n) if mask[i])
-        return float(weights[mask].sum() + bonus[bits])
+    def game(bits):
+        return float(weights[members(bits, n)].sum() + bonus[bits])
 
-    values = estimate_shapley(SetFunction(n, game), ShapleyConfig(method="exact"))
-    total = game(np.ones(n, dtype=bool)) - game(np.zeros(n, dtype=bool))
+    values = estimate_shapley(SetFunction(n, batched(game)), ShapleyConfig(method="exact"))
+    total = game((1 << n) - 1) - game(0)
     assert sum(values) == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 def test_permutation_estimate_converges_on_glove_game():
     config = ShapleyConfig(method="permutation", num_permutations=2000, seed=5)
-    estimate = estimate_shapley(SetFunction(3, glove_game), config)
+    estimate = estimate_shapley(SetFunction(3, batched(glove_game)), config)
     assert np.max(np.abs(estimate - np.array([1 / 6, 1 / 6, 2 / 3]))) <= 0.05
 
 
 def test_permutation_seed_determinism():
     config = ShapleyConfig(method="permutation", num_permutations=50, seed=9)
-    a = estimate_shapley(SetFunction(3, glove_game), config)
-    b = estimate_shapley(SetFunction(3, glove_game), config)
+    a = estimate_shapley(SetFunction(3, batched(glove_game)), config)
+    b = estimate_shapley(SetFunction(3, batched(glove_game)), config)
     assert np.array_equal(a, b)
 
 
@@ -104,12 +130,12 @@ def test_permutation_efficiency_with_stochastic_evaluator():
     weights = np.array([1.0, -2.0, 0.5, 3.0])
     rng = np.random.default_rng(123)
 
-    def game(mask):
-        return float(weights[mask].sum() + sigma * rng.standard_normal())
+    def game(bits):
+        return float(weights[members(bits, 4)].sum() + sigma * rng.standard_normal())
 
     permutations = 400
     config = ShapleyConfig(method="permutation", num_permutations=permutations, seed=3)
-    estimate = estimate_shapley(SetFunction(4, game), config)
+    estimate = estimate_shapley(SetFunction(4, batched(game)), config)
     exact_total = weights.sum()
     standard_error = sigma * math.sqrt(2.0 / permutations)
     assert abs(estimate.sum() - exact_total) <= 4 * standard_error
@@ -117,21 +143,85 @@ def test_permutation_efficiency_with_stochastic_evaluator():
 
 def test_exact_rejects_large_arity():
     with pytest.raises(QueryError, match="20 players"):
-        estimate_shapley(SetFunction(21, lambda mask: 0.0), ShapleyConfig(method="exact"))
+        estimate_shapley(SetFunction(21, batched(lambda bits: 0.0)), ShapleyConfig(method="exact"))
 
 
 def test_non_finite_evaluator_rejected():
-    with pytest.raises(NumericError, match="non-finite"):
-        estimate_shapley(SetFunction(2, lambda mask: float("nan")), ShapleyConfig(method="exact"))
+    def game(bits):
+        return float("nan") if bits == 3 else 0.0
+
+    for config in [ShapleyConfig("exact"), ShapleyConfig("permutation", 3)]:
+        with pytest.raises(NumericError, match="non-finite"):
+            estimate_shapley(SetFunction(2, batched(game)), config)
+
+
+@pytest.mark.parametrize(
+    "config", [ShapleyConfig("exact"), ShapleyConfig("permutation", 3)], ids=["exact", "permutation"]
+)
+@pytest.mark.parametrize("surplus", [-1, 1])
+def test_evaluator_must_return_one_value_per_subset(config, surplus):
+    # 4 subsets for the exact method, 3 chains of 3 for the permutation method
+    asked = 4 if config.method == "exact" else 9
+
+    def evaluator(subsets):
+        return [0.0] * (len(subsets) + surplus)
+
+    with pytest.raises(QueryError, match=f"returned {asked + surplus} values for {asked} subsets"):
+        estimate_shapley(SetFunction(2, evaluator), config)
 
 
 def test_evaluator_sees_every_subset_once_for_exact():
-    seen = []
+    requests = []
 
-    def game(mask):
-        seen.append(tuple(bool(v) for v in mask))
-        return 0.0
+    def evaluator(subsets):
+        requests.append(list(subsets))
+        return [0.0] * len(subsets)
 
-    estimate_shapley(SetFunction(3, game), ShapleyConfig(method="exact"))
-    assert len(seen) == 8
-    assert len(set(seen)) == 8
+    estimate_shapley(SetFunction(3, evaluator), ShapleyConfig(method="exact"))
+    assert requests == [list(range(8))]
+
+
+def test_permutation_asks_for_every_chain_in_one_call():
+    requests = []
+
+    def evaluator(subsets):
+        requests.append(list(subsets))
+        return [glove_game(bits) for bits in subsets]
+
+    estimate_shapley(SetFunction(3, evaluator), ShapleyConfig("permutation", 4, seed=2))
+    (subsets,) = requests
+    chains = [subsets[i : i + 4] for i in range(0, 16, 4)]
+    for chain in chains:
+        assert chain[0] == 0 and chain[-1] == 7
+        assert all(bits & grown == bits and (grown ^ bits).bit_count() == 1
+                   for bits, grown in zip(chain, chain[1:]))
+
+
+def test_permutation_method_has_no_player_limit():
+    # 70 players do not fit a 64-bit mask; Python ints hold them
+    weights = np.arange(1.0, 71.0)
+
+    def game(bits):
+        return float(sum(weights[i] for i in range(70) if bits >> i & 1))
+
+    estimate = estimate_shapley(SetFunction(70, batched(game)), ShapleyConfig("permutation", 2))
+    assert np.allclose(estimate, weights, rtol=0, atol=1e-9)
+
+
+@given(
+    n=st.integers(1, 8),
+    table_seed=st.integers(0, 2**16),
+    num_permutations=st.integers(1, 30),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_permutation_estimates_match_the_sequential_mask_loop(n, table_seed, num_permutations, seed):
+    table = np.random.default_rng(table_seed).standard_normal(1 << n)
+
+    def game_of_mask(mask):
+        return table[sum(1 << i for i in range(n) if mask[i])]
+
+    oracle = sequential_permutation_shapley(game_of_mask, n, num_permutations, seed)
+    config = ShapleyConfig("permutation", num_permutations, seed)
+    estimate = estimate_shapley(SetFunction(n, batched(lambda bits: table[bits])), config)
+    assert [float(v).hex() for v in estimate] == [float(v).hex() for v in oracle]
