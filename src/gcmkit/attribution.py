@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTINUOUS, Dataset, one_hot
+from .data import CONTINUOUS, Dataset
 from .exceptions import QueryError
+from .mechanisms import InputEncoder
 from .model import GcmModel, auto_assign, fit
 from .sampling import abduct_row, draw_noise_values, propagate_from_noise, require_continuous_target
 from .seeds import derive_seed, rng_for
@@ -192,33 +193,19 @@ def arrow_strength(model: GcmModel, edge, measure="auto", n=50000, seed=0) -> fl
     values = propagate_from_noise(model, noise)
     permutation = rng_for(seed, "arrow:cut").permutation(n)
     parents = model.graph.parents(child)
-    cut_columns = [
-        values[p][permutation] if p == parent else values[p] for p in parents
-    ]
+    parent_columns = [values[p] for p in parents]
+    cut_columns = [values[p][permutation] if p == parent else values[p] for p in parents]
     observed_child = values[child]
     cut_child = mechanism.forward(cut_columns, noise[child])
 
     if measure == "coupled_msd":
         return float(np.mean((observed_child - cut_child) ** 2))
 
-    joint, joint_cut = _encode_joint(
-        [(values[p], values[p], model.mechanisms[p].is_continuous) for p in parents]
-        + [(observed_child, cut_child, child_continuous)]
-    )
+    # Both joints share the parent columns; a categorical child is one-hot
+    # encoded over the categories of both sides.
+    encoder = InputEncoder.fit([*parent_columns, np.concatenate([observed_child, cut_child])])
+    joint, joint_cut = (encoder.encode([*parent_columns, side]) for side in (observed_child, cut_child))
     return kl_divergence(joint, joint_cut, k=_KL_NEIGHBORS)
-
-
-def _encode_joint(column_pairs):
-    left_parts, right_parts = [], []
-    for left, right, continuous in column_pairs:
-        if continuous:
-            left_parts.append(np.asarray(left, dtype=np.float64)[:, None])
-            right_parts.append(np.asarray(right, dtype=np.float64)[:, None])
-        else:
-            categories = np.unique(np.concatenate([left, right]).astype(str))
-            left_parts.append(one_hot(left, categories))
-            right_parts.append(one_hot(right, categories))
-    return np.hstack(left_parts), np.hstack(right_parts)
 
 
 def intrinsic_influence(

@@ -8,8 +8,8 @@ distribution inferred from the residuals.  Categorical non-root nodes carry a
 
 All fitted objects are immutable; every stochastic operation takes an explicit
 numpy generator supplied by the caller.  Importing this module loads numpy
-only: ``scipy.optimize`` is imported by the first classifier fit, and
-``scipy.spatial`` by the first kNN search over two or more encoded columns.
+only: ``scipy.optimize`` is imported by the first classifier fit, and no kNN
+search needs scipy.
 
 Every mechanism class implements the same protocol, and the query modules use
 nothing else:
@@ -301,9 +301,9 @@ class KnnRegressor(_Serialized):
     def __init__(self, k, inputs, targets, offset=0.0):
         inputs = np.asarray(inputs, dtype=np.float64)
         targets = _as_float_array(targets, "targets")
-        if inputs.ndim != 2 or len(inputs) != len(targets):
+        if inputs.ndim != 2 or len(inputs) != len(targets) or inputs.shape[1] == 0:
             raise FitError(
-                f"knn inputs must be a matrix with one row per target, got shape "
+                f"knn inputs must be a matrix with one row per target and a column, got shape "
                 f"{inputs.shape} for {len(targets)} targets"
             )
         if not np.all(np.isfinite(inputs)):

@@ -1,7 +1,8 @@
 """Statistical toolbox: independence tests, a two-sample KS statistic and
 nonparametric KL estimation.
 
-Distances are Euclidean throughout.  Nearest neighbours, here and in
+Distances are Euclidean throughout, from one numpy kernel for points of
+every width (:func:`pairwise_distances`).  Nearest neighbours, here and in
 :class:`~gcmkit.mechanisms.KnnRegressor`, are found exactly by
 :func:`nearest_neighbours` and :func:`kth_neighbour_distances`, the one
 neighbour search, which dispatches on the width of the points.  1-D points
@@ -14,10 +15,8 @@ it costs O(n log n + m log m + n·k) for 1-D samples and O(n·(n + m)) otherwise
 Both paths rank and measure neighbours with the same arithmetic, so a result
 does not depend on which one ran.
 
-Importing this module loads numpy only.  ``scipy.spatial`` (pairwise
-distances between points of two or more dimensions) and ``scipy.special``
-(the normal tail, for Fisher-z) are imported inside the functions that use
-them, so a process that asks neither question never pays their import.
+Importing this module loads numpy only.  ``scipy.special`` (the normal
+tail, for Fisher-z) is imported by the first Fisher-z p-value.
 """
 
 from dataclasses import dataclass
@@ -49,13 +48,21 @@ class TestResult:
 def _as_point_matrix(values):
     """Column vector for numeric input, one-hot matrix for categorical input."""
     array = np.asarray(values)
-    if array.ndim == 2:
-        return array.astype(np.float64)
-    if array.ndim != 1:
-        raise DataError("test inputs must be one- or two-dimensional")
-    if np.issubdtype(array.dtype, np.number):
-        return array.astype(np.float64)[:, None]
-    return one_hot(array, np.unique(array.astype(str)))
+    if array.ndim == 1:
+        numeric = np.issubdtype(array.dtype, np.number)
+        array = array[:, None] if numeric else one_hot(array, np.unique(array.astype(str)))
+    if array.ndim != 2 or array.shape[1] == 0:
+        raise DataError("test inputs must be one- or two-dimensional, with at least one column")
+    return array.astype(np.float64)
+
+
+def _point_matrices(x, y):
+    """Point matrices of the paired test inputs ``x`` and ``y``."""
+    x_matrix = _as_point_matrix(x)
+    y_matrix = _as_point_matrix(y)
+    if len(x_matrix) != len(y_matrix):
+        raise DataError("x and y must have the same length")
+    return x_matrix, y_matrix
 
 
 def _double_centered(distances):
@@ -71,8 +78,9 @@ def _centered_distances(points):
 
 def distance_correlation(x, y) -> float:
     """Sample distance correlation in [0, 1]; 0 iff (in the limit) independent."""
-    a = _centered_distances(_as_point_matrix(x))
-    b = _centered_distances(_as_point_matrix(y))
+    x_matrix, y_matrix = _point_matrices(x, y)
+    a = _centered_distances(x_matrix)
+    b = _centered_distances(y_matrix)
     scale = _dcor_scale(a, b)
     return 0.0 if scale is None else _dcor_from_centered(a, b, scale)
 
@@ -99,10 +107,7 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
     """
     if num_permutations < 1:
         raise QueryError("num_permutations must be at least 1")
-    x_matrix = _as_point_matrix(x)
-    y_matrix = _as_point_matrix(y)
-    if len(x_matrix) != len(y_matrix):
-        raise DataError("x and y must have the same length")
+    x_matrix, y_matrix = _point_matrices(x, y)
     n = len(x_matrix)
     if n < 10:
         raise DataError("independence test needs at least 10 observations")
@@ -204,16 +209,16 @@ def kl_divergence(samples_p, samples_q, k=5) -> float:
     the point itself) to the k-th nearest-neighbour distance into Q (Wang,
     Kulkarni & Verdú 2009).
     """
-    p = np.asarray(samples_p, dtype=np.float64)
-    q = np.asarray(samples_q, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[:, None]
-    if q.ndim == 1:
-        q = q[:, None]
+    p, q = (np.asarray(samples, dtype=np.float64) for samples in (samples_p, samples_q))
+    p, q = (samples[:, None] if samples.ndim == 1 else samples for samples in (p, q))
     if p.shape[1] != q.shape[1]:
         raise DataError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
     n, d = p.shape
     m = q.shape[0]
+    if d == 0:
+        raise DataError("k-NN KL estimation needs points with at least one coordinate")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise QueryError(f"k must be a positive integer, got {k!r}")
     if n < k + 1 or m < k + 1:
         raise QueryError(f"k-NN KL estimation needs at least k+1 = {k + 1} samples per side")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
@@ -235,27 +240,34 @@ def kl_divergence(samples_p, samples_q, k=5) -> float:
 
 # --- nearest-neighbour search -------------------------------------------------
 #
-# Every distance is sqrt(sum((u - v)**2)), the arithmetic of scipy's cdist, so
-# both paths agree bit for bit.  For 1-D points that is sqrt((u - v)**2), which
-# is not |u - v| once the square underflows (|u - v| below about 1e-154).
+# Every distance is sqrt(sum((u - v)**2)), the squares summed in column order
+# as in scipy's cdist, so both paths agree bit for bit.  In 1-D that is
+# sqrt((u - v)**2), not |u - v| once the square underflows (|u - v| < 1e-154).
+
+
+@np.errstate(over="ignore")
+def _squared_gaps(u, v, out=None):
+    """``(u - v)**2`` over broadcast coordinates, ``inf`` where it overflows."""
+    gaps = np.subtract(u, v, out=out)
+    return np.square(gaps, out=gaps)
 
 
 def _gaps(u, v):
-    """Distances between broadcast 1-D coordinates ``u`` and ``v``; a gap
-    whose square overflows is ``inf``, silently, as in ``cdist``."""
-    gaps = np.subtract(u, v)
-    with np.errstate(over="ignore"):
-        np.square(gaps, out=gaps)
-    return np.sqrt(gaps, out=gaps)
+    """Distances between broadcast 1-D coordinates ``u`` and ``v``."""
+    squares = _squared_gaps(u, v)
+    return np.sqrt(squares, out=squares)
 
 
+@np.errstate(over="ignore")
 def pairwise_distances(a, b):
-    """Matrix of Euclidean distances between the rows of ``a`` and of ``b``."""
-    if a.shape[1] == 1:
-        return _gaps(a, b.T)
-    from scipy.spatial.distance import cdist
-
-    return cdist(a, b)
+    """Matrix of Euclidean distances between the rows of ``a`` and of ``b``,
+    which have at least one column; a sum that overflows is ``inf``."""
+    squares = _squared_gaps(a[:, :1], b[:, 0])
+    column_squares = None
+    for column in range(1, a.shape[1]):
+        column_squares = _squared_gaps(a[:, column, None], b[:, column], out=column_squares)
+        squares += column_squares
+    return np.sqrt(squares, out=squares)
 
 
 def _row_blocks(n_rows, width):

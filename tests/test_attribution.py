@@ -20,7 +20,9 @@ from gcmkit import (
     QueryError,
 )
 from gcmkit import attribution
-from gcmkit.sampling import propagate_from_noise
+from gcmkit.data import one_hot
+from gcmkit.sampling import draw_noise_values, propagate_from_noise
+from gcmkit.seeds import rng_for
 from conftest import linear_gaussian_models, make_ground_truth_chain, sample_chain_data
 
 
@@ -73,6 +75,32 @@ class TestArrowStrength:
         weak = gk.arrow_strength(make_two_node_model(0.2), ("X", "Y"), measure="kl", n=2000, seed=5)
         strong = gk.arrow_strength(make_two_node_model(3.0), ("X", "Y"), measure="kl", n=2000, seed=5)
         assert strong > weak
+
+    def test_kl_joint_matches_a_one_hot_oracle(self):
+        """The KL joints, encoded column by column: the continuous parent as
+        is, the categorical parent and child one-hot over the categories of
+        both sides."""
+        rng = np.random.default_rng(6)
+        c = rng.choice(np.array(["p", "q", "r"], dtype=object), 400)
+        x = rng.standard_normal(400)
+        k = np.where((c == "p") | (x + 0.3 * rng.standard_normal(400) > 1.0), "u", "v").astype(object)
+        data = Dataset(["C", "X", "K"], [c, x, k])
+        model = gk.fit(gk.auto_assign(CausalGraph(["C", "X", "K"], [("C", "K"), ("X", "K")]), data), data)
+        n, seed = 600, 7
+        noise = draw_noise_values(model, n, seed)
+        values = propagate_from_noise(model, noise)
+        permutation = rng_for(seed, "arrow:cut").permutation(n)
+        cut = model.mechanisms["K"].forward([values["C"][permutation], values["X"]], noise["K"])
+
+        def joint(child):
+            pooled = np.unique(np.concatenate([values["K"], cut]).astype(str))
+            parent = one_hot(values["C"], np.unique(values["C"].astype(str)))
+            return np.hstack([parent, values["X"][:, None], one_hot(child, pooled)])
+
+        expected = gk.kl_divergence(joint(values["K"]), joint(cut), k=5)
+        actual = gk.arrow_strength(model, ("C", "K"), n=n, seed=seed)
+        assert np.float64(actual).view(np.int64) == np.float64(expected).view(np.int64)
+        assert actual > 0.0
 
     def test_seed_determinism(self):
         model = make_two_node_model(coef=1.0)

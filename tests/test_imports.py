@@ -1,7 +1,7 @@
 """The import contract: importing gcmkit loads numpy and the standard library
-only, and each scipy submodule is imported by the query that needs it.  A
-neighbour search over one column (kNN, k-NN KL, distance correlation) needs
-none.
+only, and each scipy submodule is imported by the query that needs it.  No
+distance or neighbour search (kNN, k-NN KL, distance correlation) needs
+scipy, over one column or several.
 
 Every check runs in a fresh interpreter, because this test process has
 scipy loaded already.
@@ -124,11 +124,21 @@ def sine_files(tmp_path_factory):
     return root
 
 
+def assert_fit_runs_without_scipy(argv_for, root):
+    """A fit with scipy blocked writes ``model.json``'s bytes, and the stdout
+    of a plain run."""
+    argv = list(map(str, argv_for(root, root / "blocked.json")))
+    blocked = python("-c", BLOCKED, *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    assert (root / "blocked.json").read_text() == (root / "model.json").read_text()
+    plain = python("-m", "gcmkit", *argv)
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.stdout == plain.stdout
+
+
 def test_one_column_knn_fit_runs_without_scipy(sine_files):
-    blocked, plain = blocked_and_plain(*fit_argv(sine_files, sine_files / "blocked.json"))
-    assert blocked == plain
+    assert_fit_runs_without_scipy(fit_argv, sine_files)
     model = (sine_files / "model.json").read_text()
-    assert (sine_files / "blocked.json").read_text() == model
     mechanisms = json.loads(model)["mechanisms"]
     assert [mechanisms[node]["prediction"]["type"] for node in "YZ"] == ["knn", "knn"]
 
@@ -147,5 +157,50 @@ def test_one_column_knn_fit_runs_without_scipy(sine_files):
 def test_one_column_neighbour_queries_run_without_scipy(sine_files, command):
     paths = {name: sine_files / f"{name}.{ext}" for name, ext in
              [("model", "json"), ("chain", "json"), ("old", "csv"), ("new", "csv")]}
+    blocked, plain = blocked_and_plain(*[arg.format(**paths) for arg in command], "--seed", "3")
+    assert blocked == plain
+
+
+def two_parent_csv(seed):
+    """A -> Y <- B with a nonlinear Y, and a categorical column C."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, 200)
+    b = rng.uniform(-2.0, 2.0, 200)
+    y = np.sin(a) * b + 0.1 * rng.standard_normal(200)
+    c = np.where(a + 0.3 * rng.standard_normal(200) > 0, "hi", "lo").astype(object)
+    return gk.write_csv(gk.Dataset(["A", "B", "Y", "C"], [a, b, y, c]))
+
+
+def two_parent_fit_argv(root, out):
+    return ["fit", "--graph", root / "graph.json", "--data", root / "data.csv", "--seed", "3", "--out", out]
+
+
+@pytest.fixture(scope="module")
+def two_parent_files(tmp_path_factory):
+    """The two-parent table, its graph and a model fitted to it."""
+    root = tmp_path_factory.mktemp("two-parent")
+    (root / "graph.json").write_text('{"nodes":["A","B","Y"],"edges":[["A","Y"],["B","Y"]]}')
+    (root / "data.csv").write_text(two_parent_csv(0))
+    fitted = python("-m", "gcmkit", *map(str, two_parent_fit_argv(root, root / "model.json")))
+    assert fitted.returncode == 0, fitted.stderr
+    return root
+
+
+def test_two_column_knn_fit_runs_without_scipy(two_parent_files):
+    """``auto`` cross-validates kNN on Y's two parent columns."""
+    assert_fit_runs_without_scipy(two_parent_fit_argv, two_parent_files)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["arrow-strength", "--model", "{model}", "--edge", "A->Y", "--measure", "kl", "-n", "300"],
+        ["test", "--data", "{data}", "--x", "C", "--y", "Y", "--method", "dcor", "--permutations", "20"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_multi_column_neighbour_queries_run_without_scipy(two_parent_files, command):
+    """k-NN KL over the 3-wide (A, B, Y) joint, and dCor of a one-hot column."""
+    paths = {"model": two_parent_files / "model.json", "data": two_parent_files / "data.csv"}
     blocked, plain = blocked_and_plain(*[arg.format(**paths) for arg in command], "--seed", "3")
     assert blocked == plain

@@ -395,6 +395,7 @@ def test_knn_sorts_its_training_line_once(monkeypatch):
         ([[0.0], [1.0]], [1.0, 2.0, 3.0], "one row per target"),
         ([[0.0], [np.nan], [2.0]], [1.0, 2.0, 3.0], "non-finite"),
         ([[0.0], [np.inf], [2.0]], [1.0, 2.0, 3.0], "non-finite"),
+        (np.zeros((3, 0)), [1.0, 2.0, 3.0], "a column"),
     ],
 )
 def test_knn_rejects_malformed_training_rows(inputs, targets, message):

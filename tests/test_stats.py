@@ -60,6 +60,12 @@ class TestPairwiseIndependence:
         with pytest.raises(DataError, match="at least 10"):
             pairwise_independence_test(np.arange(5.0), np.arange(5.0))
 
+    @pytest.mark.parametrize("width", ["x", "y"])
+    def test_zero_width_points_rejected(self, width):
+        points = {"x": np.arange(20.0), "y": np.arange(20.0), width: np.empty((20, 0))}
+        with pytest.raises(DataError, match="at least one column"):
+            pairwise_independence_test(points["x"], points["y"])
+
     def test_categorical_inputs_accepted(self):
         rng = np.random.default_rng(2)
         labels = np.array(["a", "b"] * 30, dtype=object)
@@ -99,6 +105,14 @@ class TestDistanceCorrelation:
         for _ in range(10):
             x, y = rng.standard_normal(40), rng.standard_normal(40)
             assert 0.0 <= distance_correlation(x, y) <= 1.0
+
+    def test_length_mismatch(self):
+        with pytest.raises(DataError, match="same length"):
+            distance_correlation(np.arange(10.0), np.arange(11.0))
+
+    def test_zero_width_points_rejected(self):
+        with pytest.raises(DataError, match="at least one column"):
+            distance_correlation(np.empty((12, 0)), np.arange(12.0))
 
 
 class TestFisherZ:
@@ -285,6 +299,15 @@ class TestKlDivergence:
         with pytest.raises(DataError, match="dimension"):
             kl_divergence(np.zeros((10, 2)), np.zeros((10, 3)))
 
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(QueryError, match="positive integer"):
+            kl_divergence(np.arange(10.0), np.arange(12.0), k=k)
+
+    def test_zero_width_points_rejected(self):
+        with pytest.raises(DataError, match="at least one coordinate"):
+            kl_divergence(np.empty((10, 0)), np.empty((12, 0)))
+
     def test_needs_k_plus_one_samples(self):
         with pytest.raises(QueryError, match="k\\+1"):
             kl_divergence(np.zeros(4), np.zeros(4), k=5)
@@ -296,8 +319,26 @@ class TestKlDivergence:
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-170, 1e300])
-def test_one_column_pairwise_distances_match_cdist(scale):
+def test_pairwise_distances_match_cdist_at_every_width(scale):
     rng = np.random.default_rng(41)
-    a = rng.integers(-5, 6, (40, 1)) * scale
-    b = rng.standard_normal((30, 1)) * scale
+    for width in (1, 2, 3, 6, 10):
+        a = rng.integers(-5, 6, (40, width)) * scale
+        b = rng.standard_normal((30, width)) * scale
+        assert np.array_equal(pairwise_distances(a, b).view(np.int64), cdist(a, b).view(np.int64))
+
+
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 11)),
+    scale=st.sampled_from([1.0, 1e-170, 1e-160, 1e-3, 1e150, 1e154, 1e300]),
+    decimals=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_pairwise_distances_match_cdist_property(shape, scale, decimals, seed):
+    """Bit for bit cdist over random shapes and scales, on values rounded so
+    that ties and zero gaps are common; overflowing sums are inf in both."""
+    n, m, width = shape
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.standard_normal((n, width)), decimals) * scale
+    b = np.round(rng.standard_normal((m, width)), decimals) * scale
     assert np.array_equal(pairwise_distances(a, b).view(np.int64), cdist(a, b).view(np.int64))
