@@ -2,7 +2,6 @@
 
 import csv
 import io
-import math
 
 import numpy as np
 
@@ -55,11 +54,6 @@ class Dataset:
     @property
     def column_names(self):
         return self._names
-
-    @property
-    def columns(self):
-        """Ordered (name, kind) pairs."""
-        return tuple((name, self._kinds[name]) for name in self._names)
 
     def kind(self, name):
         self._require(name)
@@ -114,14 +108,6 @@ def one_hot(values, categories) -> np.ndarray:
     return block
 
 
-def _parse_continuous(cell):
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def read_csv(source) -> Dataset:
     """Parse CSV text (str or UTF-8 bytes) into a typed :class:`Dataset`.
 
@@ -145,18 +131,18 @@ def read_csv(source) -> Dataset:
     for i, row in enumerate(body):
         if len(row) != width:
             raise DataError(f"ragged row {i + 1}: expected {width} cells, got {len(row)}")
-        for name, cell in zip(header, row):
-            if cell == "":
-                raise DataError(f"missing value in column {name!r}, row {i + 1}")
+        if "" in row:
+            raise DataError(f"missing value in column {header[row.index('')]!r}, row {i + 1}")
 
     arrays = []
-    for j, name in enumerate(header):
+    for j in range(width):
         cells = [row[j] for row in body]
-        parsed = [_parse_continuous(cell) for cell in cells]
-        if all(value is not None for value in parsed):
-            arrays.append(np.array(parsed, dtype=np.float64))
-        else:
-            arrays.append(np.array(cells, dtype=object))
+        try:
+            values = np.array([float(cell) for cell in cells], dtype=np.float64)
+        except ValueError:
+            values = None
+        finite = values is not None and np.isfinite(values).all()
+        arrays.append(values if finite else np.array(cells, dtype=object))
     return Dataset(header, arrays)
 
 

@@ -24,9 +24,6 @@ class Skeleton:
     nodes: tuple
     edges: tuple  # pairs ordered by node declaration
 
-    def adjacent(self, a, b):
-        return (a, b) in self.edges or (b, a) in self.edges
-
 
 @dataclass(frozen=True)
 class Cpdag:

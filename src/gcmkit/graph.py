@@ -126,9 +126,6 @@ class CausalGraph:
         self._require(node)
         return not self._parents[node]
 
-    def roots(self):
-        return tuple(name for name in self.nodes if not self._parents[name])
-
     def has_edge(self, parent, child):
         self._require(parent)
         self._require(child)

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import one_hot
-from .exceptions import FitError, NonInvertibleError, SerializationError
+from .exceptions import DataError, FitError, NonInvertibleError, SerializationError
 from .stats import nearest_neighbours, sorted_line
 
 _KNN_AUTO = "auto"
@@ -49,6 +49,19 @@ def _as_float_array(values, what):
     if array.size and not np.all(np.isfinite(array)):
         raise FitError(f"{what} contains non-finite values")
     return array
+
+
+def _width_mismatch(takes, encodes):
+    return f"the prediction model takes {takes} encoded inputs, but the parents encode to {encodes}"
+
+
+def _encoded_queries(encoded, width):
+    """``encoded`` as a float matrix, which must have ``width`` columns."""
+    encoded = np.asarray(encoded, dtype=np.float64)
+    if encoded.ndim != 2 or encoded.shape[1] != width:
+        encodes = encoded.shape[1] if encoded.ndim == 2 else encoded.shape
+        raise DataError(_width_mismatch(width, encodes))
+    return encoded
 
 
 def _is_numeric(values):
@@ -276,7 +289,7 @@ class LinearModel(_Serialized):
         return len(self.coefficients)
 
     def predict(self, encoded):
-        return encoded @ self.coefficients + self.intercept
+        return _encoded_queries(encoded, self.width) @ self.coefficients + self.intercept
 
     def __repr__(self):
         coefficients = [float(c) for c in self.coefficients]
@@ -291,8 +304,9 @@ class KnnRegressor(_Serialized):
     row, so ties resolve to the earliest rows.  The search is
     :func:`~gcmkit.stats.nearest_neighbours`: for one encoded column it sorts
     the n training rows on the first prediction, keeps that sorted line and
-    then costs O(m·k) for m queries; otherwise it compares all n·m pairs.
-    The whole training set is stored.
+    then costs O(m·k) for m queries, plus O(k + t) for a query whose k-th
+    distance t training rows past its window share; otherwise it compares all
+    n·m pairs.  The whole training set is stored.
     """
 
     tag = "knn"
@@ -323,7 +337,7 @@ class KnnRegressor(_Serialized):
         return self.inputs.shape[1]
 
     def predict(self, encoded):
-        encoded = np.asarray(encoded, dtype=np.float64)
+        encoded = _encoded_queries(encoded, self.width)
         out = np.empty(len(encoded))
         for rows, order in nearest_neighbours(encoded, self.inputs, self.k, self._line):
             out[rows] = self.targets[order].mean(axis=1)
@@ -370,10 +384,7 @@ class AdditiveNoiseModel:
         if not isinstance(noise, (Empirical, Gaussian)):
             raise FitError("additive noise must be a continuous marginal model")
         if prediction.width != encoder.width:
-            raise FitError(
-                f"the prediction model takes {prediction.width} encoded inputs, "
-                f"but the parents encode to {encoder.width}"
-            )
+            raise FitError(_width_mismatch(prediction.width, encoder.width))
         self.prediction = prediction
         self.noise = noise
         self.encoder = encoder
@@ -581,9 +592,7 @@ def fit_classifier(parent_columns, targets):
         return ClassifierFcm(encoder, categories, np.zeros((d + 1, 1)))
 
     design = np.hstack([encoded, np.ones((n, 1))])
-    index = {c: i for i, c in enumerate(categories)}
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), [index[t] for t in targets]] = 1.0
+    onehot = one_hot(targets, categories)
     reg = 1e-6
 
     def objective(flat):

@@ -8,7 +8,9 @@ every width (:func:`pairwise_distances`).  Nearest neighbours, here and in
 neighbour search, which dispatches on the width of the points.  1-D points
 (one continuous parent, one target column) are searched in a reference
 sorted once: each query looks at the 2k + 2 sorted points around it, so n
-reference and m query points cost O(n log n + m·k).  Points of two or more
+reference and m query points cost O(n log n + m·k).  A query whose k-th
+distance is shared by t points past that window looks again at twice as
+many, until no edge is tied, at O(k + t) more.  Points of two or more
 dimensions are compared exhaustively, block by block (:func:`distance_blocks`),
 which costs O(n·m).  The KL estimator searches P against P and against Q, so
 it costs O(n log n + m log m + n·k) for 1-D samples and O(n·(n + m)) otherwise.
@@ -328,7 +330,8 @@ class _SortedLine:
     The distance to a query falls monotonically over the sorted points up to
     the query's insertion point and rises after it.  So the j nearest lie
     within j places on either side, and all the points within any radius form
-    one run of sorted positions.
+    one run of sorted positions.  A kNN window whose edge ties the k-th
+    distance doubles, so t points tied past it cost O(k + t) candidates.
     """
 
     def __init__(self, values):
@@ -348,53 +351,23 @@ class _SortedLine:
         distances = _gaps(queries[:, None], self.values[positions])
         return np.partition(distances, kth, axis=1)[:, kth]
 
-    def nearest(self, queries, k):
-        positions = self._window(queries, k + 1)
+    def nearest(self, queries, k, count=None):
+        count = k + 1 if count is None else count
+        positions = self._window(queries, count)
         distances = _gaps(queries[:, None], self.values[positions])
         index = self.index[positions]
         ranked = np.lexsort((index, distances))[:, :k]
         order = np.take_along_axis(index, ranked, axis=1)
         radius = np.take_along_axis(distances, ranked[:, -1:], axis=1)[:, 0]
         # The window holds every point nearer than the k-th distance.  Points
-        # at exactly that distance may go on past an edge of the window, and
-        # the lowest indices among them win: rank all of them for those rows.
+        # at exactly that distance may go on past an edge, and the lowest
+        # indices among them win: search those rows again, twice as wide, until
+        # each edge is farther than the k-th distance or ends the line.
         last = len(self.values) - 1
         open_tie = ((positions[:, 0] > 0) & (distances[:, 0] == radius)) | (
             (positions[:, -1] < last) & (distances[:, -1] == radius)
         )
         rows = np.flatnonzero(open_tie)
-        if rows.size:
-            order[rows] = self._nearest_within(queries[rows], radius[rows], k)
+        for block in _row_blocks(len(rows), 4 * count):
+            order[rows[block]] = self.nearest(queries[rows[block]], k, 2 * count)
         return order
-
-    def _nearest_within(self, queries, radius, k):
-        """The ``k`` nearest points by (distance, index) among all points
-        within ``radius`` of each query; there are at least ``k`` of them."""
-        def gap(positions):
-            return _gaps(queries, self.values[positions])
-
-        place = np.searchsorted(self.values, queries)
-        lo = _first_true(lambda j: gap(j) <= radius, np.zeros_like(place), place)
-        hi = _first_true(lambda j: gap(j) > radius, place, np.full_like(place, len(self.values)))
-        # Every query's run lo:hi, laid end to end.
-        counts = hi - lo
-        starts = np.cumsum(counts) - counts
-        row = np.repeat(np.arange(len(queries)), counts)
-        positions = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
-        distances = _gaps(queries[row], self.values[positions])
-        index = self.index[positions]
-        ranked = index[np.lexsort((index, distances, row))]
-        return ranked[starts[:, None] + np.arange(k)]
-
-
-def _first_true(predicate, lo, hi):
-    """Per row, the first position in ``lo:hi`` at which ``predicate`` holds,
-    or ``hi``; along each row it must be false and then true (bisection)."""
-    while True:
-        searching = lo < hi
-        if not searching.any():
-            return lo
-        mid = (lo + hi) // 2
-        found = searching & predicate(np.where(searching, mid, 0))
-        hi = np.where(found, mid, hi)
-        lo = np.where(searching & ~found, mid + 1, lo)

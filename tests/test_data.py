@@ -27,6 +27,8 @@ def test_non_finite_literals_make_column_categorical():
 def test_ragged_row_error():
     with pytest.raises(DataError, match="ragged"):
         read_csv("x,y\n1\n")
+    with pytest.raises(DataError, match="ragged row 2: expected 2 cells, got 3"):
+        read_csv("x,y\n1,2\n1,,3\n")
 
 
 def test_empty_file_error():
@@ -44,6 +46,11 @@ def test_duplicate_header_error():
 def test_missing_cell_error():
     with pytest.raises(DataError, match="missing value"):
         read_csv("x,y\n1,\n")
+    # The first empty cell of the first faulty row is the one reported.
+    with pytest.raises(DataError, match="missing value in column 'y', row 1"):
+        read_csv("x,y,z\n1,,\n")
+    with pytest.raises(DataError, match="missing value in column 'y', row 1"):
+        read_csv("x,y\n1,\n1\n")
 
 
 def test_bytes_input():

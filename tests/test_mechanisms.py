@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import gcmkit as gk
 from gcmkit import (
     AdditiveNoiseModel,
+    DataError,
     Empirical,
     FitError,
     Gaussian,
@@ -338,6 +339,11 @@ ONE_D_CASES = {
     "vanishing": lambda rng: (rng.integers(0, 6, 300) * 1e-170, rng.integers(0, 9, 200) * 0.6e-170, 9),
     # Gaps to far queries round, so distinct training values tie.
     "rounded": lambda rng: (1e6 + rng.integers(0, 4, 400) * 1e-10, rng.integers(0, 3, 100) * 1e-3, 11),
+    # Ties that widen the window until it spans the line, that widen it 8 or
+    # more times, and that run into one end of the line.
+    "all-equal": lambda rng: (np.full(500, 2.0), rng.uniform(-1, 5, 200), 7),
+    "three-valued": lambda rng: (rng.integers(0, 3, 3_000), rng.integers(-1, 6, 300) / 2, 5),
+    "tied-end": lambda rng: (np.minimum(rng.uniform(0, 2, 600), 1.0), rng.uniform(1, 3, 200), 9),
 }
 
 
@@ -411,3 +417,18 @@ def test_knn_rejects_malformed_training_rows(inputs, targets, message):
 def test_anm_rejects_prediction_of_another_width(prediction):
     with pytest.raises(FitError, match="takes 2 encoded inputs"):
         AdditiveNoiseModel(prediction, Gaussian(0.0, 1.0), gk.InputEncoder.continuous(1))
+
+
+@pytest.mark.parametrize(
+    "prediction",
+    [LinearModel([1.0], 0.0), KnnRegressor(2, [[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])],
+    ids=["linear", "knn"],
+)
+@pytest.mark.parametrize(
+    ("queries", "width"),
+    [([[0.0, 100.0], [2.0, -5.0]], 2), ([[0.0, 1.0, 2.0]], 3), (np.zeros((2, 0)), 0)],
+    ids=["two-wide", "three-wide", "zero-wide"],
+)
+def test_prediction_rejects_queries_of_another_width(prediction, queries, width):
+    with pytest.raises(DataError, match=f"takes 1 encoded inputs, but the parents encode to {width}"):
+        prediction.predict(queries)
