@@ -7,9 +7,9 @@ distribution inferred from the residuals.  Categorical non-root nodes carry a
 :class:`ClassifierFcm`, a multinomial-logistic model sampled by inverse CDF.
 
 All fitted objects are immutable; every stochastic operation takes an explicit
-numpy generator supplied by the caller.  Importing this module loads numpy
-only: ``scipy.optimize`` is imported by the first classifier fit, and no kNN
-search needs scipy.
+numpy generator supplied by the caller.  This module needs numpy only: no fit
+imports scipy (the classifier's solver is :func:`minimize`, damped Newton
+steps in numpy), and no kNN search needs scipy.
 
 Every mechanism class implements the same protocol, and the query modules use
 nothing else:
@@ -28,11 +28,12 @@ nothing else:
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import one_hot
-from .exceptions import DataError, FitError, NonInvertibleError, SerializationError
+from .exceptions import DataError, FitError, NonInvertibleError, NumericError, SerializationError
 from .stats import nearest_neighbours, sorted_line
 
 _KNN_AUTO = "auto"
@@ -40,6 +41,13 @@ _CV_FOLDS = 5
 _CV_SHUFFLE_SEED = 0
 _RIDGE_SCALE = 1e-8
 _COND_LIMIT = 1e12
+_CLASSIFIER_REG = 1e-6
+# The classifier's Newton solver (see minimize): it stops once every gradient
+# entry is under _NEWTON_TOL, and gives up after _NEWTON_MAX_ITER steps.
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX_ITER = 100
+_ARMIJO = 1e-4
+_RESOLUTION = 1e-12
 
 
 def _as_float_array(values, what):
@@ -564,19 +572,132 @@ def _softmax(logits):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first classifier fit.
+class _NewtonResult(NamedTuple):
+    """What :func:`minimize` returns: the minimiser ``x``, the number of
+    Newton steps ``nit``, and ``success``, which is always true because a
+    fit that does not converge raises instead."""
+
+    x: np.ndarray
+    nit: int
+    success: bool
+
+
+# Overflow in a trial step shows up as a non-finite value, which the search
+# checks for itself.
+@np.errstate(over="ignore", invalid="ignore")
+def minimize(objective, x0):
+    """Minimise a smooth, strictly convex function by damped Newton steps.
+
+    ``objective(x)`` returns the value at ``x`` and a function of no
+    arguments that returns the gradient and Hessian there, so that the
+    backtracking pays for values only.  Each step solves the Newton system
+    and halves its length until the value falls by at least ``_ARMIJO``
+    times the decrease its slope predicts (Armijo's rule), or until that
+    decrease is under ``_RESOLUTION`` times the value, too small for the
+    value's rounding to confirm.  The search stops once the largest gradient
+    entry is under ``_NEWTON_TOL``, and raises
+    :class:`~gcmkit.exceptions.NumericError` when it has not after
+    ``_NEWTON_MAX_ITER`` steps, when the Newton system is singular, or when
+    the value, gradient or Hessian is not finite.  It imports no scipy.
 
     :func:`fit_classifier` calls it by this module-level name, so a tracer
-    can rebind the name to count L-BFGS iterations.
+    can rebind the name to count iterations.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    x = np.asarray(x0, dtype=np.float64)
+    value, derivatives = objective(x)
+    for nit in range(_NEWTON_MAX_ITER + 1):
+        gradient, hessian = derivatives()
+        if not (np.isfinite(value) and np.isfinite(gradient).all() and np.isfinite(hessian).all()):
+            raise NumericError(f"the Newton iterate is not finite after {nit} steps")
+        largest = float(np.abs(gradient).max())
+        if largest < _NEWTON_TOL:
+            return _NewtonResult(x, nit, True)
+        if nit == _NEWTON_MAX_ITER:
+            break
+        try:
+            step = np.linalg.solve(hessian, -gradient)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"the Newton system is singular: {exc}") from exc
+        slope = float(gradient @ step)
+        length = 1.0
+        trial, trial_derivatives = objective(x + step)
+        while not trial <= value + _ARMIJO * length * slope and -length * slope > _RESOLUTION * abs(value):
+            length /= 2
+            trial, trial_derivatives = objective(x + length * step)
+        x, value, derivatives = x + length * step, trial, trial_derivatives
+    raise NumericError(
+        f"no convergence in {_NEWTON_MAX_ITER} Newton steps "
+        f"(largest gradient entry {largest:.3g}, tolerance {_NEWTON_TOL:g})"
+    )
 
-    return scipy_minimize(*args, **kwargs)
+
+def _sum_zero_basis(n_classes):
+    """Orthonormal columns (Helmert contrasts) spanning the class-weight
+    vectors that sum to zero."""
+    basis = np.zeros((n_classes, n_classes - 1))
+    for p in range(1, n_classes):
+        basis[:p, p - 1] = 1.0
+        basis[p, p - 1] = -p
+        basis[:, p - 1] /= math.sqrt(p * (p + 1))
+    return basis
+
+
+def _multinomial_objective(design, onehot, basis, reg):
+    """The classifier's objective, in the form :func:`minimize` takes.
+
+    The objective is the mean multinomial negative log-likelihood of
+    ``onehot`` given ``design``, plus ``reg`` times the squared weights.
+    The softmax is unchanged when a constant is added to a row of the
+    weights, and the penalty is least when each row sums to zero, so the
+    minimum lies in that subspace.  The objective takes flattened
+    coordinates ``V`` of shape ``(width, classes - 1)`` over ``basis`` ``B``
+    (from :func:`_sum_zero_basis`), with weights ``V @ B.T``, so the shift
+    leaves no direction of the Hessian to ``reg`` alone.  Only the
+    collinearity of one-hot blocks with the intercept column still does, and
+    that makes the Newton system positive definite only through ``reg``.
+
+    The Hessian is assembled from (K − 1)K/2 blocks, one weighted Gram
+    product of the design each: block (p, q) weights row i by
+    Σ_k B_kp B_kq p_ik − (Σ_k B_kp p_ik)(Σ_k B_kq p_ik).
+    """
+    n, width = design.shape
+    free = basis.shape[1]
+    # Row weights scale the rows of a contiguous transpose, which halves the
+    # cost of each block against scaling ``design`` itself.
+    design_t = np.ascontiguousarray(design.T)
+
+    def objective(flat):
+        weights = flat.reshape(width, free) @ basis.T
+        probs = _softmax(design @ weights)
+        nll = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
+        value = float(nll + reg * (weights**2).sum())
+
+        def derivatives():
+            gradient = (design.T @ (probs - onehot) / n + 2 * reg * weights) @ basis
+            contrasts = probs @ basis
+            hessian = np.empty((width, free, width, free))
+            for p in range(free):
+                for q in range(p, free):
+                    row_weights = probs @ (basis[:, p] * basis[:, q]) - contrasts[:, p] * contrasts[:, q]
+                    block = (design_t * (row_weights / n)) @ design
+                    hessian[:, p, :, q] = block
+                    hessian[:, q, :, p] = block
+            hessian = hessian.reshape(width * free, width * free)
+            hessian[np.diag_indices_from(hessian)] += 2 * reg
+            return gradient.ravel(), hessian
+
+        return value, derivatives
+
+    return objective
 
 
 def fit_classifier(parent_columns, targets):
-    """Fit a multinomial-logistic mechanism from raw parent columns."""
+    """Fit a multinomial-logistic mechanism from raw parent columns.
+
+    The weights minimise the mean multinomial negative log-likelihood plus
+    ``1e-6`` times their squared norm, found by :func:`minimize`; a fit that
+    does not converge raises :class:`~gcmkit.exceptions.NumericError`.
+    """
     parent_columns = list(parent_columns)
     if not parent_columns:
         raise FitError("a classifier mechanism needs at least one parent")
@@ -592,24 +713,10 @@ def fit_classifier(parent_columns, targets):
         return ClassifierFcm(encoder, categories, np.zeros((d + 1, 1)))
 
     design = np.hstack([encoded, np.ones((n, 1))])
-    onehot = one_hot(targets, categories)
-    reg = 1e-6
-
-    def objective(flat):
-        weights = flat.reshape(d + 1, n_classes)
-        probs = _softmax(design @ weights)
-        nll = -np.mean(np.log(np.maximum((probs * onehot).sum(axis=1), 1e-300)))
-        grad = design.T @ (probs - onehot) / n + 2 * reg * weights
-        return nll + reg * float((weights**2).sum()), grad.ravel()
-
-    result = minimize(
-        objective,
-        np.zeros((d + 1) * n_classes),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 500},
-    )
-    return ClassifierFcm(encoder, categories, result.x.reshape(d + 1, n_classes))
+    basis = _sum_zero_basis(n_classes)
+    objective = _multinomial_objective(design, one_hot(targets, categories), basis, _CLASSIFIER_REG)
+    result = minimize(objective, np.zeros((d + 1) * (n_classes - 1)))
+    return ClassifierFcm(encoder, categories, result.x.reshape(d + 1, n_classes - 1) @ basis.T)
 
 
 _MECHANISMS = {

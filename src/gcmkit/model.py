@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass
 
 from .data import CATEGORICAL, CONTINUOUS, Dataset
-from .exceptions import DataError, FitError, SerializationError
+from .exceptions import DataError, FitError, NumericError, SerializationError
 from .graph import CausalGraph, graph_from_payload, graph_payload
 from .mechanisms import fit_anm, fit_classifier, fit_stochastic, mechanism_from_json
 
@@ -145,8 +145,8 @@ def fit(model: GcmModel, dataset: Dataset) -> GcmModel:
                 mechanisms[node] = fit_anm(parent_columns, target, spec.option)
             else:
                 mechanisms[node] = fit_classifier(parent_columns, target)
-        except FitError as exc:
-            raise FitError(f"fitting node {node!r} failed: {exc}") from exc
+        except (FitError, NumericError) as exc:
+            raise type(exc)(f"fitting node {node!r} failed: {exc}") from exc
     return GcmModel(model.graph, mechanisms, model.ground_truth, ready=model.graph.nodes)
 
 

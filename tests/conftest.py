@@ -45,6 +45,16 @@ def sample_chain_data(n, seed, coef_y=1.0, coef_z=1.0):
     return gk.Dataset(["X", "Y", "Z"], [x, y, z])
 
 
+def classifier_data(n, seed, scale=1.0):
+    """X -> K: a continuous root X, multiplied by ``scale``, and a "hi"/"lo"
+    child K that a classifier fits.  At ``scale=1e150`` the classifier's
+    gradient cannot get under the solver's tolerance in floating point."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    k = np.where(x + 0.5 * rng.standard_normal(n) > 0, "hi", "lo").astype(object)
+    return gk.Dataset(["X", "K"], [scale * x, k])
+
+
 @pytest.fixture
 def chain_graph():
     return make_chain_graph()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcmkit as gk
+from conftest import classifier_data
 from gcmkit import attribution, cli, sampling
 
 NODES = ["C", "X", "Y", "K", "Z"]
@@ -172,6 +173,22 @@ def test_model_file_with_malformed_graph_edges_exits_2(files, edges):
     code, stdout, stderr = call(["evaluate", "--model", files / "bad_model.json", "--data", files / "data.csv"])
     assert code == 2, stderr
     assert stdout == ""
+
+
+def test_fit_of_a_classifier_that_cannot_converge_exits_3(tmp_path):
+    """K's parent is scaled by 1e150, so its gradient cannot reach the
+    solver's tolerance: the fit exits 3, names K and writes no model file."""
+    (tmp_path / "graph.json").write_text('{"nodes":["X","K"],"edges":[["X","K"]]}')
+    (tmp_path / "data.csv").write_text(gk.write_csv(classifier_data(60, 0, scale=1e150)))
+    out = tmp_path / "model.json"
+    code, stdout, stderr = call(
+        ["fit", "--graph", tmp_path / "graph.json", "--data", tmp_path / "data.csv", "--out", out]
+    )
+    assert code == 3, stderr
+    assert stdout == ""
+    assert stderr.startswith("gcm fit: numeric failure: fitting node 'K' failed: no convergence")
+    assert "Traceback" not in stderr
+    assert not out.exists()
 
 
 SUBCOMMANDS = [

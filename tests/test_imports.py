@@ -1,7 +1,9 @@
 """The import contract: importing gcmkit loads numpy and the standard library
 only, and each scipy submodule is imported by the query that needs it.  No
-distance or neighbour search (kNN, k-NN KL, distance correlation) needs
-scipy, over one column or several.
+fit needs scipy, a classifier's included, and no distance or neighbour
+search (kNN, k-NN KL, distance correlation) does, over one column or
+several; ``scipy.special`` for Fisher-z p-values is the only scipy import
+left.
 
 Every check runs in a fresh interpreter, because this test process has
 scipy loaded already.
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import gcmkit as gk
-from conftest import make_ground_truth_chain
+from conftest import classifier_data, make_ground_truth_chain
 
 CHAIN = '{"nodes":["X","Y","Z"],"edges":[["X","Y"],["Y","Z"]]}'
 
@@ -204,3 +206,14 @@ def test_multi_column_neighbour_queries_run_without_scipy(two_parent_files, comm
     paths = {"model": two_parent_files / "model.json", "data": two_parent_files / "data.csv"}
     blocked, plain = blocked_and_plain(*[arg.format(**paths) for arg in command], "--seed", "3")
     assert blocked == plain
+
+
+def test_classifier_fit_runs_without_scipy(tmp_path):
+    """The classifier's solver is numpy: K's fit needs no scipy."""
+    (tmp_path / "graph.json").write_text('{"nodes":["X","K"],"edges":[["X","K"]]}')
+    (tmp_path / "data.csv").write_text(gk.write_csv(classifier_data(300, 0)))
+    fitted = python("-m", "gcmkit", *map(str, two_parent_fit_argv(tmp_path, tmp_path / "model.json")))
+    assert fitted.returncode == 0, fitted.stderr
+    assert_fit_runs_without_scipy(two_parent_fit_argv, tmp_path)
+    mechanisms = json.loads((tmp_path / "model.json").read_text())["mechanisms"]
+    assert mechanisms["K"]["type"] == "classifier"

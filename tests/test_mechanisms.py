@@ -13,13 +13,17 @@ from gcmkit import (
     KnnRegressor,
     LinearModel,
     Multinomial,
+    NumericError,
     UnseenCategoryError,
     fit_anm,
     fit_classifier,
     fit_stochastic,
 )
-from gcmkit import stats
+from gcmkit import mechanisms, stats
+from gcmkit.data import one_hot
 from gcmkit.sampling import propagate_from_noise
+
+from conftest import classifier_data
 
 
 class TestFitStochastic:
@@ -249,6 +253,140 @@ class TestClassifier:
         a = clf.forward([x], clf.draw_noise(1, np.random.default_rng(8)))
         b = clf.forward([x], clf.draw_noise(1, np.random.default_rng(8)))
         assert a[0] == b[0]
+
+    def test_parent_scaled_by_1e150_raises_numeric_error(self):
+        data = classifier_data(60, 0, scale=1e150)
+        with pytest.raises(NumericError, match="no convergence"):
+            fit_classifier([data.column("X")], data.column("K"))
+
+    def test_iteration_cap_raises_numeric_error(self, monkeypatch):
+        data = classifier_data(60, 0)
+        monkeypatch.setattr(mechanisms, "_NEWTON_MAX_ITER", 2)
+        with pytest.raises(NumericError, match="no convergence in 2 Newton steps"):
+            fit_classifier([data.column("X")], data.column("K"))
+
+    @pytest.mark.parametrize("n, seed, scale", [(60, 0, 1e8), (200, 0, 1e3), (60, 5, 1e4), (60, 6, 1e6)])
+    def test_large_parent_scales_fit_the_same_probabilities(self, n, seed, scale):
+        """Near the minimum the line search cannot see the value fall in
+        floating point, and Newton steps that it rejected there left these
+        fits short of the tolerance."""
+        data = classifier_data(n, seed)
+        x, k = data.column("X"), data.column("K")
+        queries = np.array([-1.0, 0.0, 0.7])
+        # At these scales the 1e-6 penalty on the slope is negligible.
+        expected = fit_classifier([10.0 * x], k).predict_probs([10.0 * queries])
+        probs = fit_classifier([scale * x], k).predict_probs([scale * queries])
+        assert np.allclose(probs, expected, rtol=0, atol=1e-6)
+
+
+def _design_and_onehot(parent_columns, targets):
+    encoded = gk.InputEncoder.fit(parent_columns).encode(parent_columns)
+    targets = [str(t) for t in targets]
+    return np.hstack([encoded, np.ones((len(encoded), 1))]), one_hot(targets, tuple(np.unique(targets)))
+
+
+def _classifier_objective(design, onehot, weights):
+    """The classifier's objective, its gradient over the weights and the
+    class probabilities, written out independently of the solver: mean
+    negative log-likelihood plus 1e-6 times the squared weights."""
+    logits = design @ weights
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    value = -np.mean(np.log((probs * onehot).sum(axis=1))) + 1e-6 * (weights**2).sum()
+    gradient = design.T @ (probs - onehot) / len(design) + 2e-6 * weights
+    return value, gradient, probs
+
+
+def _lbfgs_weights(design, onehot):
+    """The objective's minimiser by scipy's L-BFGS, run to tolerances far
+    below its defaults, under which it stops up to 3e-3 away in probability
+    on the separable set."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    shape = (design.shape[1], onehot.shape[1])
+
+    def objective(flat):
+        value, gradient, _ = _classifier_objective(design, onehot, flat.reshape(shape))
+        return value, gradient.ravel()
+
+    result = scipy_minimize(
+        objective, np.zeros(shape[0] * shape[1]), jac=True, method="L-BFGS-B",
+        options={"maxiter": 20000, "gtol": 1e-13, "ftol": 1e-16},
+    )
+    return result.x.reshape(shape)
+
+
+def _cli_small_k():
+    """K on (X, C) as in the benchmark's cli-small workload, at its 1 000 rows."""
+    rng = np.random.default_rng([1201, 1])
+    c = rng.choice(3, size=1000, p=[0.4, 0.35, 0.25])
+    x = np.array([-0.5, 1.0, 2.0])[c] + rng.standard_normal(1000)
+    rng.standard_normal(1000)  # the workload's Y noise
+    rng.standard_normal(1000)  # the workload's Z noise
+    logit = 1.5 * x + np.array([-1.0, 0.0, 1.0])[c] - 1.0
+    k = np.where(rng.random(1000) < 1.0 / (1.0 + np.exp(-logit)), "hi", "lo")
+    return [x, np.array(["a", "b", "c"])[c]], k
+
+
+def _separable():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.normal(-2, 0.5, 200), rng.normal(2, 0.5, 200)])
+    return [x], np.array(["low"] * 200 + ["high"] * 200, dtype=object)
+
+
+def _three_classes():
+    rng = np.random.default_rng(7)
+    x, z = rng.standard_normal(500), rng.standard_normal(500)
+    logits = np.stack([x, z - x, 0.5 * z], axis=1) + rng.gumbel(size=(500, 3))
+    return [x, z], np.array(["a", "b", "c"])[logits.argmax(axis=1)]
+
+
+def _wide():
+    """20 000 rows: a 30-level categorical parent, a continuous one, 5 classes."""
+    rng = np.random.default_rng(11)
+    c, x = rng.integers(0, 30, 20000), rng.standard_normal(20000)
+    logits = np.stack([0.1 * (c % 5) * j + (j - 2) * x for j in range(5)], axis=1)
+    logits += rng.gumbel(size=logits.shape)
+    return [np.array([f"c{v}" for v in c], dtype=object), x], np.array(list("pqrst"))[logits.argmax(axis=1)]
+
+
+@pytest.mark.parametrize("fixture", [_cli_small_k, _separable, _three_classes, _wide],
+                         ids=["cli-small-K", "separable", "three-classes", "wide"])
+def test_newton_fit_matches_scipy_lbfgs(fixture):
+    parents, targets = fixture()
+    design, onehot = _design_and_onehot(parents, targets)
+    newton_value, _, newton_probs = _classifier_objective(design, onehot, fit_classifier(parents, targets).weights)
+    lbfgs_value, _, lbfgs_probs = _classifier_objective(design, onehot, _lbfgs_weights(design, onehot))
+    assert newton_value <= lbfgs_value + 1e-10
+    assert np.abs(newton_probs - lbfgs_probs).max() <= 2e-4
+
+
+@st.composite
+def classifier_fixtures(draw):
+    """2-40 rows of one or two parents, each continuous or categorical, and a
+    target of 2 or 3 classes."""
+    n = draw(st.integers(2, 40))
+    parents = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            parents.append(np.array(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n))))
+        else:
+            parents.append(np.array(draw(st.lists(st.sampled_from("uvw"), min_size=n, max_size=n)), dtype=object))
+    targets = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n).filter(lambda t: len(set(t)) > 1))
+    return parents, np.array(targets, dtype=object)
+
+
+@given(fixture=classifier_fixtures())
+@settings(max_examples=100, deadline=None)
+def test_newton_fit_stops_under_the_gradient_tolerance(fixture):
+    parents, targets = fixture
+    clf = fit_classifier(parents, targets)
+    _, gradient, _ = _classifier_objective(*_design_and_onehot(parents, targets), clf.weights)
+    # The solver's coordinates: the weights' rows sum to zero, and its
+    # gradient is the weights' gradient over that subspace's basis.
+    basis = mechanisms._sum_zero_basis(len(clf.categories))
+    assert np.abs(clf.weights.sum(axis=1)).max() < 1e-12
+    assert np.abs(gradient @ basis).max() < mechanisms._NEWTON_TOL
 
 
 def _cv_mse_oracle(x, y, family):

@@ -17,9 +17,10 @@ from gcmkit import (
     LinearModel,
     MechanismSpec,
     Multinomial,
+    NumericError,
     SerializationError,
 )
-from conftest import make_ground_truth_chain
+from conftest import classifier_data, make_ground_truth_chain
 
 
 def two_node_graph():
@@ -101,6 +102,13 @@ def test_fit_insufficient_rows_names_node():
     data = Dataset(["X", "Y"], [np.array([1.0]), np.array([2.0])])
     model = gk.auto_assign(two_node_graph(), data)
     with pytest.raises(FitError, match="'Y'"):
+        gk.fit(model, data)
+
+
+def test_fit_numeric_failure_names_node_and_keeps_its_type():
+    data = classifier_data(60, 0, scale=1e150)
+    model = gk.auto_assign(CausalGraph(["X", "K"], [("X", "K")]), data)
+    with pytest.raises(NumericError, match="^fitting node 'K' failed: no convergence"):
         gk.fit(model, data)
 
 
