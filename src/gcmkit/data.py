@@ -16,7 +16,10 @@ class Dataset:
 
     Continuous columns are float64 arrays with finite values; categorical
     columns are arrays of strings compared by exact equality.  Instances are
-    immutable after construction.
+    immutable after construction.  Each one also keeps a private memo, empty
+    until :func:`~gcmkit.stats.fisher_z_test` first reads it, of its centred
+    continuous columns and their cross products; it never changes what the
+    public methods return.
     """
 
     def __init__(self, names, arrays):
@@ -50,6 +53,10 @@ class Dataset:
         self._columns = columns
         self._kinds = kinds
         self.n_rows = 0 if n_rows is None else int(n_rows)
+        # Filled by gcmkit.stats: name -> centred column, and name-sorted
+        # pair -> the dot product of the two centred columns.
+        self._centred_columns = {}
+        self._centred_products = {}
 
     @property
     def column_names(self):

@@ -9,6 +9,8 @@ unknown nodes, self-loops and duplicates, and writes DOT through
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .data import CONTINUOUS, Dataset
 from .exceptions import DataError, GraphError, QueryError
 from .graph import CausalGraph, render_dot
@@ -77,8 +79,8 @@ def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SE
     Stable variant: at each conditioning-set size, tests run against the
     adjacency sets frozen at the start of the level and removals apply only
     once the level completes, so results do not depend on visit order.
-    Returns the skeleton and the separating set recorded for each removed
-    edge.
+    ``max_cond_set_size`` is an integer of at least 0.  Returns the skeleton
+    and the separating set recorded for each removed edge.
     """
     names = data.column_names
     for name in names:
@@ -86,8 +88,12 @@ def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SE
             raise DataError(f"PC with the Fisher-z backend needs continuous columns; {name!r} is not")
     if data.n_rows < 20:
         raise QueryError(f"PC needs at least 20 rows, got {data.n_rows}")
-    if max_cond_set_size < 0:
-        raise QueryError("max_cond_set_size must be at least 0")
+    if (
+        isinstance(max_cond_set_size, bool)
+        or not isinstance(max_cond_set_size, (int, np.integer))
+        or max_cond_set_size < 0
+    ):
+        raise QueryError(f"max_cond_set_size must be an integer of at least 0, got {max_cond_set_size!r}")
     if not 0 < alpha < 1:
         raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     index = {name: i for i, name in enumerate(names)}

@@ -17,6 +17,11 @@ it costs O(n log n + m log m + n·k) for 1-D samples and O(n·(n + m)) otherwise
 Both paths rank and measure neighbours with the same arithmetic, so a result
 does not depend on which one ran.
 
+The Fisher-z test reads a per-dataset memo of centred cross products:
+each continuous column is centred once, and each pair of centred columns
+multiplied once, the first time a test names them.  A test's bits depend only
+on the columns it names.
+
 Importing this module loads numpy only.  ``scipy.special`` (the normal
 tail, for Fisher-z) is imported by the first Fisher-z p-value.
 """
@@ -142,13 +147,49 @@ def _two_sided_normal_p(statistic):
     return float(2 * ndtr(-statistic))
 
 
+def _centred_column(data: Dataset, name):
+    """``name``'s column minus its mean, computed once per dataset."""
+    centred = data._centred_columns.get(name)
+    if centred is None:
+        column = data.column(name)
+        centred = data._centred_columns[name] = column - column.mean()
+        centred.setflags(write=False)
+    return centred
+
+
+def _centred_products(data: Dataset, names):
+    """Matrix of the dot products of the centred columns ``names``.
+
+    Each product is one ``np.dot`` of two centred columns, computed once per
+    dataset and name-sorted pair, so its bits depend on those two columns
+    alone: not on the table's width, nor on which tests ran before.
+    """
+    products = np.empty((len(names), len(names)))
+    for i, first in enumerate(names):
+        for j, second in enumerate(names[i:], start=i):
+            key = (first, second) if first <= second else (second, first)
+            product = data._centred_products.get(key)
+            if product is None:
+                product = data._centred_products[key] = float(
+                    np.dot(_centred_column(data, first), _centred_column(data, second))
+                )
+            products[i, j] = products[j, i] = product
+    return products
+
+
 def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
     """Partial-correlation (Fisher z) test of x ⊥ y given the conditioning set.
 
-    All columns must be continuous.  The partial correlation comes from the
-    inverse of the correlation submatrix; a singular matrix is ridge
-    regularised (1e-10) and inverted anyway.
+    All columns must be continuous, and ``conditioning_set`` is a sequence of
+    column names, not one bare name.  The correlation matrix is scaled from
+    the dataset's memo of centred cross products, each computed once per
+    dataset on first use.  The partial correlation comes from its inverse; a
+    singular matrix is ridge regularised (1e-10) and inverted anyway.
     """
+    if isinstance(conditioning_set, str):
+        raise QueryError(
+            f"conditioning_set must be a sequence of column names, got the string {conditioning_set!r}"
+        )
     conditioning_set = tuple(conditioning_set)
     involved = (x, y, *conditioning_set)
     if len(set(involved)) < len(involved):
@@ -166,12 +207,10 @@ def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
 
     # Computing with the name-sorted pair makes the test symmetric bit-exactly.
     first, second = sorted((x, y))
-    columns = np.column_stack([data.column(name) for name in (first, second, *conditioning_set)])
-    covariance = np.cov(columns, rowvar=False)
-    covariance = np.atleast_2d(covariance)
-    scale = np.sqrt(np.diag(covariance))
+    products = _centred_products(data, (first, second, *conditioning_set))
+    scale = np.sqrt(np.diag(products))
     scale = np.where(scale > 0, scale, 1.0)
-    correlation = covariance / np.outer(scale, scale)
+    correlation = products / np.outer(scale, scale)
     np.fill_diagonal(correlation, 1.0)
 
     try:

@@ -1,7 +1,9 @@
 """Model diagnostics: falsify a graph against data, evaluate fitted mechanisms.
 
 Refutation runs Fisher-z tests (:func:`~gcmkit.stats.fisher_z_test`), whose
-p-values import ``scipy.special`` on first use.  Evaluation compares
+p-values import ``scipy.special`` on first use.  They read the data's memo of
+centred cross products, so each pair of columns is multiplied once however
+many local Markov conditions name it.  Evaluation compares
 distributions with the numpy two-sample KS statistic
 (:func:`~gcmkit.stats.ks_statistic`) and needs no scipy of its own.
 """

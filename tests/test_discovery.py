@@ -50,6 +50,15 @@ class TestSkeleton:
         with pytest.raises(DataError, match="continuous"):
             pc_skeleton(data)
 
+    @pytest.mark.parametrize("size", [2.5, "2", True, False, None, -1, np.float64(2.0)])
+    def test_max_cond_set_size_must_be_a_non_negative_integer(self, size):
+        with pytest.raises(QueryError, match="max_cond_set_size"):
+            discover_cpdag(chain_data(seed=4, n=200), 0.05, size)
+
+    def test_numpy_integer_max_cond_set_size_accepted(self):
+        data = chain_data(seed=4, n=200)
+        assert discover_cpdag(data, 0.05, np.int64(1)) == discover_cpdag(data, 0.05, 1)
+
     def test_alpha_monotone_edge_counts(self):
         for seed in range(20):
             data = chain_data(seed=500 + seed, n=400)

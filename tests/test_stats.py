@@ -172,6 +172,12 @@ class TestFisherZ:
         assert math.isfinite(result.statistic)
         assert result.p_value <= 1e-12
 
+    def test_bare_string_conditioning_set_rejected(self):
+        rng = np.random.default_rng(8)
+        data = Dataset(["x", "y", "a", "b", "ab"], [rng.standard_normal(30) for _ in range(5)])
+        with pytest.raises(QueryError, match="sequence of column names"):
+            fisher_z_test(data, "x", "y", "ab")
+        assert fisher_z_test(data, "x", "y", ["ab"]).conditioning_set_size == 1
 
     @pytest.mark.parametrize("statistic", [0.0, 1e-300, 1.0, 8.3, 38.5, 40.0])
     def test_p_value_bits_match_scipy_normal_tail(self, statistic):
@@ -181,6 +187,141 @@ class TestFisherZ:
     def test_reported_p_value_is_the_normal_tail_of_the_statistic(self, r):
         result = fisher_z_test(dataset_with_exact_correlation(r, n=200), "x", "y")
         assert bits(result.p_value) == bits(2 * norm.sf(result.statistic))
+
+
+def fisher_z_reference(data, x, y, conditioning_set=()):
+    """Fisher-z statistic from ``np.cov`` of the involved columns, the way
+    the test built its correlation matrix before the per-dataset memo."""
+    first, second = sorted((x, y))
+    columns = np.column_stack([data.column(name) for name in (first, second, *conditioning_set)])
+    covariance = np.atleast_2d(np.cov(columns, rowvar=False))
+    scale = np.sqrt(np.diag(covariance))
+    scale = np.where(scale > 0, scale, 1.0)
+    correlation = covariance / np.outer(scale, scale)
+    np.fill_diagonal(correlation, 1.0)
+    try:
+        precision = np.linalg.inv(correlation)
+        if not np.all(np.isfinite(precision)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        precision = np.linalg.inv(correlation + 1e-10 * np.eye(correlation.shape[0]))
+    partial = -precision[0, 1] / np.sqrt(precision[0, 0] * precision[1, 1])
+    partial = float(np.clip(partial, -1 + 1e-16, 1 - 1e-16))
+    z = 0.5 * np.log((1 + partial) / (1 - partial))
+    return float(np.sqrt(data.n_rows - len(conditioning_set) - 3) * abs(z))
+
+
+def reference_fixture():
+    """A chain a -> b -> c, a column d leaning on a, a constant column k and
+    a column t that is an exact copy of b."""
+    rng = np.random.default_rng(5)
+    n = 300
+    a = rng.standard_normal(n)
+    b = a + rng.standard_normal(n)
+    c = b + rng.standard_normal(n)
+    d = rng.standard_normal(n) + 0.3 * a
+    return Dataset(["a", "b", "c", "d", "k", "t"], [a, b, c, d, np.full(n, 2.0), b.copy()])
+
+
+# (x, y, conditioning set, whether the correlation matrix is singular)
+REFERENCE_CASES = [
+    ("a", "b", (), False),
+    ("a", "c", ("b",), False),
+    ("a", "c", ("b", "d"), False),
+    ("c", "d", ("a", "b", "k"), False),
+    ("a", "k", (), False),
+    ("a", "c", ("k", "b", "d"), False),
+    ("b", "t", (), True),
+    ("b", "t", ("a",), True),
+    ("a", "c", ("b", "t"), True),
+    ("a", "d", ("b", "t", "k"), True),
+    ("k", "t", ("a", "b", "c"), True),
+]
+
+
+class TestFisherZMemo:
+    @pytest.mark.parametrize("x, y, given, singular", REFERENCE_CASES)
+    def test_matches_the_np_cov_reference(self, monkeypatch, x, y, given, singular):
+        data = reference_fixture()
+        expected = fisher_z_reference(data, x, y, given)
+        inversions = []
+        invert = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inversions.append(m) or invert(m))
+        result = fisher_z_test(data, x, y, given)
+        assert result.statistic == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # A singular matrix fails the first inversion and takes the ridge.
+        assert len(inversions) == (2 if singular else 1)
+
+    def test_memo_fills_lazily_with_name_sorted_pairs(self):
+        data = reference_fixture()
+        assert data._centred_columns == {} and data._centred_products == {}
+        fisher_z_test(data, "c", "a", ["b"])
+        assert set(data._centred_columns) == {"a", "b", "c"}
+        assert set(data._centred_products) == {
+            ("a", "a"), ("a", "b"), ("a", "c"), ("b", "b"), ("b", "c"), ("c", "c"),
+        }
+        assert not any(column.flags.writeable for column in data._centred_columns.values())
+        assert data.select(["a", "b"])._centred_products == {}
+
+    def test_bits_do_not_depend_on_the_table_width(self):
+        """On a 30-column table, where a product taken from one full-width
+        matrix product would differ in its last bits from a narrow one."""
+        rng = np.random.default_rng(11)
+        names = [f"c{i:02d}" for i in range(30)]
+        values = rng.standard_normal((2000, 30)) @ rng.standard_normal((30, 30))
+        data = Dataset(names, list(values.T))
+        for size in range(2, 6):
+            for _ in range(12):
+                x, y, *given = rng.choice(names, size, replace=False).tolist()
+                wide = fisher_z_test(data, x, y, given)
+                narrow = fisher_z_test(data.select([x, y, *given]), x, y, given)
+                assert bits(wide.statistic) == bits(narrow.statistic)
+                assert bits(wide.p_value) == bits(narrow.p_value)
+
+    @given(case=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_memo_cannot_change_a_result(self, case):
+        """A test's bits match the same test on a selection of its columns and
+        on a fresh copy where other tests, in a random order, ran first; the
+        memo leaves the public view of the table untouched."""
+        width = case.draw(st.integers(3, 6), label="width")
+        n = case.draw(st.integers(8, 40), label="rows")
+        seed = case.draw(st.integers(0, 2**32 - 1), label="seed")
+        decimals = case.draw(st.sampled_from([None, 0, 1]), label="decimals")
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, width)) @ rng.standard_normal((width, width))
+        if decimals is not None:
+            values = np.round(values, decimals)
+        names = [f"c{i}" for i in range(width)]
+        data = Dataset(names, list(values.T))
+
+        def draw_test(label):
+            order = case.draw(st.permutations(names), label=label)
+            size = case.draw(st.integers(0, min(3, width - 2)), label=f"{label} size")
+            return order[0], order[1], tuple(order[2 : 2 + size])
+
+        x, y, given = draw_test("test")
+        others = [draw_test(f"other {i}") for i in range(case.draw(st.integers(1, 6), label="others"))]
+        columns = [data.column(name).copy() for name in names]
+        rows = [data.row(0), data.row(n - 1)]
+
+        result = fisher_z_test(data, x, y, given)
+        on_selection = fisher_z_test(data.select([x, y, *given]), x, y, given)
+        copy = Dataset(names, columns)
+        for other in others:
+            fisher_z_test(copy, *other)
+        after_others = fisher_z_test(copy, x, y, given)
+        for rerun in (on_selection, after_others):
+            assert bits(rerun.statistic) == bits(result.statistic)
+            assert bits(rerun.p_value) == bits(result.p_value)
+
+        for name, column in zip(names, columns):
+            assert np.array_equal(data.column(name), column)
+            assert not data.column(name).flags.writeable
+        assert [data.row(0), data.row(n - 1)] == rows
+        selected = data.select(names[::-1])
+        assert selected.column_names == tuple(names[::-1])
+        assert all(np.array_equal(selected.column(name), data.column(name)) for name in names)
 
 
 class TestKsStatistic:
