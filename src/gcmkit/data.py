@@ -16,10 +16,10 @@ class Dataset:
 
     Continuous columns are float64 arrays with finite values; categorical
     columns are arrays of strings compared by exact equality.  Instances are
-    immutable after construction.  Each one also keeps a private memo, empty
-    until :func:`~gcmkit.stats.fisher_z_test` first reads it, of its centred
-    continuous columns and their cross products; it never changes what the
-    public methods return.
+    immutable after construction.  Each one also keeps a private memo of its
+    centred continuous columns and their cross products, empty until
+    :func:`~gcmkit.stats.fisher_z_test` first needs it; it never changes what
+    the public methods return.
     """
 
     def __init__(self, names, arrays):
