@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CONTINUOUS, Dataset
-from .exceptions import QueryError
+from .exceptions import QueryError, require_count, require_rows
 from .mechanisms import InputEncoder
 from .model import GcmModel, auto_assign, fit
 from .sampling import abduct_row, draw_noise_values, propagate_from_noise, require_continuous_target
@@ -186,8 +186,7 @@ def arrow_strength(model: GcmModel, edge, measure="auto", n=50000, seed=0) -> fl
         raise QueryError(f"unknown arrow-strength measure {measure!r}")
     if measure == "coupled_msd" and not child_continuous:
         raise QueryError("coupled_msd requires a continuous child node")
-    if n < 1:
-        raise QueryError("n must be at least 1")
+    n = require_rows(n, "n")
 
     noise = draw_noise_values(model, n, seed)
     values = propagate_from_noise(model, noise)
@@ -230,13 +229,11 @@ def intrinsic_influence(
     """
     model.require_fitted()
     require_continuous_target(model, target)
-    if outer_samples < 1:
-        raise QueryError("outer_samples must be at least 1")
-    if inner_samples < 2:
-        raise QueryError("inner_samples must be at least 2")
+    outer_samples = require_count(outer_samples, "outer_samples")
+    inner_samples = require_count(inner_samples, "inner_samples", 2)
     players = _players_for(model.graph, target)
 
-    variance_samples = outer_samples * inner_samples
+    variance_samples = require_rows(outer_samples * inner_samples, "outer_samples * inner_samples")
     target_values = _target_samples(
         model, target, players, variance_samples, [(derive_seed(seed, "icc:variance"), {})]
     )[0]
@@ -285,8 +282,7 @@ def attribute_anomaly(
     """
     model.require_fitted()
     require_continuous_target(model, target)
-    if num_samples < 1:
-        raise QueryError("num_samples must be at least 1")
+    num_samples = require_rows(num_samples, "num_samples")
     players = _players_for(model.graph, target)
     observed, recovered = abduct_row(model, anomalous_row, players)
 
@@ -345,8 +341,7 @@ def distribution_change(
         measure = "kl"
     if measure not in ("mean_diff", "kl"):
         raise QueryError(f"unknown distribution-change measure {measure!r}")
-    if num_samples < 1:
-        raise QueryError("num_samples must be at least 1")
+    num_samples = require_rows(num_samples, "num_samples")
 
     old_model = fit(auto_assign(graph, old_data), old_data)
     new_model = fit(auto_assign(graph, new_data), new_data)

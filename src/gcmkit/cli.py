@@ -7,8 +7,9 @@ the same seed prints byte-identical output.
 """
 
 import argparse
+import csv
+import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ from .exceptions import GcmError, NumericError, QueryError
 from .graph import parse_graph
 from .model import auto_assign, dumps_model, fit, loads_model
 from .sampling import (
+    _node_value,
     atomic,
     average_causal_effect,
     counterfactual,
@@ -67,18 +69,14 @@ def _load_model(path):
 
 
 def _load_row(path):
-    data = _load_data(path)
+    """The one row of a CSV file as its text cells: each query types a value
+    by its node's mechanism, not by the lone cell of its column."""
+    text = _read_text(path)
+    data = read_csv(text)
     if data.n_rows != 1:
         raise QueryError(f"expected a single-row CSV, got {data.n_rows} rows in {path}")
-    return data.row(0)
-
-
-def _parse_value(text):
-    try:
-        value = float(text)
-    except ValueError:
-        return text
-    return value if math.isfinite(value) else text
+    header, cells = csv.reader(io.StringIO(text))
+    return dict(zip(header, cells))
 
 
 def _parse_assignment(text, flag):
@@ -92,7 +90,7 @@ def _interventions_from_args(args):
     interventions = []
     for item in getattr(args, "set", None) or []:
         node, value = _parse_assignment(item, "--set")
-        interventions.append(atomic(node, _parse_value(value)))
+        interventions.append(atomic(node, value))
     for item in getattr(args, "shift", None) or []:
         node, value = _parse_assignment(item, "--shift")
         try:
@@ -156,19 +154,13 @@ def _cmd_counterfactual(args):
 def _cmd_ace(args):
     model = _load_model(args.model)
     effect = average_causal_effect(
-        model,
-        args.treatment,
-        _parse_value(args.value_a),
-        _parse_value(args.value_b),
-        args.target,
-        n=args.n,
-        seed=args.seed,
+        model, args.treatment, args.value_a, args.value_b, args.target, n=args.n, seed=args.seed
     )
     return {
         "treatment": args.treatment,
         "target": args.target,
-        "value_a": _parse_value(args.value_a),
-        "value_b": _parse_value(args.value_b),
+        "value_a": _node_value(model, args.treatment, args.value_a, "value_a"),
+        "value_b": _node_value(model, args.treatment, args.value_b, "value_b"),
         "ace": effect,
         "n": args.n,
     }

@@ -9,10 +9,8 @@ unknown nodes, self-loops and duplicates, and writes DOT through
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .data import CONTINUOUS, Dataset
-from .exceptions import DataError, GraphError, QueryError
+from .exceptions import DataError, GraphError, QueryError, require_count
 from .graph import CausalGraph, render_dot
 from .stats import fisher_z_test
 
@@ -88,12 +86,7 @@ def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SE
             raise DataError(f"PC with the Fisher-z backend needs continuous columns; {name!r} is not")
     if data.n_rows < 20:
         raise QueryError(f"PC needs at least 20 rows, got {data.n_rows}")
-    if (
-        isinstance(max_cond_set_size, bool)
-        or not isinstance(max_cond_set_size, (int, np.integer))
-        or max_cond_set_size < 0
-    ):
-        raise QueryError(f"max_cond_set_size must be an integer of at least 0, got {max_cond_set_size!r}")
+    max_cond_set_size = require_count(max_cond_set_size, "max_cond_set_size", 0)
     if not 0 < alpha < 1:
         raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     index = {name: i for i, name in enumerate(names)}

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import one_hot
 from .exceptions import DataError, FitError, NonInvertibleError, NumericError, SerializationError
-from .stats import nearest_neighbours, sorted_line
+from .stats import NeighbourIndex
 
 _KNN_AUTO = "auto"
 _CV_FOLDS = 5
@@ -309,12 +309,11 @@ class KnnRegressor(_Serialized):
 
     A prediction is ``offset`` plus the mean target of the ``k`` training rows
     nearest to the query (Euclidean), ranked by distance and then by training
-    row, so ties resolve to the earliest rows.  The search is
-    :func:`~gcmkit.stats.nearest_neighbours`: for one encoded column it sorts
-    the n training rows on the first prediction, keeps that sorted line and
-    then costs O(m·k) for m queries, plus O(k + t) for a query whose k-th
-    distance t training rows past its window share; otherwise it compares all
-    n·m pairs.  The whole training set is stored.
+    row, so ties resolve to the earliest rows.  The search is a
+    :class:`~gcmkit.stats.NeighbourIndex` of the training rows, built on the
+    first prediction and kept: for one encoded column m queries then cost
+    O(m·k), otherwise all n·m pairs are compared.  The whole training set is
+    stored.
     """
 
     tag = "knn"
@@ -347,15 +346,13 @@ class KnnRegressor(_Serialized):
     def predict(self, encoded):
         encoded = _encoded_queries(encoded, self.width)
         out = np.empty(len(encoded))
-        for rows, order in nearest_neighbours(encoded, self.inputs, self.k, self._line):
+        for rows, order in self._index.nearest(encoded, self.k):
             out[rows] = self.targets[order].mean(axis=1)
         return out + self.offset
 
     @cached_property
-    def _line(self):
-        """The sorted training line, built on the first prediction (None
-        for more than one encoded column)."""
-        return sorted_line(self.inputs)
+    def _index(self):
+        return NeighbourIndex(self.inputs)
 
     def __repr__(self):
         return f"KnnRegressor(k={self.k}, n_train={len(self.targets)})"

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .data import CATEGORICAL, CONTINUOUS, Dataset
 from .exceptions import DataError, FitError, NumericError, SerializationError
@@ -30,14 +31,14 @@ class GcmModel:
 
     Treated as a value: :func:`assign` and :func:`fit` return new models and
     never mutate their input.  Once ``fitted`` is true, query operations only
-    read the model, so it can be shared freely.  Mechanisms are public
-    attributes (``model.mechanisms[node]``) to keep fitted components easy to
-    inspect.
+    read the model, so it can be shared freely.  Mechanisms are public, in a
+    read-only mapping (``model.mechanisms[node]``), to keep fitted components
+    easy to inspect.
     """
 
     def __init__(self, graph: CausalGraph, mechanisms=None, ground_truth=(), ready=()):
         self.graph = graph
-        self.mechanisms = dict(mechanisms or {})
+        self.mechanisms = MappingProxyType(dict(mechanisms or {}))
         self.ground_truth = frozenset(ground_truth)
         self._ready = frozenset(ready) | self.ground_truth
         for node in self.mechanisms:

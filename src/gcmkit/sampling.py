@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .exceptions import NonInvertibleError, QueryError
+from .exceptions import NonInvertibleError, QueryError, require_rows
 from .model import GcmModel
 from .seeds import derive_seed, rng_for
 
@@ -165,8 +165,7 @@ def draw_samples(model: GcmModel, n, seed=0) -> Dataset:
 def interventional_samples(model: GcmModel, interventions, n, seed=0) -> Dataset:
     """Draw ``n`` samples from the distribution induced by the interventions."""
     model.require_fitted()
-    if n < 1:
-        raise QueryError("n must be at least 1")
+    n = require_rows(n, "n")
     intervention_map = _as_intervention_map(model, interventions)
     noise = draw_noise_values(model, n, seed)
     return _to_dataset(model, propagate_from_noise(model, noise, intervention_map))

@@ -3,19 +3,16 @@ nonparametric KL estimation.
 
 Distances are Euclidean throughout, from one numpy kernel for points of
 every width (:func:`pairwise_distances`).  Nearest neighbours, here and in
-:class:`~gcmkit.mechanisms.KnnRegressor`, are found exactly by
-:func:`nearest_neighbours` and :func:`kth_neighbour_distances`, the one
-neighbour search, which dispatches on the width of the points.  1-D points
-(one continuous parent, one target column) are searched in a reference
-sorted once: each query looks at the 2k + 2 sorted points around it, so n
-reference and m query points cost O(n log n + m·k).  A query whose k-th
-distance is shared by t points past that window looks again at twice as
-many, until no edge is tied, at O(k + t) more.  Points of two or more
-dimensions are compared exhaustively, block by block (:func:`distance_blocks`),
-which costs O(n·m).  The KL estimator searches P against P and against Q, so
-it costs O(n log n + m log m + n·k) for 1-D samples and O(n·(n + m)) otherwise.
-Both paths rank and measure neighbours with the same arithmetic, so a result
-does not depend on which one ran.
+:class:`~gcmkit.mechanisms.KnnRegressor`, are found exactly by one
+:class:`NeighbourIndex` per reference.  A 1-D reference is sorted once, and
+each query looks at the 2k + 2 sorted points around it, so n reference and m
+query points cost O(n log n + m·k); a query whose k-th distance is shared by
+t points past that window looks again at twice as many, at O(k + t) more.
+Wider points are compared exhaustively, block by block, at O(n·m).  The KL
+estimator indexes P and Q once each, so it costs O(n log n + m log m + n·k)
+for 1-D samples and O(n·(n + m)) otherwise.  Both paths rank and measure
+neighbours with the same arithmetic, so a result does not depend on which
+one ran.
 
 The Fisher-z test reads a per-dataset memo of centred cross products:
 each continuous column is centred once, and each pair of centred columns
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, one_hot
-from .exceptions import DataError, QueryError
+from .exceptions import DataError, QueryError, require_count
 from .seeds import rng_for
 
 
@@ -112,8 +109,7 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
     p-value is the add-one-smoothed fraction of permutations of ``y`` whose
     statistic reaches the observed one, so its resolution is 1/(B+1).
     """
-    if num_permutations < 1:
-        raise QueryError("num_permutations must be at least 1")
+    num_permutations = require_count(num_permutations, "num_permutations")
     x_matrix, y_matrix = _point_matrices(x, y)
     n = len(x_matrix)
     if n < 10:
@@ -258,16 +254,15 @@ def kl_divergence(samples_p, samples_q, k=5) -> float:
     m = q.shape[0]
     if d == 0:
         raise DataError("k-NN KL estimation needs points with at least one coordinate")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise QueryError(f"k must be a positive integer, got {k!r}")
+    k = require_count(k, "k")
     if n < k + 1 or m < k + 1:
         raise QueryError(f"k-NN KL estimation needs at least k+1 = {k + 1} samples per side")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise DataError("k-NN KL estimation needs finite samples")
 
     # k-th neighbour in P excluding the point itself: rank k including it.
-    rho = np.maximum(kth_neighbour_distances(p, p, k), 1e-12)
-    nu = np.maximum(kth_neighbour_distances(p, q, k - 1), 1e-12)
+    rho = np.maximum(NeighbourIndex(p).kth_distances(p, k), 1e-12)
+    nu = np.maximum(NeighbourIndex(q).kth_distances(p, k - 1), 1e-12)
     log_ratios = np.log(nu / rho)
     # Summed in the row blocks of an exhaustive search against max(n, m)
     # points, the order this estimate has always used, so its bits stay put.
@@ -311,89 +306,66 @@ def pairwise_distances(a, b):
     return np.sqrt(squares, out=squares)
 
 
+_BLOCK_ENTRIES = 2_000_000  # 16 MB of float64 distances
+
+
 def _row_blocks(n_rows, width):
     """Slices of ``n_rows`` query rows, each holding about two million
     entries of a matrix ``width`` columns wide."""
-    chunk = max(1, int(2_000_000 / max(width, 1)))
+    chunk = max(1, int(_BLOCK_ENTRIES / max(width, 1)))
     return [slice(start, start + chunk) for start in range(0, n_rows, chunk)]
 
 
-def distance_blocks(queries, reference):
-    """Yield ``(rows, distances)``: the distance matrix from ``queries[rows]``
-    to every row of ``reference``, over blocks of about two million entries."""
-    for rows in _row_blocks(len(queries), len(reference)):
-        yield rows, pairwise_distances(queries[rows], reference)
+class NeighbourIndex:
+    """Exact nearest neighbours among the rows of ``reference``, a 2-D array.
 
-
-def sorted_line(reference):
-    """The sorted search structure of a one-column ``reference``, or None
-    for wider points: pass it to :func:`nearest_neighbours` to search the
-    same reference again without sorting it again."""
-    return _SortedLine(reference[:, 0]) if reference.shape[1] == 1 else None
-
-
-def nearest_neighbours(queries, reference, k, line=None):
-    """Yield ``(rows, order)`` over row blocks of the 2-D array ``queries``.
-
-    ``order[i]`` holds the indices of the ``k`` rows of ``reference`` nearest
-    to ``queries[rows][i]``, ranked by distance and, among equal distances,
-    by index: a stable argsort of the distance row, truncated to ``k``.
-    ``line`` is ``sorted_line(reference)`` kept from an earlier search, if any.
-    """
-    if reference.shape[1] == 1:
-        line = sorted_line(reference) if line is None else line
-        for rows in _row_blocks(len(queries), 2 * k + 2):
-            yield rows, line.nearest(queries[rows, 0], k)
-    else:
-        for rows, distances in distance_blocks(queries, reference):
-            yield rows, np.argsort(distances, axis=1, kind="stable")[:, :k]
-
-
-def kth_neighbour_distances(queries, reference, kth):
-    """Distance from each row of ``queries`` to its ``kth`` nearest row of
-    ``reference``, counting from 0 (``kth=0`` is the nearest)."""
-    out = np.empty(len(queries))
-    if reference.shape[1] == 1:
-        line = sorted_line(reference)
-        for rows in _row_blocks(len(queries), 2 * kth + 2):
-            out[rows] = line.kth_distances(queries[rows, 0], kth)
-    else:
-        for rows, distances in distance_blocks(queries, reference):
-            out[rows] = np.partition(distances, kth, axis=1)[:, kth]
-    return out
-
-
-class _SortedLine:
-    """1-D reference points, sorted once, searched near each query's place.
-
-    The distance to a query falls monotonically over the sorted points up to
-    the query's insertion point and rises after it.  So the j nearest lie
-    within j places on either side, and all the points within any radius form
-    one run of sorted positions.  A kNN window whose edge ties the k-th
-    distance doubles, so t points tied past it cost O(k + t) candidates.
+    Built once per reference, it is the one place that looks at the width.
+    One column is sorted stably into a line: distances to a query fall along
+    it up to the query's place and rise after, so the j nearest points lie
+    within j places on either side.  Wider rows stay in index order, and each
+    query's window is all of them.  Queries are 2-D and ranked in blocks of
+    about two million candidates, each freed before the next is built.
     """
 
-    def __init__(self, values):
-        self.index = np.argsort(values, kind="stable")
-        self.values = values[self.index]
+    def __init__(self, reference):
+        self.reference = reference
+        self.index = self.line = None
+        if reference.shape[1] == 1:
+            self.index = np.argsort(reference[:, 0], kind="stable")
+            self.line = reference[self.index, 0]
 
-    def _window(self, queries, count):
-        """Sorted positions, ``count`` on either side of each query's place
-        (shifted inward at the ends of the line): a (queries, width) array."""
-        n = len(self.values)
+    def _candidates(self, queries, count):
+        """``(positions, distances)``: the line positions of the ``count``
+        points on either side of each query's place (shifted inward at the
+        ends) and their distances, as (queries, window) arrays.  Without a
+        line ``positions`` is None and the window is every row."""
+        if self.line is None:
+            return None, pairwise_distances(queries, self.reference)
+        n = len(self.line)
         width = min(n, 2 * count)
-        start = np.searchsorted(self.values, queries) - count
-        return np.clip(start, 0, n - width)[:, None] + np.arange(width)
+        start = np.clip(np.searchsorted(self.line, queries[:, 0]) - count, 0, n - width)
+        positions = start[:, None] + np.arange(width)
+        return positions, _gaps(queries[:, :1], self.line[positions])
 
-    def kth_distances(self, queries, kth):
-        positions = self._window(queries, kth + 1)
-        distances = _gaps(queries[:, None], self.values[positions])
-        return np.partition(distances, kth, axis=1)[:, kth]
+    def _blocks(self, queries, count):
+        width = len(self.reference) if self.line is None else 2 * count
+        return _row_blocks(len(queries), width)
 
-    def nearest(self, queries, k, count=None):
-        count = k + 1 if count is None else count
-        positions = self._window(queries, count)
-        distances = _gaps(queries[:, None], self.values[positions])
+    def nearest(self, queries, k):
+        """Yield ``(rows, order)`` over row blocks of ``queries``.
+
+        ``order[i]`` holds the indices of the ``k`` reference rows nearest to
+        ``queries[rows][i]``, ranked by distance and, among equal distances,
+        by index: a stable argsort of the distance row, truncated to ``k``.
+        """
+        for rows in self._blocks(queries, k + 1):
+            yield rows, self._nearest(queries[rows], k, k + 1)
+
+    def _nearest(self, queries, k, count):
+        positions, distances = self._candidates(queries, count)
+        if positions is None:
+            # A copy, so the full argsort is freed with the distances.
+            return np.argsort(distances, axis=1, kind="stable")[:, :k].copy()
         index = self.index[positions]
         ranked = np.lexsort((index, distances))[:, :k]
         order = np.take_along_axis(index, ranked, axis=1)
@@ -402,11 +374,21 @@ class _SortedLine:
         # at exactly that distance may go on past an edge, and the lowest
         # indices among them win: search those rows again, twice as wide, until
         # each edge is farther than the k-th distance or ends the line.
-        last = len(self.values) - 1
+        last = len(self.line) - 1
         open_tie = ((positions[:, 0] > 0) & (distances[:, 0] == radius)) | (
             (positions[:, -1] < last) & (distances[:, -1] == radius)
         )
         rows = np.flatnonzero(open_tie)
         for block in _row_blocks(len(rows), 4 * count):
-            order[rows[block]] = self.nearest(queries[rows[block]], k, 2 * count)
+            order[rows[block]] = self._nearest(queries[rows[block]], k, 2 * count)
         return order
+
+    def kth_distances(self, queries, kth):
+        """Distance from each row of ``queries`` to its ``kth`` nearest
+        reference row, counting from 0 (``kth=0`` is the nearest)."""
+        out = np.empty(len(queries))
+        for rows in self._blocks(queries, kth + 1):
+            distances = self._candidates(queries[rows], kth + 1)[1]
+            out[rows] = np.partition(distances, kth, axis=1)[:, kth]
+            del distances  # freed before the next block is built
+        return out

@@ -130,6 +130,96 @@ def test_budget_too_large_for_memory_exits_2(files, monkeypatch, module, argv, b
     assert stderr == f"gcm {argv[0]}: error: out of memory for the Monte-Carlo budget {budget}\n"
 
 
+OVERSIZE = 10**19  # past the largest array dimension numpy accepts
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag", "value"),
+    [
+        (["sample", "--model", "model.json"], "-n", OVERSIZE),
+        # Fits an array dimension, but not its bytes: "array is too big".
+        (["sample", "--model", "model.json"], "-n", 2**62),
+        (["intervene", "--model", "model.json", "--set", "X=1"], "-n", OVERSIZE),
+        (["ace", "--model", "model.json", "--treatment", "X", "--value-a", "1", "--value-b", "0",
+          "--target", "Z"], "-n", OVERSIZE),
+        (["icc", "--model", "model.json", "--target", "Z"], "--outer-samples", OVERSIZE),
+        (["icc", "--model", "model.json", "--target", "Z"], "--inner-samples", OVERSIZE),
+        (["attribute-outlier", "--model", "model.json", "--data", "row.csv", "--target", "Z"],
+         "--num-samples", OVERSIZE),
+        (["attribute-change", "--graph", "graph.json", "--old", "data.csv", "--new", "new.csv",
+          "--target", "Z"], "--num-samples", OVERSIZE),
+        (["arrow-strength", "--model", "model.json", "--edge", "X->Y"], "-n", OVERSIZE),
+    ],
+    ids=["sample", "sample-2**62", "intervene", "ace", "icc-outer", "icc-inner", "attribute-outlier",
+         "attribute-change", "arrow-strength"],
+)
+def test_budget_no_array_can_hold_exits_2(files, argv, flag, value):
+    # numpy rejects these sizes before it allocates anything.
+    argv = [files / a if a.endswith((".csv", ".json")) else a for a in argv]
+    code, stdout, stderr = call(argv + [flag, value])
+    assert code == 2, stderr
+    assert stdout == ""
+    assert stderr.startswith(f"gcm {argv[0]}: error: out of memory for the Monte-Carlo budget ")
+    assert f"{flag} {value}" in stderr
+
+
+@pytest.fixture(scope="module")
+def numeric_categories(tmp_path_factory):
+    """A categorical root G whose categories 1, 2 and x mostly look like
+    numbers, and a continuous child Y."""
+    root = tmp_path_factory.mktemp("categories")
+    rng = np.random.default_rng(3)
+    g = rng.choice(["1", "2", "x"], size=90)
+    y = np.select([g == "1", g == "2"], [0.0, 3.0], -2.0) + 0.1 * rng.standard_normal(90)
+    (root / "graph.json").write_text('{"nodes":["G","Y"],"edges":[["G","Y"]]}')
+    (root / "data.csv").write_text(gk.write_csv(gk.Dataset(["G", "Y"], [g, y])))
+    (root / "row.csv").write_text("G,Y\n2,3.05\n")
+    code, _, stderr = call(
+        ["fit", "--graph", root / "graph.json", "--data", root / "data.csv", "--out", root / "model.json"]
+    )
+    assert code == 0, stderr
+    return root
+
+
+def test_intervene_sets_a_category_that_looks_like_a_number(numeric_categories):
+    model = numeric_categories / "model.json"
+    code, stdout, stderr = call(["intervene", "--model", model, "--set", "G=2", "--target", "Y", "-n", 200])
+    assert code == 0, stderr
+    assert json.loads(stdout)["mean"] == pytest.approx(3.0, abs=0.1)
+
+
+def test_ace_on_a_category_that_looks_like_a_number(numeric_categories):
+    model = numeric_categories / "model.json"
+    code, stdout, stderr = call(
+        ["ace", "--model", model, "--treatment", "G", "--value-a", "2", "--value-b", "1", "--target", "Y",
+         "-n", 200]
+    )
+    assert code == 0, stderr
+    payload = json.loads(stdout)
+    assert (payload["value_a"], payload["value_b"]) == ("2", "1")
+    assert payload["ace"] == pytest.approx(3.0, abs=0.1)
+
+
+def test_ace_echoes_a_continuous_treatment_as_a_number(files):
+    code, stdout, stderr = call(
+        ["ace", "--model", files / "model.json", "--treatment", "X", "--value-a", "2", "--value-b", "0",
+         "--target", "Z", "-n", 50]
+    )
+    assert code == 0, stderr
+    assert '"value_a":2.0,"value_b":0.0,' in stdout
+
+
+def test_counterfactual_observes_a_category_that_looks_like_a_number(numeric_categories):
+    model, row = numeric_categories / "model.json", numeric_categories / "row.csv"
+    code, stdout, stderr = call(["counterfactual", "--model", model, "--data", row])
+    assert code == 0, stderr
+    assert json.loads(stdout)["values"] == {"G": "2", "Y": 3.05}
+    code, stdout, stderr = call(["counterfactual", "--model", model, "--data", row, "--set", "G=1"])
+    assert code == 0, stderr
+    values = json.loads(stdout)["values"]
+    assert values["G"] == "1" and values["Y"] == pytest.approx(0.05, abs=0.1)
+
+
 @pytest.mark.parametrize("alpha", ["nan", "0", "1", "-0.5"])
 @pytest.mark.parametrize(
     "args", [["discover", "--data", "cont.csv"], ["refute", "--graph", "chain.json", "--data", "cont.csv"]]

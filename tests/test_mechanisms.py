@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -514,12 +516,12 @@ def test_knn_predict_on_one_column_matches_oracle_property(inputs, queries, data
 def test_knn_sorts_its_training_line_once(monkeypatch):
     sorts = []
 
-    class CountingLine(stats._SortedLine):
+    class CountingLine(stats.NeighbourIndex):
         def __init__(self, values):
             sorts.append(len(values))
             super().__init__(values)
 
-    monkeypatch.setattr(stats, "_SortedLine", CountingLine)
+    monkeypatch.setattr(mechanisms, "NeighbourIndex", CountingLine)
     rng = np.random.default_rng(23)
     inputs, targets = rng.integers(-20, 21, (2_000, 1)).astype(float), rng.standard_normal(2_000)
     first_queries, second_queries = rng.uniform(-25, 25, (300, 1)), rng.uniform(-25, 25, (1, 1))
@@ -530,6 +532,24 @@ def test_knn_sorts_its_training_line_once(monkeypatch):
     assert_same_bits(first, KnnRegressor(9, inputs, targets, offset=0.5).predict(first_queries))
     assert_same_bits(second, KnnRegressor(9, inputs, targets, offset=0.5).predict(second_queries))
     assert sorts == [2_000] * 3
+
+
+def test_knn_predict_keeps_at_most_two_distance_blocks_alive():
+    """A 6-wide predict of 2 000 queries from 5 000 training rows ranks 400 ×
+    5 000 distances (15.3 MB) at a time, and frees each block and its full
+    argsort before building the next, so its peak stays under two and a half
+    blocks."""
+    rng = np.random.default_rng(29)
+    knn = KnnRegressor(70, rng.standard_normal((5_000, 6)), rng.standard_normal(5_000))
+    queries = rng.standard_normal((2_000, 6))
+    block = 400 * 5_000 * 8
+    tracemalloc.start()
+    try:
+        knn.predict(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,17 @@ def test_fit_is_noop_on_all_ground_truth():
     assert refit.mechanisms["Y"] is model.mechanisms["Y"]
 
 
+def test_mechanisms_cannot_be_changed_in_place(fitted_chain):
+    model, _ = fitted_chain
+    given = dict(model.mechanisms)
+    with pytest.raises(TypeError):
+        model.mechanisms["X"] = model.mechanisms["Y"]
+    with pytest.raises(TypeError):
+        del model.mechanisms["Z"]
+    assert dict(model.mechanisms) == given
+    assert model.fitted
+
+
 def test_fit_insufficient_rows_names_node():
     data = Dataset(["X", "Y"], [np.array([1.0]), np.array([2.0])])
     model = gk.auto_assign(two_node_graph(), data)

@@ -292,3 +292,39 @@ def _analytic_do_means(graph, coefficients, intercepts, treatment, value):
                 coefficients[node][p] * means[p] for p in graph.parents(node)
             )
     return means
+
+
+def _budget_calls():
+    """Each public budget, size or count: its name -> a call that passes it a value."""
+    model = make_ground_truth_chain()
+    data = gk.Dataset(["A", "B"], [np.arange(30.0), np.arange(30.0) ** 2])
+    return {
+        "draw_samples n": lambda v: gk.draw_samples(model, v),
+        "average_causal_effect n": lambda v: gk.average_causal_effect(model, "X", 1.0, 0.0, "Z", n=v),
+        "arrow_strength n": lambda v: gk.arrow_strength(model, ("X", "Y"), n=v),
+        "intrinsic_influence outer_samples": lambda v: gk.intrinsic_influence(
+            model, "Z", outer_samples=v, inner_samples=3
+        ),
+        "intrinsic_influence inner_samples": lambda v: gk.intrinsic_influence(
+            model, "Z", outer_samples=2, inner_samples=v
+        ),
+        "attribute_anomaly num_samples": lambda v: gk.attribute_anomaly(
+            model, "Z", {"X": 0.0, "Y": 0.0, "Z": 0.0}, num_samples=v
+        ),
+        "pairwise_independence_test num_permutations": lambda v: gk.pairwise_independence_test(
+            np.arange(20.0), np.arange(20.0) % 3, num_permutations=v
+        ),
+        "kl_divergence k": lambda v: gk.kl_divergence(np.arange(10.0), np.arange(12.0), k=v),
+        "pc_skeleton max_cond_set_size": lambda v: gk.pc_skeleton(data, 0.05, v),
+    }
+
+
+@pytest.mark.parametrize("value", [2.5, True, False, np.float64(3.0), "3", None, np.bool_(True)])
+@pytest.mark.parametrize("call", _budget_calls())
+def test_budgets_are_integers_checked_at_the_boundary(call, value):
+    """A bool or a non-integer budget raises QueryError naming the argument,
+    never a numpy error from deep inside; a numpy integer is accepted."""
+    run = _budget_calls()[call]
+    with pytest.raises(QueryError, match=call.split()[1]):
+        run(value)
+    run(np.int64(3))
