@@ -19,16 +19,18 @@ each continuous column is centred once, and each pair of centred columns
 multiplied once, the first time a test names them.  A test's bits depend only
 on the columns it names.
 
-Importing this module loads numpy only.  ``scipy.special`` (the normal
-tail, for Fisher-z) is imported by the first Fisher-z p-value.
+Importing this module loads numpy only, and nothing here imports scipy.
+The Fisher-z p-value's normal tail is a port of the Cephes ``ndtr`` that
+``scipy.special`` runs, evaluated in Python floats, so it has scipy's bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, one_hot
-from .exceptions import DataError, QueryError, require_count
+from .exceptions import DataError, QueryError, require_count, require_rows
 from .seeds import rng_for
 
 
@@ -107,9 +109,11 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
 
     Categorical inputs are one-hot encoded before pairwise distances.  The
     p-value is the add-one-smoothed fraction of permutations of ``y`` whose
-    statistic reaches the observed one, so its resolution is 1/(B+1).
+    statistic reaches the observed one, so its resolution is 1/(B+1).  A
+    budget ``B`` past the rows an array can hold raises ``MemoryError``, as
+    the other Monte-Carlo budgets do, rather than running without end.
     """
-    num_permutations = require_count(num_permutations, "num_permutations")
+    num_permutations = require_rows(num_permutations, "num_permutations")
     x_matrix, y_matrix = _point_matrices(x, y)
     n = len(x_matrix)
     if n < 10:
@@ -135,12 +139,82 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
     return TestResult(observed, p_value, "distance_correlation_permutation", num_permutations)
 
 
+# Cephes' rational approximations of erf and erfc (ndtr.c), as scipy.special
+# evaluates them, highest power first.  Cephes leaves the leading 1 of the Q,
+# S and U denominators implicit (``p1evl``); it is written out here, since
+# ``1.0 * x + c`` rounds as ``x + c`` does.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # log(2**1024); erfc is 0.0 once x² passes it
+
+
+def _polevl(x, coefficients):
+    """Cephes' ``polevl``: the polynomial at ``x`` by Horner's rule."""
+    value = coefficients[0]
+    for coefficient in coefficients[1:]:
+        value = value * x + coefficient
+    return value
+
+
+def _erf(x):
+    """Cephes ``erf`` for ``0 <= x <= 1``."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x):
+    """Cephes ``erfc`` for ``x >= 1/√2``, with ``math.exp`` (libm's, like
+    scipy's compiled Cephes) for the Gaussian factor."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    exponent = -x * x
+    if exponent < -_MAXLOG:
+        return 0.0
+    if x < 8.0:
+        numerator, denominator = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q)
+    else:
+        numerator, denominator = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S)
+    return math.exp(exponent) * numerator / denominator
+
+
 def _two_sided_normal_p(statistic):
     """P(|N(0, 1)| >= statistic) for ``statistic >= 0``, bit for bit
-    ``2 * scipy.stats.norm.sf(statistic)``."""
-    from scipy.special import ndtr
+    ``2 * scipy.special.ndtr(-statistic)``.
 
-    return float(2 * ndtr(-statistic))
+    Cephes' ``ndtr(a)`` at ``a = -statistic`` takes ``x = statistic/√2`` and
+    returns ``0.5 - 0.5 * erf(x)`` below ``x = 1/√2`` and ``0.5 * erfc(x)``
+    from there; these are the only branches a non-negative statistic reaches.
+    """
+    if math.isnan(statistic):
+        return math.nan
+    x = float(statistic) * _SQRT1_2
+    tail = 0.5 - 0.5 * _erf(x) if x < _SQRT1_2 else 0.5 * _erfc(x)
+    return 2 * tail
 
 
 def _centred_column(data: Dataset, name):

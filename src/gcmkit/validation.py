@@ -1,11 +1,10 @@
 """Model diagnostics: falsify a graph against data, evaluate fitted mechanisms.
 
-Refutation runs Fisher-z tests (:func:`~gcmkit.stats.fisher_z_test`), whose
-p-values import ``scipy.special`` on first use.  They read the data's memo of
-centred cross products, so each pair of columns is multiplied once however
-many local Markov conditions name it.  Evaluation compares
-distributions with the numpy two-sample KS statistic
-(:func:`~gcmkit.stats.ks_statistic`) and needs no scipy of its own.
+Refutation runs Fisher-z tests (:func:`~gcmkit.stats.fisher_z_test`), which
+read the data's memo of centred cross products, so each pair of columns is
+multiplied once however many local Markov conditions name it.  Evaluation
+compares distributions with the numpy two-sample KS statistic
+(:func:`~gcmkit.stats.ks_statistic`).  Neither imports scipy.
 """
 
 from dataclasses import dataclass

@@ -149,9 +149,12 @@ OVERSIZE = 10**19  # past the largest array dimension numpy accepts
         (["attribute-change", "--graph", "graph.json", "--old", "data.csv", "--new", "new.csv",
           "--target", "Z"], "--num-samples", OVERSIZE),
         (["arrow-strength", "--model", "model.json", "--edge", "X->Y"], "-n", OVERSIZE),
+        # Checked before the first permutation, which would otherwise run without end.
+        (["test", "--data", "data.csv", "--x", "X", "--y", "Z", "--method", "dcor"],
+         "--permutations", OVERSIZE),
     ],
     ids=["sample", "sample-2**62", "intervene", "ace", "icc-outer", "icc-inner", "attribute-outlier",
-         "attribute-change", "arrow-strength"],
+         "attribute-change", "arrow-strength", "test-dcor"],
 )
 def test_budget_no_array_can_hold_exits_2(files, argv, flag, value):
     # numpy rejects these sizes before it allocates anything.
@@ -161,6 +164,7 @@ def test_budget_no_array_can_hold_exits_2(files, argv, flag, value):
     assert stdout == ""
     assert stderr.startswith(f"gcm {argv[0]}: error: out of memory for the Monte-Carlo budget ")
     assert f"{flag} {value}" in stderr
+    assert "Traceback" not in stderr
 
 
 @pytest.fixture(scope="module")

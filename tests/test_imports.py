@@ -1,9 +1,9 @@
 """The import contract: importing gcmkit loads numpy and the standard library
-only, and each scipy submodule is imported by the query that needs it.  No
-fit needs scipy, a classifier's included, and no distance or neighbour
-search (kNN, k-NN KL, distance correlation) does, over one column or
-several; ``scipy.special`` for Fisher-z p-values is the only scipy import
-left.
+only, and no subcommand imports scipy.  No fit needs scipy, a classifier's
+included; no distance or neighbour search (kNN, k-NN KL, distance
+correlation) does, over one column or several; and the Fisher-z p-values
+of ``discover``, ``refute`` and ``test --method fisherz`` come from a port
+of the normal tail, not from ``scipy.special``.
 
 Every check runs in a fresh interpreter, because this test process has
 scipy loaded already.
@@ -62,34 +62,50 @@ def test_help_runs_without_scipy():
     assert "usage:" in result.stdout
 
 
+def linear_chain_csv(seed):
+    """X -> Y -> Z with linear mechanisms and Gaussian noises."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(500)
+    y = 0.8 * x + rng.standard_normal(500)
+    z = -0.6 * y + rng.standard_normal(500)
+    return gk.write_csv(gk.Dataset(["X", "Y", "Z"], [x, y, z]))
+
+
 @pytest.fixture(scope="module")
 def linear_files(tmp_path_factory):
-    """A model file of linear ANMs and Gaussian roots, and one observed row."""
+    """A model file of linear ANMs and Gaussian roots, one observed row, and
+    a continuous table of the chain with its graph."""
     root = tmp_path_factory.mktemp("imports")
     gk.save(make_ground_truth_chain(), str(root / "model.json"))
     (root / "row.csv").write_text("X,Y,Z\n0.5,1.0,4.0\n")
+    (root / "chain.json").write_text(CHAIN)
+    (root / "data.csv").write_text(linear_chain_csv(0))
     return root
 
 
 @pytest.mark.parametrize(
     "command",
     [
-        ["sample", "-n", "20"],
-        ["icc", "--target", "Z", "--outer-samples", "5", "--inner-samples", "20"],
-        ["attribute-outlier", "--data", "{row}", "--target", "Z", "--num-samples", "200"],
+        ["sample", "--model", "{model}", "-n", "20"],
+        ["icc", "--model", "{model}", "--target", "Z", "--outer-samples", "5", "--inner-samples", "20"],
+        ["attribute-outlier", "--model", "{model}", "--data", "{row}", "--target", "Z",
+         "--num-samples", "200"],
+        ["counterfactual", "--model", "{model}", "--data", "{row}", "--set", "X=1.5"],
+        ["ace", "--model", "{model}", "--treatment", "X", "--value-a", "0", "--value-b", "1",
+         "--target", "Z", "-n", "200"],
+        ["discover", "--data", "{data}"],
+        ["refute", "--graph", "{chain}", "--data", "{data}"],
+        ["test", "--data", "{data}", "--x", "X", "--y", "Z", "--method", "fisherz", "--given", "Y"],
     ],
     ids=lambda command: command[0],
 )
 def test_linear_queries_run_without_scipy(linear_files, command):
-    argv = [
-        arg.format(row=linear_files / "row.csv")
-        for arg in [command[0], "--model", str(linear_files / "model.json"), "--seed", "3", *command[1:]]
-    ]
-    blocked = python("-c", BLOCKED, *argv)
-    plain = python("-m", "gcmkit", *argv)
-    assert blocked.returncode == 0, blocked.stderr
-    assert plain.returncode == 0, plain.stderr
-    assert blocked.stdout == plain.stdout
+    """Linear queries, and the Fisher-z p-values of discovery, refutation and
+    the conditional test."""
+    paths = {name: linear_files / f"{name}.{ext}" for name, ext in
+             [("model", "json"), ("row", "csv"), ("chain", "json"), ("data", "csv")]}
+    blocked, plain = blocked_and_plain(*[arg.format(**paths) for arg in command], "--seed", "3")
+    assert blocked == plain
 
 
 def sine_chain_csv(seed, shift=0.0):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
+from scipy.special import ndtr
 from scipy.stats import ks_2samp, norm
 
 from gcmkit import (
@@ -124,6 +125,27 @@ class TestDistanceCorrelation:
             distance_correlation(np.empty((12, 0)), np.arange(12.0))
 
 
+def float_neighbours(value, count):
+    """``value`` and the ``count`` floats on either side of it."""
+    below, above = [value], [value]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# Each branch point of the normal tail's Cephes port, at x = statistic/√2:
+# x = 1/√2 (erf gives way to erfc), x = 1 (erfc stops using 1 - erf), x = 8
+# (the P/Q pair gives way to R/S) and x² = MAXLOG (underflow to 0), each with
+# two floats on either side, so both branches are taken; then the smallest
+# subnormal, infinity and nan.
+NORMAL_TAIL_BRANCH_POINTS = [
+    value
+    for edge in (1.0, math.sqrt(2.0), 8 * math.sqrt(2.0), math.sqrt(2 * stats._MAXLOG))
+    for value in float_neighbours(edge, 2)
+] + [5e-324, math.inf, math.nan]
+
+
 class TestFisherZ:
     def test_known_statistic_for_r_half(self):
         data = dataset_with_exact_correlation(0.5, n=100)
@@ -196,6 +218,15 @@ class TestFisherZ:
     def test_reported_p_value_is_the_normal_tail_of_the_statistic(self, r):
         result = fisher_z_test(dataset_with_exact_correlation(r, n=200), "x", "y")
         assert bits(result.p_value) == bits(2 * norm.sf(result.statistic))
+
+    @given(st.floats(min_value=0.0, max_value=40.0, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=2000, deadline=None)
+    def test_normal_tail_port_matches_scipy_ndtr_bits(self, statistic):
+        assert bits(_two_sided_normal_p(statistic)) == bits(2 * ndtr(-statistic))
+
+    @pytest.mark.parametrize("statistic", NORMAL_TAIL_BRANCH_POINTS)
+    def test_normal_tail_port_matches_scipy_ndtr_at_branch_points(self, statistic):
+        assert bits(_two_sided_normal_p(statistic)) == bits(2 * ndtr(-statistic))
 
 
 def fisher_z_reference(data, x, y, conditioning_set=()):
