@@ -14,6 +14,15 @@ for 1-D samples and O(n·(n + m)) otherwise.  Both paths rank and measure
 neighbours with the same arithmetic, so a result does not depend on which
 one ran.
 
+The distance-correlation test evaluates its observed statistic and every
+permutation of y by one function.  Two one-column numeric inputs are centred
+and rescaled, and dCov² is a V-statistic of sorted lines (Huo & Székely
+2016): row sums of distances by sort and cumsum, and the sum over discordant
+pairs by merge-sort levels over leaves of 32 points (Chaudhuri & Hu 2019), so
+B permutations cost O(B·n log n) and no n×n array; dCor² agrees with the
+double-centred O(n²) formula within 1e-12.  One-hot or multi-column points
+keep that formula, at O(B·n²).
+
 The Fisher-z test reads a per-dataset memo of centred cross products:
 each continuous column is centred once, and each pair of centred columns
 multiplied once, the first time a test names them.  A test's bits depend only
@@ -68,50 +77,195 @@ def _point_matrices(x, y):
     y_matrix = _as_point_matrix(y)
     if len(x_matrix) != len(y_matrix):
         raise DataError("x and y must have the same length")
+    if len(x_matrix) == 0:
+        raise DataError("distance correlation needs at least one observation")
+    if not (np.all(np.isfinite(x_matrix)) and np.all(np.isfinite(y_matrix))):
+        raise DataError("distance correlation needs finite numeric values")
     return x_matrix, y_matrix
 
 
-def _double_centered(distances):
+def _unit_scaled(points):
+    """``points`` times the power of two that brings its largest magnitude
+    into [0.5, 1).  The product is exact, so every distance is scaled exactly
+    and dCor keeps its bits; only gaps and squares can no longer overflow."""
+    peak = float(np.abs(points).max())
+    return points if peak == 0.0 else np.ldexp(points, -math.frexp(peak)[1])
+
+
+def _centered_distances(points):
+    """Double-centred matrix of pairwise distances between the rows of ``points``."""
+    distances = pairwise_distances(points, points)
     row_means = distances.mean(axis=1, keepdims=True)
     col_means = distances.mean(axis=0, keepdims=True)
     return distances - row_means - col_means + distances.mean()
 
 
-def _centered_distances(points):
-    """Double-centred matrix of pairwise distances between the rows of ``points``."""
-    return _double_centered(pairwise_distances(points, points))
+def _matrix_dcov2(a, b, perms):
+    """dCov² of the double-centred distances ``a`` with ``b`` permuted by each
+    row of ``perms``.  Double centring commutes with permuting rows and
+    columns together, so the centred matrix is permuted directly."""
+    return np.array([(a * b[np.ix_(perm, perm)]).mean() for perm in perms])
+
+
+_LEAF = 32  # points per leaf of the discordance sum, whose pairs are summed directly
+
+
+class _Line:
+    """One numeric column, ready for an O(n log n) dCov².
+
+    The column is shifted by its midrange and scaled by powers of two, so
+    every value lies in (-1, 1) and a constant column is exactly zero; dCor
+    does not change under shift or positive scale.  ``line`` is the column
+    sorted, and ``rows`` the sums Σⱼ |xᵢ - xⱼ| of its distance matrix, in
+    the column's order.  ``leaf_line`` cuts the sorted line into a power of
+    two of leaves of equal width, the last padded with copies of the largest
+    value.
+    """
+
+    def __init__(self, column):
+        column = _unit_scaled(column)
+        self.values = _unit_scaled(column - (column.min() + column.max()) / 2)
+        n = len(column)
+        self.order = np.argsort(self.values, kind="stable")
+        self.line = self.values[self.order]
+        self.total = self.line.sum()
+        # Along the sorted line, Σⱼ |xₖ - xⱼ| = (2k - n)·xₖ + Σ x - 2·Σ_{j<k} xⱼ.
+        before = np.concatenate([[0.0], np.cumsum(self.line)[:-1]])
+        self.rows = np.empty(n)
+        self.rows[self.order] = (2 * np.arange(n) - n) * self.line + self.total - 2 * before
+        self.rows_total = self.rows.sum()
+        leaves = 1 << max(0, math.ceil(math.log2(n / _LEAF)))
+        width = -(-n // leaves)
+        padded = np.concatenate([self.line, np.full(leaves * width - n, self.line[-1])])
+        self.leaf_line = padded.reshape(leaves, width)
+
+    def discordance(self, ys):
+        """Σ (xⱼ - xᵢ)(yⱼ - yᵢ) over the pairs i < j of the sorted line with
+        yᵢ > yⱼ, for each row of ``ys``, the y paired with each place.
+
+        Pairs within a leaf are summed directly.  Then a bottom-up merge sort
+        of y joins leaves in pairs, level by level: each point of a right
+        half takes its sum over the left half's points with larger y in
+        closed form, from running sums of 1, x, y and xy over that half.
+        """
+        count = len(ys)
+        leaves, width = self.leaf_line.shape
+        # Padding sorts last on x and above every y, so it is in no discordant pair.
+        y = np.full((count, leaves * width), 2.0)
+        y[:, : ys.shape[1]] = ys
+        y = y.reshape(count, leaves, width)
+        # Within a leaf (xⱼ - xᵢ)(yⱼ - yᵢ) is negative just for the discordant
+        # pairs; take the pairs j - i places apart for each j - i in turn.
+        discordance = np.zeros(count)
+        for step in range(1, width):
+            products = y[..., step:] - y[..., :-step]
+            products *= self.leaf_line[:, step:] - self.leaf_line[:, :-step]
+            discordance += np.minimum(products, 0.0, out=products).reshape(count, -1).sum(axis=1)
+        order = np.argsort(y, axis=-1, kind="stable")
+        y = np.take_along_axis(y, order, axis=-1)
+        x = self.leaf_line[np.arange(leaves)[:, None], order]
+        half = width
+        while half < leaves * width:
+            y = y.reshape(count, -1, 2 * half)
+            # Stable, so among equal y the left half comes first.
+            order = np.argsort(y, axis=-1, kind="stable")
+            y = np.take_along_axis(y, order, axis=-1)
+            x = np.take_along_axis(x.reshape(y.shape), order, axis=-1)
+            left = order < half
+            # Sums over the left half's points after each place, those with
+            # larger y: the half's total less the running sum up to the place.
+            after = np.stack([left, x, y, x * y])
+            after *= left
+            np.cumsum(after, axis=-1, out=after)
+            np.subtract(after[..., -1:], after, out=after)
+            pair_sums = after[0] * x * y - x * after[2] - y * after[1] + after[3]
+            discordance += np.where(left, 0.0, pair_sums).reshape(count, -1).sum(axis=1)
+            half *= 2
+        return discordance
+
+
+def _line_dcov2(x, y, perms):
+    """dCov² of the :class:`_Line` ``x`` with ``y`` permuted by each row of
+    ``perms``, as the V-statistic (S1 - 2·S2/n + a··b··/n²)/n².
+
+    S2 = Σᵢ aᵢ·bᵢ· pairs the distance row sums.  S1 = Σᵢⱼ |xᵢ-xⱼ||yᵢ-yⱼ| is
+    2(T - 2D): T = nΣxy - ΣxΣy sums (xⱼ-xᵢ)(yⱼ-yᵢ) over all pairs, and D the
+    same over the discordant ones, whose terms are negative.
+    """
+    n = len(x.values)
+    paired = perms[:, x.order]  # y's row paired with each place of x's line
+    ys = y.values[paired]
+    t = n * (ys * x.line).sum(axis=1) - x.total * y.total
+    s1 = 2 * (t - 2 * x.discordance(ys))
+    s2 = (y.rows[paired] * x.rows[x.order]).sum(axis=1)
+    return (s1 - (2 * s2 - x.rows_total * y.rows_total / n) / n) / (n * n)
+
+
+class _DistanceCorrelation:
+    """Distance correlation of ``x`` with ``y``, and with permutations of y.
+
+    The one place that looks at the width.  Two one-column inputs go to
+    :class:`_Line`, at O(n log n) per statistic, and never build an n×n array;
+    one-hot or multi-column points keep the double-centred distance
+    matrices, at O(n²).  ``entries`` counts the float64s one permutation
+    keeps alive at once.  ``observed`` is the dCor of the pairs as given,
+    through the same arithmetic as every permutation; a constant input
+    leaves ``scale`` None and ``observed`` 0.
+    """
+
+    def __init__(self, x_points, y_points):
+        n = len(x_points)
+        if x_points.shape[1] == y_points.shape[1] == 1:
+            self._x, self._y = _Line(x_points[:, 0]), _Line(y_points[:, 0])
+            self._dcov2 = _line_dcov2
+            # About 16 float64s per padded point are alive at once, at the
+            # merge levels' four running sums.
+            self.entries = 16 * self._x.leaf_line.size
+        else:
+            self._x, self._y = (_centered_distances(_unit_scaled(p)) for p in (x_points, y_points))
+            self._dcov2 = _matrix_dcov2
+            self.entries = n * n
+        identity = np.arange(n)[None]
+        dvar_x = self._dcov2(self._x, self._x, identity)[0]
+        dvar_y = self._dcov2(self._y, self._y, identity)[0]
+        self.scale = np.sqrt(dvar_x * dvar_y) if dvar_x > 0.0 and dvar_y > 0.0 else None
+        self.observed = 0.0 if self.scale is None else float(self(identity)[0])
+
+    def __call__(self, perms):
+        """dCor in [0, 1] of x with y[perm], for each row ``perm`` of ``perms``."""
+        dcov2 = self._dcov2(self._x, self._y, perms)
+        return np.minimum(np.sqrt(np.maximum(dcov2, 0.0) / self.scale), 1.0)
 
 
 def distance_correlation(x, y) -> float:
-    """Sample distance correlation in [0, 1]; 0 iff (in the limit) independent."""
-    x_matrix, y_matrix = _point_matrices(x, y)
-    a = _centered_distances(x_matrix)
-    b = _centered_distances(y_matrix)
-    scale = _dcor_scale(a, b)
-    return 0.0 if scale is None else _dcor_from_centered(a, b, scale)
+    """Sample distance correlation in [0, 1]; 0 iff (in the limit) independent.
 
-
-def _dcor_scale(a, b):
-    """sqrt(dVar(x) dVar(y)) of double-centred distances, None if either is 0."""
-    dvar_x = float((a * a).mean())
-    dvar_y = float((b * b).mean())
-    if dvar_x <= 0.0 or dvar_y <= 0.0:
-        return None
-    return np.sqrt(dvar_x * dvar_y)
-
-
-def _dcor_from_centered(a, b, scale):
-    return float(np.sqrt(max(float((a * b).mean()), 0.0) / scale))
+    The statistic of :func:`pairwise_independence_test`, by the same path and
+    with the same finite-input check.
+    """
+    return _DistanceCorrelation(*_point_matrices(x, y)).observed
 
 
 def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult:
     """Distance-correlation permutation test of pairwise independence.
 
-    Categorical inputs are one-hot encoded before pairwise distances.  The
-    p-value is the add-one-smoothed fraction of permutations of ``y`` whose
-    statistic reaches the observed one, so its resolution is 1/(B+1).  A
-    budget ``B`` past the rows an array can hold raises ``MemoryError``, as
-    the other Monte-Carlo budgets do, rather than running without end.
+    Categorical inputs are one-hot encoded before pairwise distances; a NaN
+    or infinite value raises :class:`DataError`.  The p-value is the
+    add-one-smoothed fraction of permutations of ``y`` whose statistic
+    reaches the observed one, so its resolution is 1/(B+1).  A budget ``B``
+    past the rows an array can hold raises ``MemoryError``, as the other
+    Monte-Carlo budgets do, rather than running without end.
+
+    Two one-column numeric inputs cost O(B·n log n): no n×n array is built,
+    and permutations are evaluated in chunks that hold about two million
+    float64s at once (16 per point and permutation).  Their dCor² agrees
+    with the double-centred O(n²) formula within 1e-12, absolute; only the
+    summation order differs.  Other points, one-hot or wider, build the
+    double-centred n×n distance matrices and cost O(B·n²).  Their squared
+    coordinate gaps would overflow past a gap of about 1.3e154 (the square
+    root of the largest double), so each input is first scaled by a power of
+    two: that is exact, keeps every coordinate gap of finite input within 2
+    and leaves the statistic's bits as they were.
     """
     num_permutations = require_rows(num_permutations, "num_permutations")
     x_matrix, y_matrix = _point_matrices(x, y)
@@ -119,24 +273,19 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
     if n < 10:
         raise DataError("independence test needs at least 10 observations")
 
-    a = _centered_distances(x_matrix)
-    b = _centered_distances(y_matrix)
-    scale = _dcor_scale(a, b)
-    if scale is None:
+    dcor = _DistanceCorrelation(x_matrix, y_matrix)
+    if dcor.scale is None:
         # A constant input carries no information: dCor is undefined, never reject.
         return TestResult(0.0, 1.0, "distance_correlation_permutation", num_permutations)
-    observed = _dcor_from_centered(a, b, scale)
 
     rng = rng_for(seed, "dcor-permutations")
     exceed = 0
-    for _ in range(num_permutations):
-        perm = rng.permutation(n)
-        # Double centering commutes with permuting rows and columns together,
-        # so the centred matrix can be permuted directly.
-        if _dcor_from_centered(a, b[np.ix_(perm, perm)], scale) >= observed:
-            exceed += 1
+    chunk = _block_rows(dcor.entries)
+    for start in range(0, num_permutations, chunk):
+        perms = np.array([rng.permutation(n) for _ in range(min(chunk, num_permutations - start))])
+        exceed += int(np.count_nonzero(dcor(perms) >= dcor.observed))
     p_value = (1 + exceed) / (num_permutations + 1)
-    return TestResult(observed, p_value, "distance_correlation_permutation", num_permutations)
+    return TestResult(dcor.observed, p_value, "distance_correlation_permutation", num_permutations)
 
 
 # Cephes' rational approximations of erf and erfc (ndtr.c), as scipy.special
@@ -383,10 +532,15 @@ def pairwise_distances(a, b):
 _BLOCK_ENTRIES = 2_000_000  # 16 MB of float64 distances
 
 
+def _block_rows(width):
+    """Rows of a ``width``-wide matrix that make about two million entries."""
+    return max(1, int(_BLOCK_ENTRIES / max(width, 1)))
+
+
 def _row_blocks(n_rows, width):
     """Slices of ``n_rows`` query rows, each holding about two million
     entries of a matrix ``width`` columns wide."""
-    chunk = max(1, int(_BLOCK_ENTRIES / max(width, 1)))
+    chunk = _block_rows(width)
     return [slice(start, start + chunk) for start in range(0, n_rows, chunk)]
 
 
