@@ -17,7 +17,7 @@ import numpy as np
 from .attribution import arrow_strength, attribute_anomaly, distribution_change, intrinsic_influence
 from .data import read_csv
 from .discovery import discover_cpdag
-from .exceptions import GcmError, NumericError, QueryError
+from .exceptions import GcmError, NumericError, QueryError, require_count
 from .graph import parse_graph
 from .model import auto_assign, dumps_model, fit, loads_model
 from .sampling import (
@@ -29,7 +29,7 @@ from .sampling import (
     interventional_samples,
     shift,
 )
-from .stats import fisher_z_test, pairwise_independence_test
+from .stats import MAX_PERMUTATIONS, fisher_z_test, pairwise_independence_test
 from .validation import evaluate_mechanisms, refute_graph
 
 SCHEMA_VERSION = 1
@@ -240,6 +240,7 @@ def _cmd_test(args):
             raise _UsageError("--given requires --method fisherz (or auto)")
         if args.x == args.y:
             raise QueryError(f"dcor needs x and y to name distinct columns, got {args.x!r} twice")
+        require_count(args.permutations, "--permutations", maximum=MAX_PERMUTATIONS)
         result = pairwise_independence_test(
             data.column(args.x), data.column(args.y), args.permutations, args.seed
         )

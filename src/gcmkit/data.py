@@ -96,6 +96,13 @@ class Dataset:
         return f"Dataset({self.n_rows} rows; {kinds})"
 
 
+def categories_of(values) -> tuple:
+    """The distinct values of ``values`` as strings, sorted: what
+    ``np.unique`` of the string array gives, without the ``numpy.ma`` import
+    that a bare ``np.unique`` costs."""
+    return tuple(sorted(set(np.asarray(values).astype(str).tolist())))
+
+
 def one_hot(values, categories) -> np.ndarray:
     """One indicator column per entry of ``categories``, in that order.
 

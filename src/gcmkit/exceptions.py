@@ -49,12 +49,15 @@ class NumericError(GcmError):
     """A numeric routine failed (non-finite results, divergence)."""
 
 
-def require_count(value, name, minimum=1):
+def require_count(value, name, minimum=1, maximum=None):
     """``value`` as an ``int``, if it is an integer (a numpy integer too, but
-    not a bool) of at least ``minimum``; otherwise raise :class:`QueryError`."""
+    not a bool) of at least ``minimum`` and, given a ``maximum``, at most
+    that; otherwise raise :class:`QueryError`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         sign = "positive" if minimum > 0 else "non-negative"
         raise QueryError(f"{name} must be a {sign} integer, at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise QueryError(f"{name} must be at most {maximum}, got {value!r}")
     return int(value)
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import one_hot
+from .data import categories_of, one_hot
 from .exceptions import DataError, FitError, NonInvertibleError, NumericError, SerializationError
 from .stats import NeighbourIndex
 
@@ -236,8 +236,7 @@ class InputEncoder:
             if _is_numeric(column):
                 specs.append(("continuous", None))
             else:
-                categories = np.unique([str(v) for v in column])
-                specs.append(("categorical", tuple(categories)))
+                specs.append(("categorical", categories_of([str(v) for v in column])))
         return cls(specs)
 
     @classmethod
@@ -311,9 +310,10 @@ class KnnRegressor(_Serialized):
     nearest to the query (Euclidean), ranked by distance and then by training
     row, so ties resolve to the earliest rows.  The search is a
     :class:`~gcmkit.stats.NeighbourIndex` of the training rows, built on the
-    first prediction and kept: for one encoded column m queries then cost
-    O(m·k), otherwise all n·m pairs are compared.  The whole training set is
-    stored.
+    first prediction and kept: for one encoded column, or one-hot blocks
+    beside at most one continuous column, m queries then cost
+    O(m·(k + log n)); otherwise all n·m pairs are compared.  The whole
+    training set is stored.
     """
 
     tag = "knn"
@@ -703,7 +703,7 @@ def fit_classifier(parent_columns, targets):
         raise FitError("insufficient rows: need at least 2 to fit a classifier")
     encoder = InputEncoder.fit(parent_columns)
     encoded = encoder.encode(parent_columns)
-    categories = tuple(np.unique(targets))
+    categories = categories_of(targets)
     n, d = encoded.shape
     n_classes = len(categories)
     if n_classes == 1:

@@ -4,13 +4,18 @@ nonparametric KL estimation.
 Distances are Euclidean throughout, from one numpy kernel for points of
 every width (:func:`pairwise_distances`).  Nearest neighbours, here and in
 :class:`~gcmkit.mechanisms.KnnRegressor`, are found exactly by one
-:class:`NeighbourIndex` per reference.  A 1-D reference is sorted once, and
-each query looks at the 2k + 2 sorted points around it, so n reference and m
-query points cost O(n log n + m·k); a query whose k-th distance is shared by
-t points past that window looks again at twice as many, at O(k + t) more.
-Wider points are compared exhaustively, block by block, at O(n·m).  The KL
-estimator indexes P and Q once each, so it costs O(n log n + m log m + n·k)
-for 1-D samples and O(n·(n + m)) otherwise.  Both paths rank and measure
+:class:`NeighbourIndex` per reference.  Points of one column, or of 0/1
+columns (one-hot blocks) beside at most one other column, are grouped by
+their 0/1 pattern and sorted once into a line per group; each query looks at
+the 2k + 2 points of its group's line around its place, so n reference and m
+query points cost O(n log n + m·(k + log n)).  Runs of equal values are cut
+to their first k points, so a tie past that window costs O(k) more.  A query
+whose k-th distance within its group reaches 1.0, the least distance to
+another group, is compared with every row, at O(n).  Points with two or more
+columns that are not 0/1 are compared exhaustively, block by block, at
+O(n·m).  The KL estimator indexes P and Q once each, so on a one-hot joint
+with one continuous column it costs O((n + m) log(n + m) + n·k), and
+O(n·(n + m)) on wider continuous points.  Every path ranks and measures
 neighbours with the same arithmetic, so a result does not depend on which
 one ran.
 
@@ -38,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, one_hot
-from .exceptions import DataError, QueryError, require_count, require_rows
+from .data import Dataset, categories_of, one_hot
+from .exceptions import DataError, QueryError, require_count
 from .seeds import rng_for
 
 
@@ -65,7 +70,7 @@ def _as_point_matrix(values):
     array = np.asarray(values)
     if array.ndim == 1:
         numeric = np.issubdtype(array.dtype, np.number)
-        array = array[:, None] if numeric else one_hot(array, np.unique(array.astype(str)))
+        array = array[:, None] if numeric else one_hot(array, categories_of(array))
     if array.ndim != 2 or array.shape[1] == 0:
         raise DataError("test inputs must be one- or two-dimensional, with at least one column")
     return array.astype(np.float64)
@@ -246,15 +251,20 @@ def distance_correlation(x, y) -> float:
     return _DistanceCorrelation(*_point_matrices(x, y)).observed
 
 
+# A p-value resolution of 1e-6.  Each permutation is a pass over the data, so
+# this bounds the test's time; 10**18 permutations would never finish.
+MAX_PERMUTATIONS = 1_000_000
+
+
 def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult:
     """Distance-correlation permutation test of pairwise independence.
 
     Categorical inputs are one-hot encoded before pairwise distances; a NaN
     or infinite value raises :class:`DataError`.  The p-value is the
     add-one-smoothed fraction of permutations of ``y`` whose statistic
-    reaches the observed one, so its resolution is 1/(B+1).  A budget ``B``
-    past the rows an array can hold raises ``MemoryError``, as the other
-    Monte-Carlo budgets do, rather than running without end.
+    reaches the observed one, so its resolution is 1/(B+1).  ``B`` is at most
+    :data:`MAX_PERMUTATIONS`; a larger one raises :class:`QueryError` at
+    once, rather than running for hours.
 
     Two one-column numeric inputs cost O(B·n log n): no n×n array is built,
     and permutations are evaluated in chunks that hold about two million
@@ -267,7 +277,7 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
     two: that is exact, keeps every coordinate gap of finite input within 2
     and leaves the statistic's bits as they were.
     """
-    num_permutations = require_rows(num_permutations, "num_permutations")
+    num_permutations = require_count(num_permutations, "num_permutations", maximum=MAX_PERMUTATIONS)
     x_matrix, y_matrix = _point_matrices(x, y)
     n = len(x_matrix)
     if n < 10:
@@ -544,40 +554,144 @@ def _row_blocks(n_rows, width):
     return [slice(start, start + chunk) for start in range(0, n_rows, chunk)]
 
 
+def _pattern_keys(patterns):
+    """One key per row of the 0/1 matrix ``patterns``: its bits packed into
+    a void scalar, which numpy sorts, searches and compares bytewise.  Rows
+    with no columns all get the same key, one zero byte."""
+    bits = patterns == 1.0
+    packed = np.packbits(bits, axis=1) if bits.shape[1] else np.zeros((len(bits), 1), np.uint8)
+    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))[:, 0]
+
+
+def _run_starts(line):
+    """For each place of the sorted array ``line``, the first place of its
+    run of equal values."""
+    places = np.arange(len(line))
+    first = np.ones(len(line), dtype=bool)
+    first[1:] = line[1:] != line[:-1]
+    return np.maximum.accumulate(np.where(first, places, 0))
+
+
 class NeighbourIndex:
     """Exact nearest neighbours among the rows of ``reference``, a 2-D array.
 
     Built once per reference, it is the one place that looks at the width.
-    One column is sorted stably into a line: distances to a query fall along
-    it up to the query's place and rise after, so the j nearest points lie
-    within j places on either side.  Wider rows stay in index order, and each
-    query's window is all of them.  Queries are 2-D and ranked in blocks of
-    about two million candidates, each freed before the next is built.
+    A column whose reference values are all 0.0 or 1.0 is a 0/1 column.  When
+    at most one column is not, that one (or else the last column) is the line
+    column, and the rows are grouped by their pattern over the other columns.
+    Each group is a line: its rows sorted stably by the line column, so ties
+    keep index order.  Within a group every other gap is +0.0, so a distance
+    is exactly the line's gap; a row of another group differs by 1 in some
+    column and lies at least 1.0 away.
+
+    A query searches its group's line.  Distances fall along the line up to
+    the query's place and rise after, so the j nearest points lie within j
+    places on either side; a later point of a run of equal values is as far
+    as the run's first ones and ranks after them, so each run is cut to the
+    first points a search can need.  A group's answer is final when its k-th
+    distance is below 1.0, or when the group is the whole reference.  The
+    query is compared with every row instead when its 0/1 pattern is not in
+    the reference (a 0/1 column of it holding another value included), when
+    its group has fewer than k rows, or when that distance is 1.0 or more.
+    References with two or more other columns are always compared with every
+    row.  Queries are 2-D and ranked in blocks of about two million
+    candidates, each freed before the next is built.
     """
 
     def __init__(self, reference):
         self.reference = reference
-        self.index = self.line = None
-        if reference.shape[1] == 1:
-            self.index = np.argsort(reference[:, 0], kind="stable")
-            self.line = reference[self.index, 0]
+        self._lines = {}
+        binary = np.all((reference == 0.0) | (reference == 1.0), axis=0)
+        free = np.flatnonzero(~binary)
+        self._column = None
+        if len(free) > 1:
+            return
+        n, width = reference.shape
+        self._column = int(free[0]) if len(free) else width - 1
+        self._pattern = np.delete(np.arange(width), self._column)
+        values = reference[:, self._column]
+        by_value = np.argsort(values, kind="stable")
+        self._values = values[by_value]
+        rank = np.empty(n, dtype=np.intp)
+        rank[by_value] = _run_starts(self._values)
+        keys = _pattern_keys(reference[:, self._pattern])
+        self.index = by_value[np.argsort(keys[by_value], kind="stable")]
+        self.line = values[self.index]
+        keys = keys[self.index]
+        first = np.ones(n, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        self._group_keys = keys[first]
+        # Each point's place key: its group times n + 1 plus the rank of its
+        # value, the first place of that value in the sorted column.  One
+        # searchsorted on the keys finds a query's group and its place in it.
+        self._keys = (np.cumsum(first) - 1) * (n + 1) + rank[self.index]
+        self._run_rank = np.arange(n) - _run_starts(self._keys)
 
-    def _candidates(self, queries, count):
-        """``(positions, distances)``: the line positions of the ``count``
-        points on either side of each query's place (shifted inward at the
-        ends) and their distances, as (queries, window) arrays.  Without a
-        line ``positions`` is None and the window is every row."""
-        if self.line is None:
-            return None, pairwise_distances(queries, self.reference)
-        n = len(self.line)
-        width = min(n, 2 * count)
-        start = np.clip(np.searchsorted(self.line, queries[:, 0]) - count, 0, n - width)
-        positions = start[:, None] + np.arange(width)
-        return positions, _gaps(queries[:, :1], self.line[positions])
+    def _cut(self, keep):
+        """``(index, line, keys)`` with only the first ``keep`` points of each
+        run of equal values in a group, which holds the ``keep`` nearest."""
+        line = self._lines.get(keep)
+        if line is None:
+            kept = self._run_rank < keep
+            arrays = (self.index, self.line, self._keys)
+            line = self._lines[keep] = arrays if kept.all() else tuple(a[kept] for a in arrays)
+        return line
+
+    def _groups(self, queries):
+        """Each query's group, or -1 where its 0/1 pattern is not in the
+        reference."""
+        if not self._pattern.size:
+            return np.zeros(len(queries), dtype=np.intp)
+        patterns = queries[:, self._pattern]
+        keys = _pattern_keys(patterns)
+        group = np.minimum(np.searchsorted(self._group_keys, keys), len(self._group_keys) - 1)
+        known = (self._group_keys[group] == keys) & np.all((patterns == 0.0) | (patterns == 1.0), axis=1)
+        return np.where(known, group, -1)
+
+    def _window(self, queries, count, keep):
+        """``(positions, index, distances, low, high)`` for the ``count``
+        points on either side of each query's place on its group's line
+        (shifted inward at the group's ends), where the group runs over
+        positions [low, high) of ``self._cut(keep)``.  A query of no group
+        has the empty group [0, 0)."""
+        index, line, keys = self._cut(keep)
+        n = len(self.reference)
+        group = self._groups(queries)
+        values = queries[:, self._column]
+        if len(self._group_keys) == 1:  # one group: the whole line, sorted
+            low, high = np.zeros_like(group), np.where(group == 0, len(line), 0)
+            place = np.searchsorted(line, values)
+        else:
+            group *= n + 1
+            low, high = np.searchsorted(keys, group), np.searchsorted(keys, group + n + 1)
+            place = np.searchsorted(keys, group + np.searchsorted(self._values, values))
+        start = np.maximum(np.minimum(place - count, high - 2 * count), low)
+        positions = start[:, None] + np.arange(2 * count)
+        if np.all(high - low >= 2 * count):
+            return positions, index[positions], _gaps(values[:, None], line[positions]), low, high
+        # Some windows run past their group's end: the places past it are at
+        # distance inf, with index n, after every row.
+        past = positions >= high[:, None]
+        positions = np.minimum(positions, len(line) - 1)
+        distances = _gaps(values[:, None], line[positions])
+        distances[past] = np.inf
+        return positions, np.where(past, n, index[positions]), distances, low, high
+
+    def _final(self, radius, low, high, keep):
+        """Whether each query's group answer holds: its group has ``keep``
+        rows and no other row can be as near as its ``radius``."""
+        return (high - low >= keep) & ((radius < 1.0) | (len(self._group_keys) == 1))
 
     def _blocks(self, queries, count):
-        width = len(self.reference) if self.line is None else 2 * count
+        width = len(self.reference) if self._column is None else 2 * count
         return _row_blocks(len(queries), width)
+
+    def _scanned(self, queries, rows, answer, scan):
+        """Fill ``answer[rows]`` by ``scan`` against every reference row, in
+        blocks of about two million distances."""
+        for block in _row_blocks(len(rows), len(self.reference)):
+            answer[rows[block]] = scan(queries[rows[block]])
+        return answer
 
     def nearest(self, queries, k):
         """Yield ``(rows, order)`` over row blocks of ``queries``.
@@ -589,34 +703,47 @@ class NeighbourIndex:
         for rows in self._blocks(queries, k + 1):
             yield rows, self._nearest(queries[rows], k, k + 1)
 
+    def _scan_nearest(self, queries, k):
+        # A copy, so the full argsort is freed with the distances.
+        distances = pairwise_distances(queries, self.reference)
+        return np.argsort(distances, axis=1, kind="stable")[:, :k].copy()
+
     def _nearest(self, queries, k, count):
-        positions, distances = self._candidates(queries, count)
-        if positions is None:
-            # A copy, so the full argsort is freed with the distances.
-            return np.argsort(distances, axis=1, kind="stable")[:, :k].copy()
-        index = self.index[positions]
+        if self._column is None:
+            return self._scan_nearest(queries, k)
+        positions, index, distances, low, high = self._window(queries, count, k)
         ranked = np.lexsort((index, distances))[:, :k]
         order = np.take_along_axis(index, ranked, axis=1)
         radius = np.take_along_axis(distances, ranked[:, -1:], axis=1)[:, 0]
+        final = self._final(radius, low, high, k)
         # The window holds every point nearer than the k-th distance.  Points
         # at exactly that distance may go on past an edge, and the lowest
         # indices among them win: search those rows again, twice as wide, until
-        # each edge is farther than the k-th distance or ends the line.
-        last = len(self.line) - 1
-        open_tie = ((positions[:, 0] > 0) & (distances[:, 0] == radius)) | (
-            (positions[:, -1] < last) & (distances[:, -1] == radius)
+        # each edge is farther than the k-th distance or ends the group.
+        open_tie = final & (
+            ((positions[:, 0] > low) & (distances[:, 0] == radius))
+            | ((positions[:, -1] < high - 1) & (distances[:, -1] == radius))
         )
         rows = np.flatnonzero(open_tie)
         for block in _row_blocks(len(rows), 4 * count):
             order[rows[block]] = self._nearest(queries[rows[block]], k, 2 * count)
-        return order
+        return self._scanned(queries, np.flatnonzero(~final), order, lambda q: self._scan_nearest(q, k))
 
     def kth_distances(self, queries, kth):
         """Distance from each row of ``queries`` to its ``kth`` nearest
         reference row, counting from 0 (``kth=0`` is the nearest)."""
         out = np.empty(len(queries))
         for rows in self._blocks(queries, kth + 1):
-            distances = self._candidates(queries[rows], kth + 1)[1]
-            out[rows] = np.partition(distances, kth, axis=1)[:, kth]
-            del distances  # freed before the next block is built
+            out[rows] = self._kth_distances(queries[rows], kth)
         return out
+
+    def _scan_kth(self, queries, kth):
+        return np.partition(pairwise_distances(queries, self.reference), kth, axis=1)[:, kth]
+
+    def _kth_distances(self, queries, kth):
+        if self._column is None:
+            return self._scan_kth(queries, kth)
+        _, _, distances, low, high = self._window(queries, kth + 1, kth + 1)
+        out = np.partition(distances, kth, axis=1)[:, kth]
+        final = self._final(out, low, high, kth + 1)
+        return self._scanned(queries, np.flatnonzero(~final), out, lambda q: self._scan_kth(q, kth))

@@ -7,6 +7,7 @@ exception escape, and prints only strict JSON (no ``NaN`` or ``Infinity``).
 import contextlib
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import gcmkit as gk
 from conftest import classifier_data
 from gcmkit import attribution, cli, sampling
+from gcmkit.stats import MAX_PERMUTATIONS
 
 NODES = ["C", "X", "Y", "K", "Z"]
 GRAPH = '{"nodes":["C","X","Y","K","Z"],"edges":[["C","Y"],["X","Y"],["X","K"],["Y","Z"]]}'
@@ -149,12 +151,9 @@ OVERSIZE = 10**19  # past the largest array dimension numpy accepts
         (["attribute-change", "--graph", "graph.json", "--old", "data.csv", "--new", "new.csv",
           "--target", "Z"], "--num-samples", OVERSIZE),
         (["arrow-strength", "--model", "model.json", "--edge", "X->Y"], "-n", OVERSIZE),
-        # Checked before the first permutation, which would otherwise run without end.
-        (["test", "--data", "data.csv", "--x", "X", "--y", "Z", "--method", "dcor"],
-         "--permutations", OVERSIZE),
     ],
     ids=["sample", "sample-2**62", "intervene", "ace", "icc-outer", "icc-inner", "attribute-outlier",
-         "attribute-change", "arrow-strength", "test-dcor"],
+         "attribute-change", "arrow-strength"],
 )
 def test_budget_no_array_can_hold_exits_2(files, argv, flag, value):
     # numpy rejects these sizes before it allocates anything.
@@ -165,6 +164,21 @@ def test_budget_no_array_can_hold_exits_2(files, argv, flag, value):
     assert stderr.startswith(f"gcm {argv[0]}: error: out of memory for the Monte-Carlo budget ")
     assert f"{flag} {value}" in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("value", [MAX_PERMUTATIONS + 1, 10**18, OVERSIZE])
+def test_permutations_past_the_cap_exit_2_at_once(files, value):
+    """The dCor budget is a loop count, capped by time: a budget past the cap
+    exits 2 before the first permutation, naming the flag and the cap,
+    where 10**18 used to run until it was killed."""
+    argv = ["test", "--data", files / "data.csv", "--x", "X", "--y", "Z", "--method", "dcor",
+            "--permutations", value]
+    start = time.perf_counter()
+    code, stdout, stderr = call(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"gcm test: error: --permutations must be at most {MAX_PERMUTATIONS}, got {value}\n"
 
 
 @pytest.fixture(scope="module")

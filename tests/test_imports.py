@@ -233,3 +233,46 @@ def test_classifier_fit_runs_without_scipy(tmp_path):
     assert_fit_runs_without_scipy(two_parent_fit_argv, tmp_path)
     mechanisms = json.loads((tmp_path / "model.json").read_text())["mechanisms"]
     assert mechanisms["K"]["type"] == "classifier"
+
+
+def categorical_csv(seed):
+    """C -> X -> K with C -> K: a categorical root C, a continuous X and a
+    "hi"/"lo" child K."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, 3, 300)
+    x = np.array([-0.5, 1.0, 2.0])[c] + rng.standard_normal(300)
+    k = np.where(x + 0.5 * rng.standard_normal(300) > 1.0, "hi", "lo").astype(object)
+    labels = np.array(["a", "b", "c"], dtype=object)[c]
+    return gk.write_csv(gk.Dataset(["C", "X", "K"], [labels, x, k]))
+
+
+# Run as ``python -c MA_PROBE ARGV...``: each ARGV, a JSON list, through the
+# gcm CLI in this one interpreter, then whether ``numpy.ma`` was imported.
+MA_PROBE = """
+import json
+import sys
+
+from gcmkit.cli import run
+
+for argv in sys.argv[1:]:
+    assert run(json.loads(argv)) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_categorical_fit_and_arrow_strength_do_not_import_numpy_ma(tmp_path):
+    """Category lists are sorted sets of strings, not a bare ``np.unique``,
+    which imports ``numpy.ma`` (about 17 ms) in numpy 2.4."""
+    (tmp_path / "graph.json").write_text(
+        '{"nodes":["C","X","K"],"edges":[["C","X"],["C","K"],["X","K"]]}'
+    )
+    (tmp_path / "data.csv").write_text(categorical_csv(0))
+    model = str(tmp_path / "model.json")
+    fit = ["fit", "--graph", str(tmp_path / "graph.json"), "--data", str(tmp_path / "data.csv"),
+           "--out", model]
+    strength = ["arrow-strength", "--model", model, "--edge", "C->K", "-n", "500"]
+    result = python("-c", MA_PROBE, json.dumps(fit), json.dumps(strength))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+    mechanisms = json.loads((tmp_path / "model.json").read_text())["mechanisms"]
+    assert mechanisms["K"]["type"] == "classifier"

@@ -483,6 +483,8 @@ ONE_D_CASES = {
     # more times, and that run into one end of the line.
     "all-equal": lambda rng: (np.full(500, 2.0), rng.uniform(-1, 5, 200), 7),
     "three-valued": lambda rng: (rng.integers(0, 3, 3_000), rng.integers(-1, 6, 300) / 2, 5),
+    # A discrete parent at a default-sized k: runs of about 3 300 equal values.
+    "three-valued-k71": lambda rng: (rng.integers(0, 3, 10_000), rng.integers(0, 3, 200), 71),
     "tied-end": lambda rng: (np.minimum(rng.uniform(0, 2, 600), 1.0), rng.uniform(1, 3, 200), 9),
 }
 

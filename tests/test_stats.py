@@ -206,6 +206,12 @@ def test_dcor_test_memory_stays_under_a_block_and_a_quarter():
     assert peak < 1.25 * block, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_permutation_budget_past_the_cap_raises_query_error():
+    x = np.arange(20.0)
+    with pytest.raises(QueryError, match=f"num_permutations must be at most {stats.MAX_PERMUTATIONS}"):
+        pairwise_independence_test(x, x % 3, num_permutations=stats.MAX_PERMUTATIONS + 1)
+
+
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("scale", [1e200, 2.0**600])
 def test_dcor_is_scale_free_far_from_one(width, scale):
@@ -636,34 +642,67 @@ def test_pairwise_distances_match_cdist_property(shape, scale, decimals, seed):
     assert np.array_equal(pairwise_distances(a, b).view(np.int64), cdist(a, b).view(np.int64))
 
 
-def index_points(rng, kind, rows, width):
-    """``rows`` points of ``width`` columns: small integers, a one-hot block
-    (beside one small-integer column when ``width`` > 1), or continuous."""
+def index_points(rng, kind, rows, width, lacking=0):
+    """``rows`` points of ``width`` columns.  ``integers`` are small integers
+    and ``continuous`` standard normal.  The other kinds put 0/1 columns
+    beside one line column, the last, when ``width`` > 1:
+    - ``one-hot``: a one-hot block beside small integers (the block alone
+      when ``width`` is 1);
+    - ``bits``: free 0/1 columns beside multiples of 0.25, so that gaps of
+      exactly 1.0 within a group tie with rows one bit away;
+    - ``runs``: a one-hot block beside three values, mostly one of them, so
+      runs of equal values are often longer than k.
+    ``blocks`` is two one-hot blocks and nothing else, so its line column
+    is a 0/1 column too.  A one-hot block leaves out its last ``lacking``
+    categories."""
     if kind == "integers":
         return rng.integers(-3, 4, (rows, width)).astype(float)
-    if kind == "one-hot":
-        block = np.eye(max(width - 1, 1))[rng.integers(0, max(width - 1, 1), rows)]
-        return block if width == 1 else np.hstack([block, rng.integers(-2, 3, (rows, 1))])
-    return rng.standard_normal((rows, width))
+    if kind == "continuous":
+        return rng.standard_normal((rows, width))
+    if kind == "blocks":
+        sizes = (width + 1) // 2, width // 2
+        return np.hstack([np.eye(size)[rng.integers(0, max(size - lacking, 1), rows)] for size in sizes if size])
+    size = max(width - 1, 1)
+    if kind == "bits":
+        block = rng.integers(0, 2, (rows, size)).astype(float)
+        line = rng.integers(-6, 7, rows) * 0.25
+    else:
+        block = np.eye(size)[rng.integers(0, max(size - lacking, 1), rows)]
+        line = rng.integers(-2, 3, rows) if kind == "one-hot" else rng.choice(3, rows, p=[0.8, 0.1, 0.1])
+    if width == 1:
+        return block if kind == "one-hot" else line[:, None].astype(float)
+    return np.hstack([block, line[:, None]])
 
 
 @given(
-    width=st.integers(1, 3),
-    kind=st.sampled_from(["integers", "one-hot", "continuous"]),
+    width=st.integers(1, 4),
+    kind=st.sampled_from(["integers", "one-hot", "bits", "runs", "blocks", "continuous"]),
     sizes=st.tuples(st.integers(1, 40), st.integers(1, 60)),
     block_entries=st.sampled_from([1, 5, 40, 300, 2_000_000]),
+    lacking=st.integers(0, 1),
+    stray=st.sampled_from([None, 0.5, -1.0, 2.0]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-@settings(max_examples=300, deadline=None)
-def test_neighbour_index_matches_cdist_property(width, kind, sizes, block_entries, seed, data):
+@settings(max_examples=500, deadline=None)
+def test_neighbour_index_matches_cdist_property(
+    width, kind, sizes, block_entries, lacking, stray, seed, data
+):
     """``nearest`` is a stable argsort of cdist, truncated to k, and
     ``kth_distances`` is ``np.partition`` of cdist, bit for bit.  The block
     budget is cut down so that the query set spans several row blocks, and
-    the tie re-searches several blocks of their own."""
+    the tie re-searches several blocks of their own.
+
+    0/1 columns group the reference; the cases include groups of fewer than
+    k + 1 rows, within-group distances on either side of 1.0, queries whose
+    pattern the reference lacks (a category it leaves out, or a ``stray``
+    value in the first column) and runs of equal values longer than k."""
     n, m = sizes
     rng = np.random.default_rng(seed)
-    reference, queries = (index_points(rng, kind, rows, width) for rows in (n, m))
+    reference = index_points(rng, kind, n, width, lacking)
+    queries = index_points(rng, kind, m, width)
+    if stray is not None:
+        queries[::3, 0] = stray
     k = data.draw(st.integers(1, n))
     expected = cdist(queries, reference)
     with mock.patch.object(stats, "_BLOCK_ENTRIES", block_entries):
@@ -675,6 +714,29 @@ def test_neighbour_index_matches_cdist_property(width, kind, sizes, block_entrie
     assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
     expected_kth = np.partition(expected, k - 1, axis=1)[:, k - 1]
     assert np.array_equal(kth.view(np.int64), expected_kth.view(np.int64))
+
+
+def test_kl_on_one_hot_and_a_line_matches_the_exhaustive_estimate():
+    """k-NN KL over one-hot blocks beside one continuous column, bit for bit
+    the estimate from cdist's distances.  Category 3 has fewer than k + 1
+    rows in P and none in Q, so its rows are compared with every row."""
+    rng = np.random.default_rng(12)
+    n, m, k = 2_500, 2_000, 5
+
+    def joint(rows, weights):
+        category = np.eye(4)[rng.choice(4, rows, p=weights)]
+        child = np.eye(2)[rng.integers(0, 2, rows)]
+        return np.hstack([category, np.round(rng.standard_normal((rows, 1)), 1), child])
+
+    p, q = joint(n, [0.45, 0.45, 0.0984, 0.0016]), joint(m, [0.5, 0.3, 0.2, 0.0])
+    assert 0 < p[:, 3].sum() < k + 1
+    rho = np.maximum(np.partition(cdist(p, p), k, axis=1)[:, k], 1e-12)
+    nu = np.maximum(np.partition(cdist(p, q), k - 1, axis=1)[:, k - 1], 1e-12)
+    log_ratios = np.log(nu / rho)
+    # The estimate's own summation order: row blocks of an n × max(n, m) search.
+    total = sum((float(np.sum(log_ratios[rows])) for rows in stats._row_blocks(n, max(n, m))), 0.0)
+    expected = max(float(p.shape[1] / n * total + np.log(m / (n - 1))), 0.0)
+    assert bits(kl_divergence(p, q, k=k)) == bits(expected)
 
 
 def test_kl_keeps_at_most_two_distance_blocks_alive():
