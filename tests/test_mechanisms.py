@@ -256,6 +256,16 @@ class TestClassifier:
         b = clf.forward([x], clf.draw_noise(1, np.random.default_rng(8)))
         assert a[0] == b[0]
 
+    @pytest.mark.parametrize("targets", [[2, 10] * 10, [2.0, 10.0] * 10, np.array([10, 2] * 10)])
+    def test_numeric_targets_keep_the_string_order_of_their_labels(self, targets):
+        """Targets are compared as strings, so numeric labels sort as the
+        sorted unique strings do ("10" before "2"), which fixes the order of
+        the weight columns in a saved model."""
+        labels = [str(v) for v in targets]
+        clf = fit_classifier([np.arange(20.0)], targets)
+        assert clf.categories == tuple(np.unique(labels).tolist())
+        assert clf.categories[0].startswith("10")
+
     def test_parent_scaled_by_1e150_raises_numeric_error(self):
         data = classifier_data(60, 0, scale=1e150)
         with pytest.raises(NumericError, match="no convergence"):

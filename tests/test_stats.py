@@ -730,13 +730,35 @@ def test_kl_on_one_hot_and_a_line_matches_the_exhaustive_estimate():
 
     p, q = joint(n, [0.45, 0.45, 0.0984, 0.0016]), joint(m, [0.5, 0.3, 0.2, 0.0])
     assert 0 < p[:, 3].sum() < k + 1
-    rho = np.maximum(np.partition(cdist(p, p), k, axis=1)[:, k], 1e-12)
-    nu = np.maximum(np.partition(cdist(p, q), k - 1, axis=1)[:, k - 1], 1e-12)
-    log_ratios = np.log(nu / rho)
+    within, into = np.partition(cdist(p, p), k, axis=1)[:, k], np.partition(cdist(p, q), k - 1, axis=1)[:, k - 1]
+    assert np.array_equal(NeighbourIndex(p).kth_distances(p, k).view(np.int64), within.view(np.int64))
+    assert np.array_equal(NeighbourIndex(q).kth_distances(p, k - 1).view(np.int64), into.view(np.int64))
+    log_ratios = np.log(np.maximum(into, 1e-12) / np.maximum(within, 1e-12))
     # The estimate's own summation order: row blocks of an n × max(n, m) search.
     total = sum((float(np.sum(log_ratios[rows])) for rows in stats._row_blocks(n, max(n, m))), 0.0)
-    expected = max(float(p.shape[1] / n * total + np.log(m / (n - 1))), 0.0)
+    expected = float(p.shape[1] / n * total + np.log(m / (n - 1)))
+    assert expected > 0.0  # so the estimate's clamp at 0.0 hides nothing
     assert bits(kl_divergence(p, q, k=k)) == bits(expected)
+
+
+@pytest.mark.parametrize("rows", [5, 100])
+@pytest.mark.parametrize("one_hot", [False, True])
+def test_neighbour_index_ranks_non_finite_queries_as_cdist_does(rows, one_hot):
+    """inf and NaN line values, on a group smaller and larger than the
+    window: the orders are cdist's stable argsort, and no row index past the
+    reference comes back."""
+    rng = np.random.default_rng(3)
+    reference = rng.standard_normal((rows, 1))
+    queries = np.array([[np.nan], [np.inf], [-np.inf], [0.5]])
+    if one_hot:
+        reference = np.hstack([np.eye(2)[np.arange(rows) % 2], reference])
+        queries = np.hstack([np.tile([1.0, 0.0], (4, 1)), queries])
+    k = 3
+    expected = cdist(queries, reference)
+    index = NeighbourIndex(reference)
+    order = np.concatenate([order for _, order in index.nearest(queries, k)])
+    assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
+    np.testing.assert_array_equal(index.kth_distances(queries, k - 1), np.sort(expected, axis=1)[:, k - 1])
 
 
 def test_kl_keeps_at_most_two_distance_blocks_alive():
