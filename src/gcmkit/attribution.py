@@ -38,6 +38,7 @@ DEFAULT_ICC_INNER_SAMPLES = 500
 DEFAULT_ANOMALY_SAMPLES = 5000
 DEFAULT_CHANGE_SAMPLES = 10000
 _KL_NEIGHBORS = 5
+_KL_MIN_ROWS = _KL_NEIGHBORS + 1  # per side, so P holds k neighbours besides each point
 # The subsets evaluated together stack about this many Monte-Carlo rows into
 # one propagation: enough to spread the per-call cost, small enough to keep a
 # batch's columns to a few MB.
@@ -186,7 +187,7 @@ def arrow_strength(model: GcmModel, edge, measure="auto", n=50000, seed=0) -> fl
         raise QueryError(f"unknown arrow-strength measure {measure!r}")
     if measure == "coupled_msd" and not child_continuous:
         raise QueryError("coupled_msd requires a continuous child node")
-    n = require_rows(n, "n")
+    n = require_rows(n, "n", minimum=_KL_MIN_ROWS if measure == "kl" else 1)
 
     noise = draw_noise_values(model, n, seed)
     values = propagate_from_noise(model, noise)
@@ -341,7 +342,7 @@ def distribution_change(
         measure = "kl"
     if measure not in ("mean_diff", "kl"):
         raise QueryError(f"unknown distribution-change measure {measure!r}")
-    num_samples = require_rows(num_samples, "num_samples")
+    num_samples = require_rows(num_samples, "num_samples", minimum=_KL_MIN_ROWS if measure == "kl" else 1)
 
     old_model = fit(auto_assign(graph, old_data), old_data)
     new_model = fit(auto_assign(graph, new_data), new_data)

@@ -356,7 +356,10 @@ def run(argv=None) -> int:
                 "seed": args.seed,
                 **payload,
             }
-            text = json.dumps(envelope, separators=(",", ":"))
+            try:
+                text = json.dumps(envelope, separators=(",", ":"), allow_nan=False)
+            except ValueError as exc:  # an inf or NaN, which strict JSON cannot hold
+                raise NumericError(f"the result is not finite: {exc}") from exc
             if args.out and args.command != "fit":
                 with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(text + "\n")

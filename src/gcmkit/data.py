@@ -17,9 +17,9 @@ class Dataset:
     Continuous columns are float64 arrays with finite values; categorical
     columns are arrays of strings compared by exact equality.  Instances are
     immutable after construction.  Each one also keeps a private memo of its
-    centred continuous columns and their cross products, empty until
-    :func:`~gcmkit.stats.fisher_z_test` first needs it; it never changes what
-    the public methods return.
+    continuous columns, scaled by a power of two and centred, and their cross
+    products, empty until :func:`~gcmkit.stats.fisher_z_test` first needs it;
+    it never changes what the public methods return.
     """
 
     def __init__(self, names, arrays):
@@ -53,8 +53,8 @@ class Dataset:
         self._columns = columns
         self._kinds = kinds
         self.n_rows = 0 if n_rows is None else int(n_rows)
-        # Filled by gcmkit.stats: name -> centred column, and name-sorted
-        # pair -> the dot product of the two centred columns.
+        # Filled by gcmkit.stats: name -> scaled and centred column, and
+        # name-sorted pair -> the dot product of the two centred columns.
         self._centred_columns = {}
         self._centred_products = {}
 

@@ -309,9 +309,9 @@ class KnnRegressor(_Serialized):
     A prediction is ``offset`` plus the mean target of the ``k`` training rows
     nearest to the query (Euclidean), ranked by distance and then by training
     row, so ties resolve to the earliest rows.  The search is a
-    :class:`~gcmkit.stats.NeighbourIndex` of the training rows, built on the
-    first prediction and kept: for one encoded column, or one-hot blocks
-    beside at most one continuous column, m queries then cost
+    :class:`~gcmkit.stats.NeighbourIndex` of the training rows for this
+    ``k``, built on the first prediction and kept: for one encoded column, or
+    one-hot blocks beside at most one continuous column, m queries then cost
     O(m·(k + log n)); otherwise all n·m pairs are compared.  The whole
     training set is stored.
     """
@@ -346,13 +346,13 @@ class KnnRegressor(_Serialized):
     def predict(self, encoded):
         encoded = _encoded_queries(encoded, self.width)
         out = np.empty(len(encoded))
-        for rows, order in self._index.nearest(encoded, self.k):
+        for rows, order in self._index.nearest(encoded):
             out[rows] = self.targets[order].mean(axis=1)
         return out + self.offset
 
     @cached_property
     def _index(self):
-        return NeighbourIndex(self.inputs)
+        return NeighbourIndex(self.inputs, self.k)
 
     def __repr__(self):
         return f"KnnRegressor(k={self.k}, n_train={len(self.targets)})"

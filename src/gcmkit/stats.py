@@ -4,17 +4,18 @@ nonparametric KL estimation.
 Distances are Euclidean throughout, from one numpy kernel for points of
 every width (:func:`pairwise_distances`).  Nearest neighbours, here and in
 :class:`~gcmkit.mechanisms.KnnRegressor`, are found exactly by one
-:class:`NeighbourIndex` per reference.  Points of one column, or of 0/1
+:class:`NeighbourIndex` per reference and k.  Points of one column, or of 0/1
 columns (one-hot blocks) beside at most one other column, are grouped by
-their 0/1 pattern and sorted once into a line per group; each query looks at
-the 2k + 2 points of its group's line around its place, so n reference and m
-query points cost O(n log n + m·(k + log n)).  Runs of equal values are cut
-to their first k points, so a tie past that window costs O(k) more.  A query
-whose k-th distance within its group reaches 1.0, the least distance to
-another group, is compared with every row, at O(n).  Points with two or more
-columns that are not 0/1 are compared exhaustively, block by block, at
-O(n·m).  The KL estimator indexes P and Q once each, so on a one-hot joint
-with one continuous column it costs O((n + m) log(n + m) + n·k), and
+their 0/1 pattern and sorted once into a line per group, and each run of
+equal values is cut to its first k points at build; each query looks at the
+2k + 2 points of its group's line around its place, so n reference and m
+query points cost O(n log n + m·(k + log n)), and a tie past that window
+costs O(k) more.  A query whose k-th distance within its group reaches 1.0,
+the least distance to another group, is compared with every row, at O(n).
+Points with two or more columns that are not 0/1 are compared exhaustively,
+block by block, at O(n·m).  The KL estimator indexes P (for k + 1, each
+point its own nearest) and Q (for k) once each, so on a one-hot joint with
+one continuous column it costs O((n + m) log(n + m) + n·k), and
 O(n·(n + m)) on wider continuous points.  Every path ranks and measures
 neighbours with the same arithmetic, so a result does not depend on which
 one ran.
@@ -29,9 +30,9 @@ double-centred O(n²) formula within 1e-12.  One-hot or multi-column points
 keep that formula, at O(B·n²).
 
 The Fisher-z test reads a per-dataset memo of centred cross products:
-each continuous column is centred once, and each pair of centred columns
-multiplied once, the first time a test names them.  A test's bits depend only
-on the columns it names.
+each continuous column is scaled by a power of two and centred once, and
+each pair of centred columns multiplied once, the first time a test names
+them.  A test's bits depend only on the columns it names.
 
 Importing this module loads numpy only, and nothing here imports scipy.
 The Fisher-z p-value's normal tail is a port of the Cephes ``ndtr`` that
@@ -377,11 +378,16 @@ def _two_sided_normal_p(statistic):
 
 
 def _centred_column(data: Dataset, name):
-    """``name``'s column minus its mean, computed once per dataset."""
+    """``name``'s column, scaled by :func:`_unit_scaled` and less its mean,
+    computed once per dataset.  The scaling is exact, so every correlation
+    keeps its bits, and no product of two such columns can overflow.  A
+    constant column centres to exact zeros, not to its mean's rounding
+    residue, which would correlate perfectly with another constant's."""
     centred = data._centred_columns.get(name)
     if centred is None:
-        column = data.column(name)
-        centred = data._centred_columns[name] = column - column.mean()
+        column = _unit_scaled(data.column(name))
+        centred = column - column.mean() if column.min() < column.max() else np.zeros_like(column)
+        data._centred_columns[name] = centred
         centred.setflags(write=False)
     return centred
 
@@ -413,7 +419,10 @@ def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
     column names, not one bare name.  The correlation matrix is scaled from
     the dataset's memo of centred cross products, each computed once per
     dataset on first use.  The partial correlation comes from its inverse; a
-    singular matrix is ridge regularised (1e-10) and inverted anyway.
+    matrix whose inverse fails, is not finite or has diagonal entries of
+    opposite signs (x or y determined by the conditioning set) is ridge
+    regularised (1e-10) and inverted anyway.  A constant column correlates
+    with nothing, so a test that names one has p = 1.
     """
     if isinstance(conditioning_set, str):
         raise QueryError(
@@ -444,7 +453,7 @@ def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
 
     try:
         precision = np.linalg.inv(correlation)
-        if not np.all(np.isfinite(precision)):
+        if not (np.all(np.isfinite(precision)) and precision[0, 0] * precision[1, 1] > 0):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         precision = np.linalg.inv(correlation + 1e-10 * np.eye(correlation.shape[0]))
@@ -494,8 +503,8 @@ def kl_divergence(samples_p, samples_q, k=5) -> float:
         raise DataError("k-NN KL estimation needs finite samples")
 
     # k-th neighbour in P excluding the point itself: rank k including it.
-    rho = np.maximum(NeighbourIndex(p).kth_distances(p, k), 1e-12)
-    nu = np.maximum(NeighbourIndex(q).kth_distances(p, k - 1), 1e-12)
+    rho = np.maximum(NeighbourIndex(p, k + 1).kth_distances(p), 1e-12)
+    nu = np.maximum(NeighbourIndex(q, k).kth_distances(p), 1e-12)
     log_ratios = np.log(nu / rho)
     # Summed in the row blocks of an exhaustive search against max(n, m)
     # points, the order this estimate has always used, so its bits stay put.
@@ -573,22 +582,23 @@ def _run_starts(line):
 
 
 class NeighbourIndex:
-    """Exact nearest neighbours among the rows of ``reference``, a 2-D array.
+    """Exact ``k`` nearest neighbours among the rows of ``reference``, a 2-D
+    array of at least ``k`` rows.
 
-    Built once per reference, it is the one place that looks at the width.
-    A column whose reference values are all 0.0 or 1.0 is a 0/1 column.  When
-    at most one column is not, that one (or else the last column) is the line
-    column, and the rows are grouped by their pattern over the other columns.
-    Each group is a line: its rows sorted stably by the line column, so ties
-    keep index order.  Within a group every other gap is +0.0, so a distance
-    is exactly the line's gap; a row of another group differs by 1 in some
-    column and lies at least 1.0 away.
+    Built once per reference and k, it is the one place that looks at the
+    width.  A column whose reference values are all 0.0 or 1.0 is a 0/1
+    column.  When at most one column is not, that one (or else the last
+    column) is the line column, and the rows are grouped by their pattern
+    over the other columns.  Each group is a line: its rows sorted stably by
+    the line column, so ties keep index order.  Within a group every other
+    gap is +0.0, so a distance is exactly the line's gap; a row of another
+    group differs by 1 in some column and lies at least 1.0 away.
 
     A query searches its group's line.  Distances fall along the line up to
-    the query's place and rise after, so the j nearest points lie within j
+    the query's place and rise after, so the k nearest points lie within k
     places on either side; a later point of a run of equal values is as far
-    as the run's first ones and ranks after them, so each run is cut to the
-    first points a search can need.  A group's answer is final when its k-th
+    as the run's first ones and ranks after them, so each run is cut to its
+    first k points at build.  A group's answer is final when its k-th
     distance is below 1.0, or when the group is the whole reference.  The
     query is compared with every row instead when its 0/1 pattern is not in
     the reference (a 0/1 column of it holding another value included), when
@@ -599,9 +609,9 @@ class NeighbourIndex:
     candidates, each freed before the next is built.
     """
 
-    def __init__(self, reference):
+    def __init__(self, reference, k):
         self.reference = reference
-        self._lines = {}
+        self.k = k
         binary = np.all((reference == 0.0) | (reference == 1.0), axis=0)
         free = np.flatnonzero(~binary)
         self._column = None
@@ -616,33 +626,25 @@ class NeighbourIndex:
         rank = np.empty(n, dtype=np.intp)
         rank[by_value] = _run_starts(self._values)
         keys = _pattern_keys(reference[:, self._pattern])
-        self.index = by_value[np.argsort(keys[by_value], kind="stable")]
-        self.line = values[self.index]
-        keys = keys[self.index]
+        index = by_value[np.argsort(keys[by_value], kind="stable")]
+        keys = keys[index]
         first = np.ones(n, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
         self._group_keys = keys[first]
         # Each point's place key: its group times n + 1 plus the rank of its
         # value, the first place of that value in the sorted column, so a
         # searchsorted on the keys finds a query's place in its group.
-        self._keys = (np.cumsum(first) - 1) * (n + 1) + rank[self.index]
-        self._run_rank = np.arange(n) - _run_starts(self._keys)
-
-    def _cut(self, keep):
-        """``(index, line, keys, bounds)`` with only the first ``keep`` points
-        of each run of equal values in a group, which holds the ``keep``
-        nearest.  Group g runs over positions [bounds[g], bounds[g + 1]); the
-        group after the last is empty.  ``index`` and ``line`` end with one
-        more place, past every group, whose index n ranks after every row."""
-        cut = self._lines.get(keep)
-        if cut is None:
-            n = len(self.reference)
-            kept = np.flatnonzero(self._run_rank < keep)
-            keys = self._keys[kept]
-            bounds = np.searchsorted(keys, np.arange(len(self._group_keys) + 2) * (n + 1))
-            index, line = np.append(self.index[kept], n), np.append(self.line[kept], 0.0)
-            cut = self._lines[keep] = (index, line, keys, bounds)
-        return cut
+        keys = (np.cumsum(first) - 1) * (n + 1) + rank[index]
+        # Only the first k points of a run of equal keys can be among the k
+        # nearest, so the rest are cut.
+        kept = np.flatnonzero(np.arange(n) - _run_starts(keys) < k)
+        index, self._keys = index[kept], keys[kept]
+        # Group g runs over places [bounds[g], bounds[g + 1]); the group after
+        # the last is empty.  ``index`` and ``line`` end with one more place,
+        # past every group, whose index n ranks after every row.
+        self._bounds = np.searchsorted(self._keys, np.arange(len(self._group_keys) + 2) * (n + 1))
+        self._index = np.append(index, n)
+        self._line = np.append(values[index], 0.0)
 
     def _groups(self, queries):
         """Each query's group, or the empty group after the last where its
@@ -657,41 +659,37 @@ class NeighbourIndex:
             known &= (self._group_keys[group] == keys) & np.all((patterns == 0.0) | (patterns == 1.0), axis=1)
         return np.where(known, group, len(self._group_keys))
 
-    def _window(self, queries, count, keep):
-        """``(positions, distances, low, high)`` for the ``count`` points on
+    def _window(self, queries, count):
+        """``(positions, distances, low, high)`` for the ``count`` places on
         either side of each query's place on its group's line (shifted inward
-        at the group's ends), where the group runs over positions [low, high)
-        of ``self._cut(keep)``."""
-        _, line, keys, bounds = self._cut(keep)
+        at the group's ends), where the group runs over places [low, high).
+        Places past the group's end move to the place past every group, at
+        distance inf."""
         n = len(self.reference)
         values = queries[:, self._column]
         group = self._groups(queries)
-        low, high = bounds[group], bounds[group + 1]
+        low, high = self._bounds[group], self._bounds[group + 1]
         # Searched in value order, which reads the sorted arrays front to
         # back: several times faster than in query order.
         by_value = np.argsort(values)
         rank = np.searchsorted(self._values, values[by_value])
         place = np.empty_like(group)
-        place[by_value] = np.searchsorted(keys, group[by_value] * (n + 1) + rank)
+        place[by_value] = np.searchsorted(self._keys, group[by_value] * (n + 1) + rank)
         start = np.maximum(np.minimum(place - count, high - 2 * count), low)
         positions = start[:, None] + np.arange(2 * count)
-        if np.all(high - low >= 2 * count):
-            return positions, _gaps(values[:, None], line[positions]), low, high
-        # Some windows run past their group's end: those places move to the
-        # place past every group, at distance inf.
         past = positions >= high[:, None]
-        positions[past] = len(keys)
-        distances = _gaps(values[:, None], line[positions])
+        positions[past] = len(self._keys)
+        distances = _gaps(values[:, None], self._line[positions])
         distances[past] = np.inf
         return positions, distances, low, high
 
-    def _final(self, radius, low, high, keep):
-        """Whether each query's group answer holds: its group has ``keep``
-        rows and no other row can be as near as its ``radius``."""
-        return (high - low >= keep) & ((radius < 1.0) | (len(self._group_keys) == 1))
+    def _final(self, radius, low, high):
+        """Whether each query's group answer holds: its group has k rows and
+        no other row can be as near as its ``radius``."""
+        return (high - low >= self.k) & ((radius < 1.0) | (len(self._group_keys) == 1))
 
-    def _blocks(self, queries, count):
-        width = len(self.reference) if self._column is None else 2 * count
+    def _blocks(self, queries):
+        width = len(self.reference) if self._column is None else 2 * self.k + 2
         return _row_blocks(len(queries), width)
 
     def _scanned(self, queries, rows, answer, scan):
@@ -701,30 +699,30 @@ class NeighbourIndex:
             answer[rows[block]] = scan(queries[rows[block]])
         return answer
 
-    def nearest(self, queries, k):
+    def nearest(self, queries):
         """Yield ``(rows, order)`` over row blocks of ``queries``.
 
-        ``order[i]`` holds the indices of the ``k`` reference rows nearest to
+        ``order[i]`` holds the indices of the k reference rows nearest to
         ``queries[rows][i]``, ranked by distance and, among equal distances,
-        by index: a stable argsort of the distance row, truncated to ``k``.
+        by index: a stable argsort of the distance row, truncated to k.
         """
-        for rows in self._blocks(queries, k + 1):
-            yield rows, self._nearest(queries[rows], k, k + 1)
+        for rows in self._blocks(queries):
+            yield rows, self._nearest(queries[rows], self.k + 1)
 
-    def _scan_nearest(self, queries, k):
+    def _scan_nearest(self, queries):
         # A copy, so the full argsort is freed with the distances.
         distances = pairwise_distances(queries, self.reference)
-        return np.argsort(distances, axis=1, kind="stable")[:, :k].copy()
+        return np.argsort(distances, axis=1, kind="stable")[:, : self.k].copy()
 
-    def _nearest(self, queries, k, count):
+    def _nearest(self, queries, count):
         if self._column is None:
-            return self._scan_nearest(queries, k)
-        positions, distances, low, high = self._window(queries, count, k)
-        index = self._cut(k)[0][positions]
-        ranked = np.lexsort((index, distances))[:, :k]
+            return self._scan_nearest(queries)
+        positions, distances, low, high = self._window(queries, count)
+        index = self._index[positions]
+        ranked = np.lexsort((index, distances))[:, : self.k]
         order = np.take_along_axis(index, ranked, axis=1)
         radius = np.take_along_axis(distances, ranked[:, -1:], axis=1)[:, 0]
-        final = self._final(radius, low, high, k)
+        final = self._final(radius, low, high)
         # The window holds every point nearer than the k-th distance.  Points
         # at exactly that distance may go on past an edge, and the lowest
         # indices among them win: search those rows again, twice as wide, until
@@ -735,24 +733,23 @@ class NeighbourIndex:
         )
         rows = np.flatnonzero(open_tie)
         for block in _row_blocks(len(rows), 4 * count):
-            order[rows[block]] = self._nearest(queries[rows[block]], k, 2 * count)
-        return self._scanned(queries, np.flatnonzero(~final), order, lambda q: self._scan_nearest(q, k))
+            order[rows[block]] = self._nearest(queries[rows[block]], 2 * count)
+        return self._scanned(queries, np.flatnonzero(~final), order, self._scan_nearest)
 
-    def kth_distances(self, queries, kth):
-        """Distance from each row of ``queries`` to its ``kth`` nearest
-        reference row, counting from 0 (``kth=0`` is the nearest)."""
+    def kth_distances(self, queries):
+        """Distance from each row of ``queries`` to its k-th nearest
+        reference row."""
         out = np.empty(len(queries))
-        for rows in self._blocks(queries, kth + 1):
-            out[rows] = self._kth_distances(queries[rows], kth)
+        for rows in self._blocks(queries):
+            out[rows] = self._kth_distances(queries[rows])
         return out
 
-    def _scan_kth(self, queries, kth):
-        return np.partition(pairwise_distances(queries, self.reference), kth, axis=1)[:, kth]
+    def _scan_kth(self, queries):
+        return np.partition(pairwise_distances(queries, self.reference), self.k - 1, axis=1)[:, self.k - 1]
 
-    def _kth_distances(self, queries, kth):
+    def _kth_distances(self, queries):
         if self._column is None:
-            return self._scan_kth(queries, kth)
-        _, distances, low, high = self._window(queries, kth + 1, kth + 1)
-        out = np.partition(distances, kth, axis=1)[:, kth]
-        final = self._final(out, low, high, kth + 1)
-        return self._scanned(queries, np.flatnonzero(~final), out, lambda q: self._scan_kth(q, kth))
+            return self._scan_kth(queries)
+        _, distances, low, high = self._window(queries, self.k)
+        out = np.partition(distances, self.k - 1, axis=1)[:, self.k - 1]
+        return self._scanned(queries, np.flatnonzero(~self._final(out, low, high)), out, self._scan_kth)

@@ -45,6 +45,15 @@ def sample_chain_data(n, seed, coef_y=1.0, coef_z=1.0):
     return gk.Dataset(["X", "Y", "Z"], [x, y, z])
 
 
+def constant_columns_table():
+    """Two random columns A and B beside the constants K = -872.27 and
+    L = -602.1, whose means do not round back to them exactly."""
+    rng = np.random.default_rng(0)
+    n = 1_025
+    columns = [rng.standard_normal(n), rng.standard_normal(n), np.full(n, -872.27), np.full(n, -602.1)]
+    return gk.Dataset(["A", "B", "K", "L"], columns)
+
+
 def classifier_data(n, seed, scale=1.0):
     """X -> K: a continuous root X, multiplied by ``scale``, and a "hi"/"lo"
     child K that a classifier fits.  At ``scale=1e150`` the classifier's

@@ -111,6 +111,31 @@ def test_out_of_range_budget_exits_2(files, command, args, flag, value):
 
 
 @pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["arrow-strength", "--model", "model.json", "--edge", "X->K", "-n", "5"], "n must be"),
+        (["arrow-strength", "--model", "model.json", "--edge", "X->Y", "--measure", "kl", "-n", "5"],
+         "n must be"),
+        (["attribute-change", "--graph", "graph.json", "--old", "data.csv", "--new", "new.csv",
+          "--target", "Z", "--num-samples", "5"], "num_samples must be"),
+    ],
+    ids=["arrow-strength-auto", "arrow-strength-kl", "attribute-change"],
+)
+def test_kl_budget_below_k_plus_one_exits_2_before_any_fit(files, monkeypatch, argv, message):
+    """k-NN KL needs k + 1 = 6 samples per side: the budget is checked
+    before anything is fitted or drawn, and the message names its flag."""
+    def never(*args, **kwargs):
+        raise AssertionError("the budget was not checked first")
+
+    monkeypatch.setattr(attribution, "fit", never)
+    monkeypatch.setattr(attribution, "draw_noise_values", never)
+    code, stdout, stderr = call([files / a if a.endswith((".csv", ".json")) else a for a in argv])
+    assert code == 2, stderr
+    assert stdout == ""
+    assert f"{message} a positive integer, at least 6, got 5" in stderr
+
+
+@pytest.mark.parametrize(
     ("module", "argv", "budget"),
     [
         (attribution, ["icc", "--model", "model.json", "--target", "Z", "--outer-samples", "100000",
@@ -297,6 +322,44 @@ def test_fit_of_a_classifier_that_cannot_converge_exits_3(tmp_path):
     assert stderr.startswith("gcm fit: numeric failure: fitting node 'K' failed: no convergence")
     assert "Traceback" not in stderr
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def steep_line(tmp_path_factory):
+    """A model of Y = 2X + noise, so a shift of X by 1e308 takes Y past the
+    largest double."""
+    root = tmp_path_factory.mktemp("steep")
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(60)
+    (root / "graph.json").write_text('{"nodes":["X","Y"],"edges":[["X","Y"]]}')
+    (root / "data.csv").write_text(gk.write_csv(gk.Dataset(["X", "Y"], [x, 2 * x + 0.1 * rng.standard_normal(60)])))
+    (root / "row.csv").write_text("X,Y\n0.3,0.5\n")
+    (root / "far.csv").write_text("X,Y\n0.3,1e200\n")
+    code, _, stderr = call(
+        ["fit", "--graph", root / "graph.json", "--data", root / "data.csv", "--out", root / "model.json"]
+    )
+    assert code == 0, stderr
+    return root
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterfactual", "--model", "model.json", "--data", "row.csv", "--shift", "X=1e308"],
+        ["evaluate", "--model", "model.json", "--data", "far.csv"],
+    ],
+    ids=["counterfactual", "evaluate"],
+)
+def test_non_finite_result_exits_3(steep_line, argv):
+    """An overflowing answer (Y, or an rmse, at inf) is a numeric failure:
+    stdout stays empty rather than hold a non-strict ``Infinity``."""
+    command = argv[0]
+    code, stdout, stderr = call([steep_line / a if a.endswith((".csv", ".json")) else a for a in argv])
+    assert code == 3, stderr
+    assert stdout == ""
+    assert stderr.startswith(f"gcm {command}: numeric failure: the result is not finite")
+    assert "Traceback" not in stderr
 
 
 SUBCOMMANDS = [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gcmkit as gk
+from conftest import constant_columns_table
 from gcmkit import CausalGraph, Cpdag, DataError, Dataset, QueryError, Skeleton, discover_cpdag, orient, pc_skeleton
 
 
@@ -71,6 +72,11 @@ class TestSkeleton:
         first = discover_cpdag(data, alpha=0.05)
         second = discover_cpdag(data, alpha=0.05)
         assert first == second
+
+    def test_constant_columns_stay_apart(self):
+        """Two constant columns used to read as perfectly dependent."""
+        cpdag = discover_cpdag(constant_columns_table(), alpha=0.05)
+        assert cpdag.to_json() == {"directed": [], "undirected": []}
 
 
 class TestOrient:

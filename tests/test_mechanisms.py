@@ -529,9 +529,9 @@ def test_knn_sorts_its_training_line_once(monkeypatch):
     sorts = []
 
     class CountingLine(stats.NeighbourIndex):
-        def __init__(self, values):
+        def __init__(self, values, k):
             sorts.append(len(values))
-            super().__init__(values)
+            super().__init__(values, k)
 
     monkeypatch.setattr(mechanisms, "NeighbourIndex", CountingLine)
     rng = np.random.default_rng(23)

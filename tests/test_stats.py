@@ -10,6 +10,8 @@ from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 from scipy.stats import ks_2samp, norm
 
+from conftest import constant_columns_table
+
 from gcmkit import (
     DataError,
     Dataset,
@@ -326,6 +328,45 @@ class TestFisherZ:
         with pytest.raises(QueryError, match="sequence of column names"):
             fisher_z_test(data, "x", "y", "ab")
         assert fisher_z_test(data, "x", "y", ["ab"]).conditioning_set_size == 1
+
+    def test_constant_columns_are_independent(self):
+        """1 025 copies of -872.27 leave a mean-rounding residue when centred;
+        two such residues used to correlate perfectly, at p = 0."""
+        data = constant_columns_table()
+        for x, y, given in [("K", "L", ()), ("A", "K", ()), ("K", "L", ("A",))]:
+            result = fisher_z_test(data, x, y, given)
+            assert (result.statistic, result.p_value) == (0.0, 1.0)
+
+    def test_power_of_two_scale_keeps_the_bits(self):
+        """The memo scales each column into [-1, 1) exactly, so a table
+        scaled by 2**600, whose centred products used to overflow to NaN,
+        gives the bits of the unscaled one."""
+        rng = np.random.default_rng(14)
+        values = rng.standard_normal((200, 4)) @ rng.standard_normal((4, 4))
+        names = ["a", "b", "c", "d"]
+        plain, scaled = (Dataset(names, list((values * factor).T)) for factor in (1.0, 2.0**600))
+        for x, y, given in [("a", "b", ()), ("a", "c", ("b",)), ("b", "d", ("a", "c"))]:
+            expected, result = fisher_z_test(plain, x, y, given), fisher_z_test(scaled, x, y, given)
+            assert bits(result.statistic) == bits(expected.statistic)
+            assert bits(result.p_value) == bits(expected.p_value)
+
+    def test_huge_columns_give_finite_results(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(50)
+        y = x + rng.standard_normal(50)
+        result = fisher_z_test(Dataset(["x", "y"], [x * 1e200, y * 1e200]), "x", "y")
+        assert math.isfinite(result.statistic) and 0.0 <= result.p_value < 1e-6
+
+    def test_x_determined_by_the_conditioning_set_is_finite(self):
+        """With E = A + C the correlation matrix of (A, B, E, C) is singular
+        but may invert to a finite precision with diagonal entries of
+        opposite signs; such a precision takes the ridge path too."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a, b, c = rng.standard_normal((3, int(rng.integers(25, 401))))
+            data = Dataset(["A", "B", "C", "E"], [a, b, c, a + c])
+            result = fisher_z_test(data, "A", "B", ["E", "C"])
+            assert math.isfinite(result.statistic) and result.p_value >= 0.99
 
     @pytest.mark.parametrize("statistic", [0.0, 1e-300, 1.0, 8.3, 38.5, 40.0])
     def test_p_value_bits_match_scipy_normal_tail(self, statistic):
@@ -706,9 +747,9 @@ def test_neighbour_index_matches_cdist_property(
     k = data.draw(st.integers(1, n))
     expected = cdist(queries, reference)
     with mock.patch.object(stats, "_BLOCK_ENTRIES", block_entries):
-        index = NeighbourIndex(reference)
-        blocks = list(index.nearest(queries, k))
-        kth = index.kth_distances(queries, k - 1)
+        index = NeighbourIndex(reference, k)
+        blocks = list(index.nearest(queries))
+        kth = index.kth_distances(queries)
     assert np.array_equal(np.concatenate([np.arange(m)[rows] for rows, _ in blocks]), np.arange(m))
     order = np.concatenate([order for _, order in blocks])
     assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
@@ -731,8 +772,8 @@ def test_kl_on_one_hot_and_a_line_matches_the_exhaustive_estimate():
     p, q = joint(n, [0.45, 0.45, 0.0984, 0.0016]), joint(m, [0.5, 0.3, 0.2, 0.0])
     assert 0 < p[:, 3].sum() < k + 1
     within, into = np.partition(cdist(p, p), k, axis=1)[:, k], np.partition(cdist(p, q), k - 1, axis=1)[:, k - 1]
-    assert np.array_equal(NeighbourIndex(p).kth_distances(p, k).view(np.int64), within.view(np.int64))
-    assert np.array_equal(NeighbourIndex(q).kth_distances(p, k - 1).view(np.int64), into.view(np.int64))
+    assert np.array_equal(NeighbourIndex(p, k + 1).kth_distances(p).view(np.int64), within.view(np.int64))
+    assert np.array_equal(NeighbourIndex(q, k).kth_distances(p).view(np.int64), into.view(np.int64))
     log_ratios = np.log(np.maximum(into, 1e-12) / np.maximum(within, 1e-12))
     # The estimate's own summation order: row blocks of an n × max(n, m) search.
     total = sum((float(np.sum(log_ratios[rows])) for rows in stats._row_blocks(n, max(n, m))), 0.0)
@@ -755,10 +796,10 @@ def test_neighbour_index_ranks_non_finite_queries_as_cdist_does(rows, one_hot):
         queries = np.hstack([np.tile([1.0, 0.0], (4, 1)), queries])
     k = 3
     expected = cdist(queries, reference)
-    index = NeighbourIndex(reference)
-    order = np.concatenate([order for _, order in index.nearest(queries, k)])
+    index = NeighbourIndex(reference, k)
+    order = np.concatenate([order for _, order in index.nearest(queries)])
     assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
-    np.testing.assert_array_equal(index.kth_distances(queries, k - 1), np.sort(expected, axis=1)[:, k - 1])
+    np.testing.assert_array_equal(index.kth_distances(queries), np.sort(expected, axis=1)[:, k - 1])
 
 
 def test_kl_keeps_at_most_two_distance_blocks_alive():
