@@ -4,129 +4,94 @@ Build a DAG, fit one causal mechanism per node, then query the model:
 sampling, interventions, counterfactuals, effect estimation, root-cause
 attribution, structure discovery, and graph validation.  Queries never mutate
 the model; all randomness is driven by explicit integer seeds.
+
+``import gcmkit`` loads no submodule and not numpy: each public name below is
+imported from its submodule the first time it is read (PEP 562), so a ``gcm``
+command pays only for the modules it runs.
 """
 
-from .attribution import (
-    AttributionResult,
-    OutlierScorer,
-    arrow_strength,
-    attribute_anomaly,
-    distribution_change,
-    intrinsic_influence,
-)
-from .data import CATEGORICAL, CONTINUOUS, Dataset, read_csv, write_csv
-from .discovery import Cpdag, Skeleton, discover_cpdag, orient, pc_skeleton
-from .exceptions import (
-    DataError,
-    FitError,
-    GcmError,
-    GraphError,
-    NonInvertibleError,
-    NumericError,
-    QueryError,
-    SerializationError,
-    UnseenCategoryError,
-)
-from .graph import CausalGraph, parse_graph, serialize_graph
-from .mechanisms import (
-    AdditiveNoiseModel,
-    ClassifierFcm,
-    Empirical,
-    Gaussian,
-    InputEncoder,
-    KnnRegressor,
-    LinearModel,
-    Multinomial,
-    fit_anm,
-    fit_classifier,
-    fit_stochastic,
-)
-from .model import GcmModel, MechanismSpec, assign, auto_assign, dumps_model, fit, load, loads_model, save
-from .sampling import (
-    Intervention,
-    atomic,
-    average_causal_effect,
-    counterfactual,
-    draw_samples,
-    functional,
-    interventional_samples,
-    shift,
-)
-from .seeds import derive_seed, rng_for
-from .shapley import SetFunction, ShapleyConfig, estimate_shapley
-from .stats import TestResult, fisher_z_test, kl_divergence, pairwise_independence_test
-from .validation import EvaluationReport, RefutationReport, evaluate_mechanisms, refute_graph
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditiveNoiseModel",
-    "AttributionResult",
-    "CATEGORICAL",
-    "CONTINUOUS",
-    "CausalGraph",
-    "ClassifierFcm",
-    "Cpdag",
-    "DataError",
-    "Dataset",
-    "Empirical",
-    "EvaluationReport",
-    "FitError",
-    "Gaussian",
-    "InputEncoder",
-    "GcmError",
-    "GcmModel",
-    "GraphError",
-    "Intervention",
-    "KnnRegressor",
-    "LinearModel",
-    "MechanismSpec",
-    "Multinomial",
-    "NonInvertibleError",
-    "NumericError",
-    "OutlierScorer",
-    "QueryError",
-    "RefutationReport",
-    "SerializationError",
-    "SetFunction",
-    "ShapleyConfig",
-    "Skeleton",
-    "TestResult",
-    "UnseenCategoryError",
-    "arrow_strength",
-    "assign",
-    "atomic",
-    "attribute_anomaly",
-    "auto_assign",
-    "average_causal_effect",
-    "counterfactual",
-    "derive_seed",
-    "discover_cpdag",
-    "distribution_change",
-    "draw_samples",
-    "dumps_model",
-    "estimate_shapley",
-    "evaluate_mechanisms",
-    "fisher_z_test",
-    "fit",
-    "fit_anm",
-    "fit_classifier",
-    "fit_stochastic",
-    "functional",
-    "interventional_samples",
-    "intrinsic_influence",
-    "kl_divergence",
-    "load",
-    "loads_model",
-    "orient",
-    "pairwise_independence_test",
-    "parse_graph",
-    "pc_skeleton",
-    "read_csv",
-    "refute_graph",
-    "rng_for",
-    "save",
-    "serialize_graph",
-    "shift",
-    "write_csv",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "attribution": (
+        "AttributionResult",
+        "OutlierScorer",
+        "arrow_strength",
+        "attribute_anomaly",
+        "distribution_change",
+        "intrinsic_influence",
+    ),
+    "data": ("CATEGORICAL", "CONTINUOUS", "Dataset", "read_csv", "write_csv"),
+    "discovery": ("Cpdag", "Skeleton", "discover_cpdag", "orient", "pc_skeleton"),
+    "exceptions": (
+        "DataError",
+        "FitError",
+        "GcmError",
+        "GraphError",
+        "NonInvertibleError",
+        "NumericError",
+        "QueryError",
+        "SerializationError",
+        "UnseenCategoryError",
+    ),
+    "graph": ("CausalGraph", "parse_graph", "serialize_graph"),
+    "mechanisms": (
+        "AdditiveNoiseModel",
+        "ClassifierFcm",
+        "Empirical",
+        "Gaussian",
+        "InputEncoder",
+        "KnnRegressor",
+        "LinearModel",
+        "Multinomial",
+        "fit_anm",
+        "fit_classifier",
+        "fit_stochastic",
+    ),
+    "model": (
+        "GcmModel",
+        "MechanismSpec",
+        "assign",
+        "auto_assign",
+        "dumps_model",
+        "fit",
+        "load",
+        "loads_model",
+        "save",
+    ),
+    "sampling": (
+        "Intervention",
+        "atomic",
+        "average_causal_effect",
+        "counterfactual",
+        "draw_samples",
+        "functional",
+        "interventional_samples",
+        "shift",
+    ),
+    "seeds": ("derive_seed", "rng_for"),
+    "shapley": ("SetFunction", "ShapleyConfig", "estimate_shapley"),
+    "stats": ("TestResult", "fisher_z_test", "kl_divergence", "pairwise_independence_test"),
+    "validation": ("EvaluationReport", "RefutationReport", "evaluate_mechanisms", "refute_graph"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import a public name's submodule on first use and keep the name here."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # Not a public name; ``from gcmkit import stats`` then imports the submodule.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -11,26 +11,12 @@ import csv
 import io
 import json
 import sys
+import warnings
 
-import numpy as np
-
-from .attribution import arrow_strength, attribute_anomaly, distribution_change, intrinsic_influence
-from .data import read_csv
-from .discovery import discover_cpdag
 from .exceptions import GcmError, NumericError, QueryError, require_count
-from .graph import parse_graph
-from .model import auto_assign, dumps_model, fit, loads_model
-from .sampling import (
-    _node_value,
-    atomic,
-    average_causal_effect,
-    counterfactual,
-    draw_samples,
-    interventional_samples,
-    shift,
-)
-from .stats import MAX_PERMUTATIONS, fisher_z_test, pairwise_independence_test
-from .validation import evaluate_mechanisms, refute_graph
+
+# Each command imports the modules it runs inside its handler, so the parser,
+# ``--help`` and usage errors load neither numpy nor the rest of gcmkit.
 
 SCHEMA_VERSION = 1
 # The options that set a command's Monte-Carlo budget, named when it runs out
@@ -55,22 +41,30 @@ def _read_text(path):
 
 
 def _load_graph(path):
+    from .graph import parse_graph
+
     text = _read_text(path)
     fmt = "dot" if text.lstrip().startswith("digraph") else "json"
     return parse_graph(text, fmt)
 
 
 def _load_data(path):
+    from .data import read_csv
+
     return read_csv(_read_text(path))
 
 
 def _load_model(path):
+    from .model import loads_model
+
     return loads_model(_read_text(path))
 
 
 def _load_row(path):
     """The one row of a CSV file as its text cells: each query types a value
     by its node's mechanism, not by the lone cell of its column."""
+    from .data import read_csv
+
     text = _read_text(path)
     data = read_csv(text)
     if data.n_rows != 1:
@@ -87,6 +81,8 @@ def _parse_assignment(text, flag):
 
 
 def _interventions_from_args(args):
+    from .sampling import atomic, shift
+
     interventions = []
     for item in getattr(args, "set", None) or []:
         node, value = _parse_assignment(item, "--set")
@@ -110,6 +106,8 @@ def _dataset_payload(dataset):
 
 
 def _cmd_fit(args):
+    from .model import auto_assign, dumps_model, fit
+
     graph = _load_graph(args.graph)
     dataset = _load_data(args.data)
     model = fit(auto_assign(graph, dataset), dataset)
@@ -123,11 +121,15 @@ def _cmd_fit(args):
 
 
 def _cmd_sample(args):
+    from .sampling import draw_samples
+
     model = _load_model(args.model)
     return _dataset_payload(draw_samples(model, args.n, args.seed))
 
 
 def _cmd_intervene(args):
+    from .sampling import interventional_samples
+
     model = _load_model(args.model)
     interventions = _interventions_from_args(args)
     samples = interventional_samples(model, interventions, args.n, args.seed)
@@ -145,6 +147,8 @@ def _cmd_intervene(args):
 
 
 def _cmd_counterfactual(args):
+    from .sampling import counterfactual
+
     model = _load_model(args.model)
     row = _load_row(args.data)
     result = counterfactual(model, row, _interventions_from_args(args))
@@ -152,6 +156,8 @@ def _cmd_counterfactual(args):
 
 
 def _cmd_ace(args):
+    from .sampling import _node_value, average_causal_effect
+
     model = _load_model(args.model)
     effect = average_causal_effect(
         model, args.treatment, args.value_a, args.value_b, args.target, n=args.n, seed=args.seed
@@ -167,6 +173,8 @@ def _cmd_ace(args):
 
 
 def _cmd_attribute_outlier(args):
+    from .attribution import attribute_anomaly
+
     model = _load_model(args.model)
     row = _load_row(args.data)
     result = attribute_anomaly(
@@ -176,6 +184,8 @@ def _cmd_attribute_outlier(args):
 
 
 def _cmd_attribute_change(args):
+    from .attribution import distribution_change
+
     graph = _load_graph(args.graph)
     result = distribution_change(
         graph,
@@ -190,6 +200,8 @@ def _cmd_attribute_change(args):
 
 
 def _cmd_icc(args):
+    from .attribution import intrinsic_influence
+
     model = _load_model(args.model)
     result = intrinsic_influence(
         model,
@@ -202,6 +214,8 @@ def _cmd_icc(args):
 
 
 def _cmd_arrow_strength(args):
+    from .attribution import arrow_strength
+
     model = _load_model(args.model)
     parent, sep, child = args.edge.partition("->")
     if not sep:
@@ -212,22 +226,30 @@ def _cmd_arrow_strength(args):
 
 
 def _cmd_discover(args):
+    from .discovery import discover_cpdag
+
     cpdag = discover_cpdag(_load_data(args.data), args.alpha, args.max_cond_set)
     return cpdag.to_json()
 
 
 def _cmd_refute(args):
+    from .validation import refute_graph
+
     report = refute_graph(_load_graph(args.graph), _load_data(args.data), args.alpha)
     return report.to_json()
 
 
 def _cmd_evaluate(args):
+    from .validation import evaluate_mechanisms
+
     model = _load_model(args.model)
     report = evaluate_mechanisms(model, _load_data(args.data), seed=args.seed)
     return report.to_json()
 
 
 def _cmd_test(args):
+    from .stats import MAX_PERMUTATIONS, fisher_z_test, pairwise_independence_test
+
     data = _load_data(args.data)
     given = [name for name in (args.given.split(",") if args.given else []) if name]
     method = args.method
@@ -340,6 +362,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _numeric_errors():
+    """The exceptions that exit 3: ``NumericError``, and numpy's
+    ``LinAlgError`` once a handler has loaded numpy (none is raised before)."""
+    numpy = sys.modules.get("numpy")
+    return (NumericError,) if numpy is None else (NumericError, numpy.linalg.LinAlgError)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -348,7 +377,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        payload = args.handler(args)
+        # A numpy RuntimeWarning would print a source line to stderr; an
+        # overflow that reaches the answer exits 3 with its own message.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            payload = args.handler(args)
         if payload is not None:
             envelope = {
                 "schema_version": SCHEMA_VERSION,
@@ -368,7 +401,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"gcm {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, np.linalg.LinAlgError) as exc:
+    except _numeric_errors() as exc:
         print(f"gcm {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (GcmError, OSError, json.JSONDecodeError) as exc:

@@ -7,6 +7,8 @@ exception escape, and prints only strict JSON (no ``NaN`` or ``Infinity``).
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -342,8 +344,7 @@ def steep_line(tmp_path_factory):
     return root
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize(
+OVERFLOWING = pytest.mark.parametrize(
     "argv",
     [
         ["counterfactual", "--model", "model.json", "--data", "row.csv", "--shift", "X=1e308"],
@@ -351,6 +352,9 @@ def steep_line(tmp_path_factory):
     ],
     ids=["counterfactual", "evaluate"],
 )
+
+
+@OVERFLOWING
 def test_non_finite_result_exits_3(steep_line, argv):
     """An overflowing answer (Y, or an rmse, at inf) is a numeric failure:
     stdout stays empty rather than hold a non-strict ``Infinity``."""
@@ -360,6 +364,35 @@ def test_non_finite_result_exits_3(steep_line, argv):
     assert stdout == ""
     assert stderr.startswith(f"gcm {command}: numeric failure: the result is not finite")
     assert "Traceback" not in stderr
+
+
+@OVERFLOWING
+def test_overflow_prints_only_the_numeric_failure_line(steep_line, argv):
+    """A fresh ``gcm`` process, under Python's default warning filters, prints
+    no numpy ``RuntimeWarning`` (with its source line) before the exit-3
+    message."""
+    result = subprocess.run(
+        [sys.executable, "-m", "gcmkit", *[str(steep_line / a) if a.endswith((".csv", ".json")) else a for a in argv]],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"gcm {argv[0]}: numeric failure: the result is not finite")
+
+
+def test_linalg_error_exits_3(files, monkeypatch):
+    """numpy's ``LinAlgError`` is a numeric failure, though the CLI imports
+    numpy only inside its handlers."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(sampling, "draw_samples", singular)
+    code, stdout, stderr = call(["sample", "--model", files / "model.json", "-n", 10])
+    assert code == 3, stderr
+    assert stdout == ""
+    assert stderr == "gcm sample: numeric failure: Singular matrix\n"
 
 
 SUBCOMMANDS = [

@@ -1,12 +1,14 @@
-"""The import contract: importing gcmkit loads numpy and the standard library
-only, and no subcommand imports scipy.  No fit needs scipy, a classifier's
-included; no distance or neighbour search (kNN, k-NN KL, distance
-correlation) does, over one column or several; and the Fisher-z p-values
-of ``discover``, ``refute`` and ``test --method fisherz`` come from a port
-of the normal tail, not from ``scipy.special``.
+"""The import contract: ``import gcmkit`` loads no submodule and not numpy,
+``gcm --help`` and usage errors load neither numpy nor any gcmkit module but
+``gcmkit.cli`` and ``gcmkit.exceptions``, each subcommand loads only the
+modules it runs, and no subcommand imports scipy.  No fit needs scipy, a
+classifier's included; no distance or neighbour search (kNN, k-NN KL,
+distance correlation) does, over one column or several; and the Fisher-z
+p-values of ``discover``, ``refute`` and ``test --method fisherz`` come from
+a port of the normal tail, not from ``scipy.special``.
 
 Every check runs in a fresh interpreter, because this test process has
-scipy loaded already.
+scipy and every gcmkit module loaded already.
 """
 
 import json
@@ -21,24 +23,62 @@ from conftest import classifier_data, make_ground_truth_chain
 
 CHAIN = '{"nodes":["X","Y","Z"],"edges":[["X","Y"],["Y","Z"]]}'
 
-# Run as ``python -c BLOCKED ARGS...``: the gcm CLI with every scipy import
-# failing, as if scipy were not installed.
-BLOCKED = """
+# Run as ``python -c BLOCKING PACKAGE ARGS...``: ``python -m gcmkit ARGS...``
+# with every import of PACKAGE failing, as if it were not installed.
+BLOCKING = """
 import importlib.abc
+import runpy
 import sys
 
+BLOCKED = sys.argv.pop(1)
 
-class BlockScipy(importlib.abc.MetaPathFinder):
+
+class Block(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name == BLOCKED or name.startswith(BLOCKED + "."):
             raise ImportError(f"{name} is blocked")
         return None
 
 
-sys.meta_path.insert(0, BlockScipy())
-from gcmkit.cli import run
+sys.meta_path.insert(0, Block())
+runpy.run_module("gcmkit", run_name="__main__", alter_sys=True)
+"""
 
-sys.exit(run(sys.argv[1:]))
+# Run as ``python -c IMPORT_ALL``: every gcmkit submodule and every public
+# name, then the scipy modules that were loaded.
+IMPORT_ALL = """
+import importlib
+import pkgutil
+import sys
+
+import gcmkit
+
+for module in pkgutil.iter_modules(gcmkit.__path__):
+    importlib.import_module(f"gcmkit.{module.name}")
+for name in gcmkit.__all__:
+    getattr(gcmkit, name)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+# Run as ``python -c LAZY_NAMES``: the package's names before and after they
+# are imported.
+LAZY_NAMES = """
+import sys
+
+import gcmkit
+
+assert "numpy" not in sys.modules
+assert set(gcmkit.__all__) <= set(dir(gcmkit))
+try:
+    gcmkit.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("gcmkit.no_such_name resolved")
+namespace = {}
+exec("from gcmkit import *", namespace)
+assert set(gcmkit.__all__) <= namespace.keys()
+assert all(namespace[name] is getattr(gcmkit, name) for name in gcmkit.__all__)
 """
 
 
@@ -46,20 +86,39 @@ def python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True)
 
 
+def without(package, *argv):
+    """``gcm ARGV`` in a fresh interpreter where ``package`` cannot be imported."""
+    return python("-c", BLOCKING, package, *map(str, argv))
+
+
 def test_import_loads_no_scipy():
-    result = python(
-        "-c",
-        "import sys, gcmkit.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
-    )
+    result = python("-c", IMPORT_ALL)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 
 
 def test_help_runs_without_scipy():
-    result = python("-c", BLOCKED, "--help")
+    result = without("scipy", "--help")
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]], ids=["gcm", "fit"])
+def test_help_runs_without_numpy(argv):
+    result = without("numpy", *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: ")
+
+
+def test_usage_error_runs_without_numpy():
+    result = without("numpy", "sample", "--model")
+    assert result.returncode == 1, result.stderr
+    assert "expected one argument" in result.stderr
+
+
+def test_public_names_resolve_on_first_use():
+    result = python("-c", LAZY_NAMES)
+    assert result.returncode == 0, result.stderr
 
 
 def linear_chain_csv(seed):
@@ -119,7 +178,7 @@ def sine_chain_csv(seed, shift=0.0):
 
 def blocked_and_plain(*argv):
     """Stdout of ``gcm ARGV`` with scipy blocked and of a plain run."""
-    blocked = python("-c", BLOCKED, *map(str, argv))
+    blocked = without("scipy", *argv)
     plain = python("-m", "gcmkit", *map(str, argv))
     assert blocked.returncode == 0, blocked.stderr
     assert plain.returncode == 0, plain.stderr
@@ -146,7 +205,7 @@ def assert_fit_runs_without_scipy(argv_for, root):
     """A fit with scipy blocked writes ``model.json``'s bytes, and the stdout
     of a plain run."""
     argv = list(map(str, argv_for(root, root / "blocked.json")))
-    blocked = python("-c", BLOCKED, *argv)
+    blocked = without("scipy", *argv)
     assert blocked.returncode == 0, blocked.stderr
     assert (root / "blocked.json").read_text() == (root / "model.json").read_text()
     plain = python("-m", "gcmkit", *argv)
@@ -246,9 +305,10 @@ def categorical_csv(seed):
     return gk.write_csv(gk.Dataset(["C", "X", "K"], [labels, x, k]))
 
 
-# Run as ``python -c MA_PROBE ARGV...``: each ARGV, a JSON list, through the
-# gcm CLI in this one interpreter, then whether ``numpy.ma`` was imported.
-MA_PROBE = """
+# Run as ``python -c MODULES_AFTER ARGV...``: each ARGV, a JSON list, through
+# the gcm CLI in this one interpreter, then the names of the loaded modules as
+# a JSON list on the last line.
+MODULES_AFTER = """
 import json
 import sys
 
@@ -256,8 +316,14 @@ from gcmkit.cli import run
 
 for argv in sys.argv[1:]:
     assert run(json.loads(argv)) == 0
-print("numpy.ma" in sys.modules)
+print(json.dumps(sorted(sys.modules)))
 """
+
+
+def modules_after(*argvs):
+    result = python("-c", MODULES_AFTER, *(json.dumps(list(map(str, argv))) for argv in argvs))
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
 
 
 def test_categorical_fit_and_arrow_strength_do_not_import_numpy_ma(tmp_path):
@@ -267,12 +333,37 @@ def test_categorical_fit_and_arrow_strength_do_not_import_numpy_ma(tmp_path):
         '{"nodes":["C","X","K"],"edges":[["C","X"],["C","K"],["X","K"]]}'
     )
     (tmp_path / "data.csv").write_text(categorical_csv(0))
-    model = str(tmp_path / "model.json")
-    fit = ["fit", "--graph", str(tmp_path / "graph.json"), "--data", str(tmp_path / "data.csv"),
-           "--out", model]
+    model = tmp_path / "model.json"
+    fit = ["fit", "--graph", tmp_path / "graph.json", "--data", tmp_path / "data.csv", "--out", model]
     strength = ["arrow-strength", "--model", model, "--edge", "C->K", "-n", "500"]
-    result = python("-c", MA_PROBE, json.dumps(fit), json.dumps(strength))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert "numpy.ma" not in modules_after(fit, strength)
     mechanisms = json.loads((tmp_path / "model.json").read_text())["mechanisms"]
     assert mechanisms["K"]["type"] == "classifier"
+
+
+@pytest.mark.parametrize(
+    ("command", "unused"),
+    [
+        (["fit", "--graph", "{chain}", "--data", "{data}", "--out", "{out}"],
+         ["sampling", "attribution", "shapley", "discovery", "validation"]),
+        (["sample", "--model", "{model}", "-n", "20"],
+         ["attribution", "shapley", "discovery", "validation"]),
+        (["intervene", "--model", "{model}", "--set", "X=1.5", "-n", "20"],
+         ["attribution", "shapley", "discovery", "validation"]),
+        (["icc", "--model", "{model}", "--target", "Z", "--outer-samples", "5", "--inner-samples", "20"],
+         ["discovery", "validation"]),
+        (["discover", "--data", "{data}"],
+         ["mechanisms", "model", "sampling", "attribution", "shapley", "validation"]),
+        (["refute", "--graph", "{chain}", "--data", "{data}"],
+         ["sampling", "attribution", "shapley", "discovery"]),
+        (["test", "--data", "{data}", "--x", "X", "--y", "Z", "--method", "fisherz", "--given", "Y"],
+         ["graph", "mechanisms", "model", "sampling", "attribution", "shapley", "discovery", "validation"]),
+    ],
+    ids=["fit", "sample", "intervene", "icc", "discover", "refute", "test"],
+)
+def test_subcommand_loads_only_the_modules_it_runs(linear_files, tmp_path, command, unused):
+    paths = {name: linear_files / f"{name}.{ext}" for name, ext in
+             [("model", "json"), ("chain", "json"), ("data", "csv")]}
+    loaded = modules_after([arg.format(out=tmp_path / "model.json", **paths) for arg in command])
+    assert "gcmkit.cli" in loaded
+    assert not loaded & {f"gcmkit.{name}" for name in unused}
