@@ -312,7 +312,8 @@ class KnnRegressor(_Serialized):
     :class:`~gcmkit.stats.NeighbourIndex` of the training rows for this
     ``k``, built on the first prediction and kept: for one encoded column, or
     one-hot blocks beside at most one continuous column, m queries then cost
-    O(m·(k + log n)); otherwise all n·m pairs are compared.  The whole
+    O(m·(k + log n)); otherwise all n·m pairs are compared, and each query's
+    k least distances are selected in O(n) and only those ranked.  The whole
     training set is stored.
     """
 
@@ -376,6 +377,9 @@ def _fit_linear(encoded, targets):
         lam = _RIDGE_SCALE * np.trace(gram) / gram.shape[0]
         gram = gram + lam * np.eye(gram.shape[0])
     beta = np.linalg.solve(gram, rhs)
+    if not np.all(np.isfinite(beta)):
+        # Data near the largest double overflows the Gram matrix.
+        raise NumericError("the least-squares coefficients are not finite")
     return LinearModel(beta[:-1], beta[-1])
 
 

@@ -13,12 +13,13 @@ query points cost O(n log n + m·(k + log n)), and a tie past that window
 costs O(k) more.  A query whose k-th distance within its group reaches 1.0,
 the least distance to another group, is compared with every row, at O(n).
 Points with two or more columns that are not 0/1 are compared exhaustively,
-block by block, at O(n·m).  The KL estimator indexes P (for k + 1, each
-point its own nearest) and Q (for k) once each, so on a one-hot joint with
-one continuous column it costs O((n + m) log(n + m) + n·k), and
-O(n·(n + m)) on wider continuous points.  Every path ranks and measures
-neighbours with the same arithmetic, so a result does not depend on which
-one ran.
+block by block, at O(n·m): each query's k least distances are selected
+(introselect, O(n)) and only those k ranked, at O(k log k), never the whole
+row sorted.  The KL estimator indexes P (for k + 1, each point its own
+nearest) and Q (for k) once each, so on a one-hot joint with one continuous
+column it costs O((n + m) log(n + m) + n·k), and O(n·(n + m)) on wider
+continuous points.  Every path ranks and measures neighbours with the same
+arithmetic, so a result does not depend on which one ran.
 
 The distance-correlation test evaluates its observed statistic and every
 permutation of y by one function.  Two one-column numeric inputs are centred
@@ -605,8 +606,13 @@ class NeighbourIndex:
     its line value is NaN, when its group has fewer than k rows, or when
     that distance is 1.0 or more.
     References with two or more other columns are always compared with every
-    row.  Queries are 2-D and ranked in blocks of about two million
-    candidates, each freed before the next is built.
+    row.  A comparison with every row selects each query's k least distances
+    (``np.argpartition``) and ranks only those by distance and index.  When
+    more than k distances are at most the k-th, or the k-th is NaN, the
+    selection may hold the wrong ties, so the row keeps every distance below
+    the k-th and the lowest-indexed ones equal to it: the order is still a
+    stable argsort's.  Queries are 2-D and ranked in blocks of about two
+    million candidates, each freed before the next is built.
     """
 
     def __init__(self, reference, k):
@@ -710,9 +716,28 @@ class NeighbourIndex:
             yield rows, self._nearest(queries[rows], self.k + 1)
 
     def _scan_nearest(self, queries):
-        # A copy, so the full argsort is freed with the distances.
+        k = self.k
         distances = pairwise_distances(queries, self.reference)
-        return np.argsort(distances, axis=1, kind="stable")[:, : self.k].copy()
+        # A copy, so the (rows, n) partition is freed before the tie search.
+        chosen = np.argpartition(distances, k - 1, axis=1)[:, :k].copy()
+        kth = np.take_along_axis(distances, chosen[:, -1:], axis=1)
+        # The selection holds the k least distances, but when more than k
+        # are at most the k-th, it may hold the wrong ones at exactly that
+        # distance.  NaN sorts last, so a NaN k-th distance is always such a
+        # tie.  A tied row keeps every distance below the k-th and the
+        # lowest-indexed ones equal to it.
+        tied = np.flatnonzero(np.isnan(kth[:, 0]) | (np.count_nonzero(distances <= kth, axis=1) > k))
+        if tied.size:
+            unknown, missing = np.isnan(distances), np.isnan(kth)
+            below = np.where(missing, ~unknown, distances < kth)[tied]
+            at = np.where(missing, unknown, distances == kth)[tied]
+            slots = k - np.count_nonzero(below, axis=1)
+            # A row has at most n ties, so the cumsum's type holds n and no
+            # more, which keeps it small beside the distance block.
+            ranks = np.cumsum(at, axis=1, dtype=np.min_scalar_type(distances.shape[1]))
+            chosen[tied] = np.nonzero(below | (at & (ranks <= slots[:, None])))[1].reshape(-1, k)
+        near = np.take_along_axis(distances, chosen, axis=1)
+        return np.take_along_axis(chosen, np.lexsort((chosen, near)), axis=1)
 
     def _nearest(self, queries, count):
         if self._column is None:

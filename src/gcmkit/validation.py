@@ -8,15 +8,18 @@ compares distributions with the numpy two-sample KS statistic
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import CONTINUOUS, Dataset
 from .exceptions import DataError, QueryError
 from .graph import CausalGraph
-from .model import GcmModel
 from .seeds import rng_for
 from .stats import fisher_z_test, ks_statistic
+
+if TYPE_CHECKING:
+    from .model import GcmModel
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ class EvaluationReport:
         return {"nodes": [n.to_json() for n in self.nodes]}
 
 
-def evaluate_mechanisms(model: GcmModel, heldout: Dataset, seed=0) -> EvaluationReport:
+def evaluate_mechanisms(model: "GcmModel", heldout: Dataset, seed=0) -> EvaluationReport:
     """Score every fitted mechanism against held-out rows.
 
     Continuous non-roots get the prediction RMSE and a two-sample KS statistic

@@ -326,6 +326,28 @@ def test_fit_of_a_classifier_that_cannot_converge_exits_3(tmp_path):
     assert not out.exists()
 
 
+def test_fit_of_a_linear_mechanism_that_overflows_exits_3(tmp_path):
+    """Six rows of X and Y near 1e200 overflow the least-squares Gram matrix:
+    a fresh ``gcm fit`` exits 3 with one stderr line that names Y, and writes
+    no model file."""
+    rng = np.random.default_rng(0)
+    x = 1e200 * rng.standard_normal(6)
+    (tmp_path / "graph.json").write_text('{"nodes":["X","Y"],"edges":[["X","Y"]]}')
+    (tmp_path / "data.csv").write_text(gk.write_csv(gk.Dataset(["X", "Y"], [x, 2 * x + 1e200 * rng.standard_normal(6)])))
+    out = tmp_path / "model.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "gcmkit", "fit", "--graph", str(tmp_path / "graph.json"),
+         "--data", str(tmp_path / "data.csv"), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line == "gcm fit: numeric failure: fitting node 'Y' failed: the least-squares coefficients are not finite"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def steep_line(tmp_path_factory):
     """A model of Y = 2X + noise, so a shift of X by 1e308 takes Y past the

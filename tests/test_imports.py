@@ -355,7 +355,7 @@ def test_categorical_fit_and_arrow_strength_do_not_import_numpy_ma(tmp_path):
         (["discover", "--data", "{data}"],
          ["mechanisms", "model", "sampling", "attribution", "shapley", "validation"]),
         (["refute", "--graph", "{chain}", "--data", "{data}"],
-         ["sampling", "attribution", "shapley", "discovery"]),
+         ["mechanisms", "model", "sampling", "attribution", "shapley", "discovery"]),
         (["test", "--data", "{data}", "--x", "X", "--y", "Z", "--method", "fisherz", "--given", "Y"],
          ["graph", "mechanisms", "model", "sampling", "attribution", "shapley", "discovery", "validation"]),
     ],

@@ -783,23 +783,67 @@ def test_kl_on_one_hot_and_a_line_matches_the_exhaustive_estimate():
 
 
 @pytest.mark.parametrize("rows", [5, 100])
-@pytest.mark.parametrize("one_hot", [False, True])
-def test_neighbour_index_ranks_non_finite_queries_as_cdist_does(rows, one_hot):
-    """inf and NaN line values, on a group smaller and larger than the
-    window: the orders are cdist's stable argsort, and no row index past the
-    reference comes back."""
+@pytest.mark.parametrize("layout", ["line", "one-hot", "two-columns"])
+def test_neighbour_index_ranks_non_finite_queries_as_cdist_does(rows, layout):
+    """NaN, inf and ±1e200 (whose squares overflow) query values, on a line
+    group smaller and larger than the window and on two continuous columns,
+    which are compared with every row: the orders are cdist's stable argsort,
+    and no row index past the reference comes back."""
     rng = np.random.default_rng(3)
+    values = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.5])[:, None]
     reference = rng.standard_normal((rows, 1))
-    queries = np.array([[np.nan], [np.inf], [-np.inf], [0.5]])
-    if one_hot:
+    queries = values
+    if layout == "one-hot":
         reference = np.hstack([np.eye(2)[np.arange(rows) % 2], reference])
-        queries = np.hstack([np.tile([1.0, 0.0], (4, 1)), queries])
+        queries = np.hstack([np.tile([1.0, 0.0], (len(values), 1)), values])
+    elif layout == "two-columns":
+        reference = rng.standard_normal((rows, 2))
+        queries = np.vstack([np.hstack([values, np.full_like(values, 0.25)]), np.hstack([values, values])])
     k = 3
     expected = cdist(queries, reference)
     index = NeighbourIndex(reference, k)
     order = np.concatenate([order for _, order in index.nearest(queries)])
     assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
     np.testing.assert_array_equal(index.kth_distances(queries), np.sort(expected, axis=1)[:, k - 1])
+
+
+@pytest.mark.parametrize("k", [1, 7, 48])
+def test_neighbour_index_scan_keeps_the_lowest_indices_among_ties(k):
+    """Points of a 4 × 4 integer grid, each three times in shuffled rows, are
+    compared with every row.  Below k = n each query's count of points within
+    its k-th distance is a multiple of three and past k, so the selection
+    alone cannot know which ties to keep: the lowest indices must win, as in
+    cdist's stable argsort.  At k = n every row is kept and ranked."""
+    rng = np.random.default_rng(8)
+    grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0)), axis=-1).reshape(-1, 2)
+    reference = rng.permutation(np.vstack([grid] * 3))
+    queries = rng.integers(-1, 5, (60, 2)).astype(float)
+    expected = cdist(queries, reference)
+    if k < len(reference):
+        kth = np.sort(expected, axis=1)[:, k - 1 : k]
+        assert (np.count_nonzero(expected <= kth, axis=1) > k).all()
+    index = NeighbourIndex(reference, k)
+    order = np.concatenate([order for _, order in index.nearest(queries)])
+    assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
+
+
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_neighbour_index_ranks_nan_distances_from_an_infinite_reference(k):
+    """A reference built directly with ±inf in its first column: inf - inf is
+    NaN, so an infinite query's distances to those rows are NaN and rank
+    last, by index.  The first query has four such rows, so its k-th
+    distance is NaN past k = 4."""
+    reference = np.array(
+        [[np.inf, 0.0], [1.0, 2.0], [-np.inf, 1.0], [np.inf, 3.0],
+         [0.0, 0.0], [np.inf, -1.0], [-np.inf, 0.0], [np.inf, 2.0]]
+    )
+    queries = np.array([[np.inf, 0.0], [-np.inf, 5.0], [0.5, 0.5], [np.nan, 0.0], [1e200, 1.0]])
+    with np.errstate(invalid="ignore"):
+        expected = cdist(queries, reference)
+        index = NeighbourIndex(reference, k)
+        order = np.concatenate([order for _, order in index.nearest(queries)])
+    assert np.isnan(np.sort(expected[0])[k - 1]) == (k > 4)
+    assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
 
 
 def test_kl_keeps_at_most_two_distance_blocks_alive():
