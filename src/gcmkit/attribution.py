@@ -353,11 +353,8 @@ def distribution_change(
 
     def value_of(bits):
         # Each subset has its own hybrid model, so it is propagated alone.
-        mechanisms = {
-            node: (new_model if bits >> i & 1 else old_model).mechanisms[node]
-            for i, node in enumerate(players)
-        }
-        hybrid = GcmModel(graph, mechanisms, ready=players)
+        swapped = {node: new_model.mechanisms[node] for i, node in enumerate(players) if bits >> i & 1}
+        hybrid = GcmModel(graph, {**old_model.mechanisms, **swapped})
         samples = _target_samples(
             hybrid, target, players, num_samples, [(derive_seed(seed, f"change:{bits}"), {})]
         )[0]

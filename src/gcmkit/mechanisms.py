@@ -22,6 +22,10 @@ nothing else:
   columns and a noise column;
 - ``abduct(parent_columns, observed)``: the noise column that reproduces an
   observed column, or :class:`~gcmkit.exceptions.NonInvertibleError`;
+- ``noise_reference(n, rng)`` (continuous nodes): a sample of the noise that
+  held-out residuals, the noise ``abduct`` recovers, are compared with;
+- ``most_probable(parent_columns, n)`` (categorical nodes): the most probable
+  category of each of ``n`` rows given its parents' values;
 - ``to_json()``: tagged parameters, read back by :func:`mechanism_from_json`
   through the class's ``tag``.
 """
@@ -109,6 +113,9 @@ class _Marginal(_Serialized):
     def abduct(self, parent_columns, observed):
         return observed
 
+    def noise_reference(self, n, rng):
+        return self.draw(n, rng)
+
 
 class Empirical(_Marginal):
     """Marginal model that redraws the stored sample with replacement."""
@@ -176,6 +183,9 @@ class Multinomial(_Marginal):
     def draw(self, n, rng):
         u = rng.random(n)
         return categories_from_uniform(self.categories, np.tile(self.probs, (n, 1)), u)
+
+    def most_probable(self, parent_columns, n):
+        return np.full(n, self.categories[int(np.argmax(self.probs))], dtype=object)
 
     def __repr__(self):
         return f"Multinomial({dict(zip(self.categories, np.round(self.probs, 4)))})"
@@ -542,6 +552,10 @@ class ClassifierFcm:
 
     def forward(self, parent_columns, noise) -> np.ndarray:
         return categories_from_uniform(self.categories, self.predict_probs(parent_columns), noise)
+
+    def most_probable(self, parent_columns, n):
+        probs = self.predict_probs(parent_columns)
+        return np.array(self.categories, dtype=object)[np.argmax(probs, axis=1)]
 
     def abduct(self, parent_columns, observed):
         raise NonInvertibleError(

@@ -29,30 +29,34 @@ class MechanismSpec:
 class GcmModel:
     """A causal graph plus one mechanism per node.
 
-    Treated as a value: :func:`assign` and :func:`fit` return new models and
-    never mutate their input.  Once ``fitted`` is true, query operations only
-    read the model, so it can be shared freely.  Mechanisms are public, in a
-    read-only mapping (``model.mechanisms[node]``), to keep fitted components
-    easy to inspect.
+    The model is ``fitted`` when every node holds a concrete mechanism rather
+    than a :class:`MechanismSpec`; only then does it answer queries.  Treated
+    as a value: :func:`assign` and :func:`fit` return new models and never
+    mutate their input.  Query operations only read a fitted model, so it can
+    be shared freely.  Mechanisms are public, in a read-only mapping
+    (``model.mechanisms[node]``), to keep fitted components easy to inspect.
     """
 
-    def __init__(self, graph: CausalGraph, mechanisms=None, ground_truth=(), ready=()):
+    def __init__(self, graph: CausalGraph, mechanisms=None, ground_truth=()):
         self.graph = graph
         self.mechanisms = MappingProxyType(dict(mechanisms or {}))
         self.ground_truth = frozenset(ground_truth)
-        self._ready = frozenset(ready) | self.ground_truth
-        for node in self.mechanisms:
-            graph._require(node)
+        for node, mechanism in self.mechanisms.items():
+            _check_role(graph, node, mechanism)
+            if node in self.ground_truth and isinstance(mechanism, MechanismSpec):
+                raise FitError("a ground-truth assignment must be a concrete mechanism")
 
     @property
     def fitted(self) -> bool:
+        """Whether every node holds a concrete mechanism, not a :class:`MechanismSpec`."""
         return all(
-            node in self.mechanisms and node in self._ready for node in self.graph.nodes
+            node in self.mechanisms and not isinstance(self.mechanisms[node], MechanismSpec)
+            for node in self.graph.nodes
         )
 
     def require_fitted(self):
         if not self.fitted:
-            raise FitError("model is not fitted; call fit() or assign ground-truth mechanisms")
+            raise FitError("model is not fitted; call fit() or assign concrete mechanisms")
 
     def __repr__(self):
         state = "fitted" if self.fitted else "unfitted"
@@ -102,20 +106,15 @@ def auto_assign(graph: CausalGraph, dataset: Dataset) -> GcmModel:
 def assign(model: GcmModel, node, mechanism, ground_truth=False) -> GcmModel:
     """Return a new model with ``mechanism`` at ``node``.
 
-    A ground-truth mechanism is taken as already parameterised: fitting leaves
-    it untouched and the node counts as ready without a fit.
+    A concrete mechanism is queryable at once (the model is fitted when no node
+    holds a :class:`MechanismSpec`); :func:`fit` leaves it untouched if ``ground_truth``.
     """
-    model.graph._require(node)
-    _check_role(model.graph, node, mechanism)
-    if ground_truth and isinstance(mechanism, MechanismSpec):
-        raise FitError("a ground-truth assignment must be a concrete mechanism")
     mechanisms = dict(model.mechanisms)
     mechanisms[node] = mechanism
     ground = set(model.ground_truth) - {node}
-    ready = set(model._ready) - {node}
     if ground_truth:
         ground.add(node)
-    return GcmModel(model.graph, mechanisms, ground, ready)
+    return GcmModel(model.graph, mechanisms, ground)
 
 
 def fit(model: GcmModel, dataset: Dataset) -> GcmModel:
@@ -144,11 +143,13 @@ def fit(model: GcmModel, dataset: Dataset) -> GcmModel:
                 mechanisms[node] = fit_stochastic(target, spec.option)
             elif spec.family == "anm":
                 mechanisms[node] = fit_anm(parent_columns, target, spec.option)
-            else:
+            elif spec.family == "classifier":
+                if spec.option != "logistic":
+                    raise FitError(f"unknown classifier kind {spec.option!r}")
                 mechanisms[node] = fit_classifier(parent_columns, target)
         except (FitError, NumericError) as exc:
             raise type(exc)(f"fitting node {node!r} failed: {exc}") from exc
-    return GcmModel(model.graph, mechanisms, model.ground_truth, ready=model.graph.nodes)
+    return GcmModel(model.graph, mechanisms, model.ground_truth)
 
 
 def dumps_model(model: GcmModel) -> str:
@@ -190,9 +191,7 @@ def loads_model(text: str) -> GcmModel:
         raise SerializationError(f"corrupt model payload: {exc}") from exc
     if set(mechanisms) != set(graph.nodes):
         raise SerializationError("corrupt model payload: mechanisms do not cover the graph")
-    for node in graph.nodes:
-        _check_role(graph, node, mechanisms[node])
-    return GcmModel(graph, mechanisms, ground_truth, ready=graph.nodes)
+    return GcmModel(graph, mechanisms, ground_truth)
 
 
 def save(model: GcmModel, sink):

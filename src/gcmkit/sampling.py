@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .exceptions import NonInvertibleError, QueryError, require_rows
+from .exceptions import NonInvertibleError, NumericError, QueryError, require_rows
 from .model import GcmModel
 from .seeds import derive_seed, rng_for
 
@@ -112,7 +112,8 @@ def propagate_from_noise(
     the one from the observed parents, so unchanged inputs give back the
     observation exactly, not up to the round-off of prediction + residual.
     A node whose parent columns all equal the observed ones needs no
-    prediction.
+    prediction.  A continuous output that is not finite, after any shift or
+    map, raises :class:`~gcmkit.exceptions.NumericError` naming the node.
     """
     interventions = interventions or {}
     chosen = set(model.graph.nodes if nodes is None else nodes)
@@ -148,6 +149,8 @@ def propagate_from_noise(
             output = output + iv.delta
         elif iv is not None:
             output = np.array([iv.mapping(v) for v in output], dtype=dtype)
+        if mechanism.is_continuous and not np.isfinite(output).all():
+            raise NumericError(f"the result is not finite: node {node!r} has non-finite values")
         values[node] = output
     return values
 

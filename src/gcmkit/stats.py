@@ -524,9 +524,10 @@ def kl_divergence(samples_p, samples_q, k=5) -> float:
 # sqrt((u - v)**2), not |u - v| once the square underflows (|u - v| < 1e-154).
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _squared_gaps(u, v, out=None):
-    """``(u - v)**2`` over broadcast coordinates, ``inf`` where it overflows."""
+    """``(u - v)**2`` over broadcast coordinates, ``inf`` where it overflows
+    and NaN where ``u`` and ``v`` are the same infinity."""
     gaps = np.subtract(u, v, out=out)
     return np.square(gaps, out=gaps)
 

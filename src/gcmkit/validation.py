@@ -115,6 +115,11 @@ class NodeEvaluation:
         return out
 
 
+# A node's role in the report, by (is root, is continuous).
+_ROLES = {(False, True): "additive_noise", (False, False): "classifier",
+          (True, True): "root_continuous", (True, False): "root_categorical"}
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     nodes: tuple
@@ -126,10 +131,10 @@ class EvaluationReport:
 def evaluate_mechanisms(model: "GcmModel", heldout: Dataset, seed=0) -> EvaluationReport:
     """Score every fitted mechanism against held-out rows.
 
-    Continuous non-roots get the prediction RMSE and a two-sample KS statistic
-    between held-out residuals and the fitted noise sample; continuous roots
-    get a KS statistic between the held-out column and mechanism draws;
-    categorical nodes get the held-out accuracy of the most probable class.
+    A continuous node gets a two-sample KS statistic between the noise its
+    mechanism abducts from the held-out rows and its noise reference, and a
+    non-root also the RMSE of that noise (its residuals).  A categorical node
+    gets the held-out accuracy of its most probable category.
     """
     model.require_fitted()
     if heldout.n_rows == 0:
@@ -145,37 +150,15 @@ def evaluate_mechanisms(model: "GcmModel", heldout: Dataset, seed=0) -> Evaluati
     for node in model.graph.nodes:
         mechanism = model.mechanisms[node]
         column = heldout.column(node)
-        rng = rng_for(seed, f"evaluate:{node}")
         parent_columns = [heldout.column(p) for p in model.graph.parents(node)]
-        root = model.graph.is_root(node)
-        if not root and mechanism.is_continuous:
-            residuals = column - mechanism.predict(parent_columns)
-            evaluations.append(
-                NodeEvaluation(
-                    node,
-                    "additive_noise",
-                    rmse=float(np.sqrt(np.mean(residuals**2))),
-                    ks_statistic=ks_statistic(residuals, mechanism.noise_reference(n, rng)),
-                )
-            )
-        elif not root:
-            probs = mechanism.predict_probs(parent_columns)
-            predicted = np.array(mechanism.categories, dtype=object)[np.argmax(probs, axis=1)]
-            evaluations.append(
-                NodeEvaluation(node, "classifier", accuracy=float(np.mean(predicted == column)))
-            )
-        elif not mechanism.is_continuous:
-            modal = mechanism.categories[int(np.argmax(mechanism.probs))]
-            evaluations.append(
-                NodeEvaluation(node, "root_categorical", accuracy=float(np.mean(column == modal)))
-            )
+        role = _ROLES[model.graph.is_root(node), mechanism.is_continuous]
+        if mechanism.is_continuous:
+            residuals = mechanism.abduct(parent_columns, column)
+            reference = mechanism.noise_reference(n, rng_for(seed, f"evaluate:{node}"))
+            scores = {"ks_statistic": ks_statistic(residuals, reference)}
+            if role == "additive_noise":
+                scores["rmse"] = float(np.sqrt(np.mean(residuals**2)))
         else:
-            draws = mechanism.draw(n, rng)
-            evaluations.append(
-                NodeEvaluation(
-                    node,
-                    "root_continuous",
-                    ks_statistic=ks_statistic(column, draws),
-                )
-            )
+            scores = {"accuracy": float(np.mean(mechanism.most_probable(parent_columns, n) == column))}
+        evaluations.append(NodeEvaluation(node, role, **scores))
     return EvaluationReport(tuple(evaluations))

@@ -404,6 +404,42 @@ def test_overflow_prints_only_the_numeric_failure_line(steep_line, argv):
     assert line.startswith(f"gcm {argv[0]}: numeric failure: the result is not finite")
 
 
+@pytest.fixture(scope="module")
+def steep_chain(tmp_path_factory):
+    """A linear chain Y = 2X + noise, Z = 2Y + noise, so a value of 1e308 at
+    X or Y takes its child past the largest double."""
+    root = tmp_path_factory.mktemp("steep_chain")
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(60)
+    y = 2 * x + 0.1 * rng.standard_normal(60)
+    z = 2 * y + 0.1 * rng.standard_normal(60)
+    (root / "chain.json").write_text(CHAIN)
+    (root / "data.csv").write_text(gk.write_csv(gk.Dataset(["X", "Y", "Z"], [x, y, z])))
+    code, _, stderr = call(
+        ["fit", "--graph", root / "chain.json", "--data", root / "data.csv", "--out", root / "model.json"]
+    )
+    assert code == 0, stderr
+    return root
+
+
+@pytest.mark.parametrize(
+    ("argv", "node"),
+    [
+        (["intervene", "--set", "X=1e308", "--target", "Z", "-n", "10"], "Y"),
+        (["intervene", "--set", "Y=1e308", "--target", "Z", "-n", "10"], "Z"),
+        (["ace", "--treatment", "X", "--value-a", "1e308", "--value-b", "0", "--target", "Z", "-n", "10"], "Y"),
+    ],
+    ids=["intervene-X", "intervene-Y", "ace"],
+)
+def test_overflow_inside_a_propagation_exits_3(steep_chain, argv, node):
+    """A child pushed past the largest double is a numeric failure that names
+    the node, not an input error raised when its own child reads it."""
+    code, stdout, stderr = call([argv[0], "--model", steep_chain / "model.json", *argv[1:]])
+    assert code == 3, stderr
+    assert stdout == ""
+    assert stderr == f"gcm {argv[0]}: numeric failure: the result is not finite: node {node!r} has non-finite values\n"
+
+
 def test_linalg_error_exits_3(files, monkeypatch):
     """numpy's ``LinAlgError`` is a numeric failure, though the CLI imports
     numpy only inside its handlers."""

@@ -71,6 +71,40 @@ def test_assign_ground_truth_root_usable_without_fit():
     assert samples.n_rows == 10
 
 
+def test_concrete_mechanisms_make_a_fitted_model_and_any_spec_unfits_it():
+    model = make_ground_truth_chain()
+    concrete = GcmModel(model.graph, model.mechanisms)
+    assert concrete.fitted and not concrete.ground_truth
+    for node in model.graph.nodes:
+        spec = MechanismSpec("stochastic" if node == "X" else "anm")
+        assert not GcmModel(model.graph, {**model.mechanisms, node: spec}).fitted
+        assert not gk.assign(concrete, node, spec).fitted
+
+
+def test_a_ground_truth_node_must_hold_a_concrete_mechanism():
+    spec = MechanismSpec("stochastic")
+    with pytest.raises(FitError, match="ground-truth assignment must be a concrete mechanism"):
+        gk.assign(GcmModel(CausalGraph(["X"])), "X", spec, ground_truth=True)
+    with pytest.raises(FitError, match="ground-truth assignment must be a concrete mechanism"):
+        GcmModel(CausalGraph(["X"]), {"X": spec}, ground_truth={"X"})
+
+
+def test_concrete_mechanism_without_ground_truth_is_queryable_and_refits():
+    model = gk.assign(GcmModel(CausalGraph(["X"])), "X", Gaussian(0.0, 1.0))
+    assert model.fitted
+    assert gk.draw_samples(model, 10, seed=0).n_rows == 10
+    refit = gk.fit(model, Dataset(["X"], [np.array([1.0, 2.0, 3.0])]))
+    assert (refit.mechanisms["X"].mean, refit.mechanisms["X"].std) == (2.0, 1.0)
+
+
+def test_fit_rejects_an_unknown_classifier_option():
+    data = classifier_data(40, 0)
+    model = gk.auto_assign(CausalGraph(["X", "K"], [("X", "K")]), data)
+    model = gk.assign(model, "K", MechanismSpec("classifier", "svm"))
+    with pytest.raises(FitError, match="^fitting node 'K' failed: unknown classifier kind 'svm'$"):
+        gk.fit(model, data)
+
+
 def test_assign_role_mismatch():
     model = GcmModel(two_node_graph())
     anm = AdditiveNoiseModel(LinearModel([1.0], 0.0), Gaussian(0, 1), gk.InputEncoder.continuous(1))
@@ -78,6 +112,10 @@ def test_assign_role_mismatch():
         gk.assign(model, "X", anm)
     with pytest.raises(FitError, match="non-root"):
         gk.assign(model, "Y", Gaussian(0.0, 1.0))
+    with pytest.raises(FitError, match="non-root node 'Y' needs"):
+        GcmModel(two_node_graph(), {"X": Gaussian(0.0, 1.0), "Y": Gaussian(0.0, 1.0)})
+    with pytest.raises(FitError, match="non-root node 'Y' needs"):
+        GcmModel(two_node_graph(), {"Y": MechanismSpec("tree")})
 
 
 def test_fit_recovers_noiseless_line():

@@ -838,10 +838,9 @@ def test_neighbour_index_ranks_nan_distances_from_an_infinite_reference(k):
          [0.0, 0.0], [np.inf, -1.0], [-np.inf, 0.0], [np.inf, 2.0]]
     )
     queries = np.array([[np.inf, 0.0], [-np.inf, 5.0], [0.5, 0.5], [np.nan, 0.0], [1e200, 1.0]])
-    with np.errstate(invalid="ignore"):
-        expected = cdist(queries, reference)
-        index = NeighbourIndex(reference, k)
-        order = np.concatenate([order for _, order in index.nearest(queries)])
+    expected = cdist(queries, reference)
+    index = NeighbourIndex(reference, k)
+    order = np.concatenate([order for _, order in index.nearest(queries)])
     assert np.isnan(np.sort(expected[0])[k - 1]) == (k > 4)
     assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
 
