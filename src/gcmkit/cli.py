@@ -7,8 +7,6 @@ the same seed prints byte-identical output.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 import warnings
@@ -36,7 +34,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path):
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise start
+    # the first header or make the JSON invalid.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -63,14 +63,12 @@ def _load_model(path):
 def _load_row(path):
     """The one row of a CSV file as its text cells: each query types a value
     by its node's mechanism, not by the lone cell of its column."""
-    from .data import read_csv
+    from .data import read_rows
 
-    text = _read_text(path)
-    data = read_csv(text)
-    if data.n_rows != 1:
-        raise QueryError(f"expected a single-row CSV, got {data.n_rows} rows in {path}")
-    header, cells = csv.reader(io.StringIO(text))
-    return dict(zip(header, cells))
+    header, body = read_rows(_read_text(path))
+    if len(body) != 1:
+        raise QueryError(f"expected a single-row CSV, got {len(body)} rows in {path}")
+    return dict(zip(header, body[0]))
 
 
 def _parse_assignment(text, flag):

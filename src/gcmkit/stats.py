@@ -78,14 +78,15 @@ def _as_point_matrix(values):
     return array.astype(np.float64)
 
 
-def _point_matrices(x, y):
-    """Point matrices of the paired test inputs ``x`` and ``y``."""
+def _point_matrices(x, y, minimum=1, too_few="distance correlation needs at least one observation"):
+    """Point matrices of the paired test inputs ``x`` and ``y``; fewer than
+    ``minimum`` rows raise ``DataError(too_few)``."""
     x_matrix = _as_point_matrix(x)
     y_matrix = _as_point_matrix(y)
     if len(x_matrix) != len(y_matrix):
         raise DataError("x and y must have the same length")
-    if len(x_matrix) == 0:
-        raise DataError("distance correlation needs at least one observation")
+    if len(x_matrix) < minimum:
+        raise DataError(too_few)
     if not (np.all(np.isfinite(x_matrix)) and np.all(np.isfinite(y_matrix))):
         raise DataError("distance correlation needs finite numeric values")
     return x_matrix, y_matrix
@@ -280,10 +281,10 @@ def pairwise_independence_test(x, y, num_permutations=199, seed=0) -> TestResult
     and leaves the statistic's bits as they were.
     """
     num_permutations = require_count(num_permutations, "num_permutations", maximum=MAX_PERMUTATIONS)
-    x_matrix, y_matrix = _point_matrices(x, y)
+    x_matrix, y_matrix = _point_matrices(
+        x, y, minimum=10, too_few="independence test needs at least 10 observations"
+    )
     n = len(x_matrix)
-    if n < 10:
-        raise DataError("independence test needs at least 10 observations")
 
     dcor = _DistanceCorrelation(x_matrix, y_matrix)
     if dcor.scale is None:

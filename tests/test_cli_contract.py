@@ -296,6 +296,49 @@ def test_fisherz_on_repeated_columns_exits_2(files, x, y, given, method):
     assert "distinct" in stderr
 
 
+@pytest.mark.parametrize("rows", [0, 9])
+def test_dcor_on_fewer_than_10_rows_names_the_minimum(files, tmp_path, rows):
+    lines = (files / "cont.csv").read_text().splitlines()[: 1 + rows]
+    (tmp_path / "short.csv").write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = call(
+        ["test", "--data", tmp_path / "short.csv", "--x", "X", "--y", "Y", "--method", "dcor"]
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "gcm test: error: independence test needs at least 10 observations\n"
+
+
+@pytest.mark.parametrize("kind", ["graph", "data"])
+def test_file_starting_with_a_byte_order_mark_is_read_without_it(files, tmp_path, kind):
+    source = files / ("graph.json" if kind == "graph" else "data.csv")
+    marked = tmp_path / source.name
+    marked.write_text("\ufeff" + source.read_text(encoding="utf-8"), encoding="utf-8")
+    paths = {"graph": files / "graph.json", "data": files / "data.csv", kind: marked}
+    code, _, stderr = call(
+        ["fit", "--graph", paths["graph"], "--data", paths["data"], "--out", tmp_path / "model.json"]
+    )
+    assert code == 0, stderr
+    assert (tmp_path / "model.json").read_bytes() == (files / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("C,X,Y,K,Z\n", "expected a single-row CSV, got 0 rows"),
+        ("C,X,Y,K,Z\nb,0.3,2.5,hi,6.0\na,0.1,2.0,lo,5.0\n", "expected a single-row CSV, got 2 rows"),
+        ("C,X,Y,K,Z\nb,0.3,2.5,hi\n", "ragged row 1: expected 5 cells, got 4"),
+        ("C,X,Y,K,Z\nb,,2.5,hi,6.0\n", "missing value in column 'X', row 1"),
+        ("", "empty CSV input"),
+    ],
+)
+def test_malformed_row_file_exits_2(files, tmp_path, text, message):
+    (tmp_path / "row.csv").write_text(text)
+    code, stdout, stderr = call(
+        ["counterfactual", "--model", files / "model.json", "--data", tmp_path / "row.csv", "--set", "X=1"]
+    )
+    assert (code, stdout) == (2, "")
+    assert message in stderr
+
+
 @pytest.mark.parametrize(
     "edges",
     [[["C", "Y", "Z"]], [["C"]], "CY", [[["C"], "Y"]], [["Y", "C"], ["X", "Y"], ["X", "K"], ["Y", "Z"]]],

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcmkit import DataError, Dataset, read_csv, write_csv
+from gcmkit import DataError, Dataset, data, read_csv, write_csv
 
 
 def test_single_continuous_column():
@@ -29,6 +29,9 @@ def test_ragged_row_error():
         read_csv("x,y\n1\n")
     with pytest.raises(DataError, match="ragged row 2: expected 2 cells, got 3"):
         read_csv("x,y\n1,2\n1,,3\n")
+    # A blank line is a row of no cells, though numpy's reader would skip it.
+    with pytest.raises(DataError, match="ragged row 2: expected 2 cells, got 0"):
+        read_csv("x,y\n1,2\n\n")
 
 
 def test_empty_file_error():
@@ -36,6 +39,8 @@ def test_empty_file_error():
         read_csv("")
     with pytest.raises(DataError, match="empty"):
         read_csv("\n")
+    with pytest.raises(DataError, match="empty CSV input"):
+        read_csv("\n1\n")
 
 
 def test_duplicate_header_error():
@@ -112,3 +117,88 @@ def test_write_read_roundtrip(reals, labels):
 
 def test_typing_is_order_independent():
     assert read_csv("x\n1\na\n").kind("x") == read_csv("x\na\n1\n").kind("x") == "categorical"
+
+
+# The numeric fast path of read_csv against the csv module's path.
+
+EDGE_CELLS = [
+    "0", "1", "-2.5", " 2", "2 ", "+1.5", "1_000", "1e400", "-1e400", "nan", "inf", "-Infinity",
+    "\x0c1", "\xa03", "1e-320", "0x10", ".5", "5.", "1e5", "a", "", " ", "1 2", "\u0661", '"4"',
+]
+
+
+def _shown(ds):
+    """Everything a dataset shows: names, kinds, dtypes and cell bytes or strings."""
+    columns = []
+    for name in ds.column_names:
+        column = ds.column(name)
+        cells = column.tobytes() if ds.kind(name) == "continuous" else tuple(column.tolist())
+        columns.append((name, ds.kind(name), column.dtype.str, cells))
+    return ds.n_rows, columns
+
+
+def _outcome(read, text):
+    """What ``read(text)`` shows, or the message of the DataError it raises."""
+    try:
+        return _shown(read(text))
+    except DataError as exc:
+        return ("DataError", str(exc))
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    unique = draw(st.integers(0, 3)) > 0  # now and then a duplicate name
+    names = draw(
+        st.lists(st.sampled_from(["a", "b", "c", "x y", "\ufeffa", '"d"']), min_size=width, max_size=width, unique=unique)
+    )
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10**20, 10**20).map(str),
+    )
+    # Half the tables hold only numbers, so the numeric path often runs.
+    cell = draw(st.sampled_from([number, st.one_of(number, st.sampled_from(EDGE_CELLS))]))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = draw(st.lists(cell, min_size=width, max_size=width))
+        if draw(st.integers(0, 19)) == 0:  # now and then a ragged row
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        rows.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = newline.join([",".join(names)] + rows)
+    if rows or draw(st.booleans()):
+        text += newline
+    return text + newline * draw(st.sampled_from([0, 0, 0, 0, 1, 2]))  # blank lines
+
+
+@given(csv_texts())
+@settings(max_examples=500, deadline=None)
+def test_numeric_path_reads_as_the_csv_path(text):
+    expected = _outcome(data._read_cells, text)
+    assert _outcome(read_csv, text) == expected
+    fast = data._read_finite_table(text)
+    if fast is not None:
+        assert _shown(fast) == expected
+
+
+def test_numeric_path_reads_a_table_of_finite_numbers(monkeypatch):
+    text = "x,y\n1,2.5\n-3e2, 4\n"
+    expected = _outcome(data._read_cells, text)
+    monkeypatch.setattr(data, "_read_cells", None)  # read_csv must not need it
+    assert _shown(read_csv(text)) == expected
+
+
+@pytest.mark.parametrize("cell", ["1e400", "nan", "-inf"])
+def test_non_finite_cell_keeps_its_column_categorical(cell):
+    ds = read_csv(f"x,y\n1,{cell}\n2,3\n")
+    assert (ds.kind("x"), ds.kind("y")) == ("continuous", "categorical")
+    assert list(ds.column("y")) == [cell, "3"]
+
+
+@pytest.mark.parametrize("text", ['x,y\n"1.5",2\n', '"x",y\n1.5,2\n'])
+def test_quotes_are_read_by_the_csv_path(text):
+    assert data._read_finite_table(text) is None
+    ds = read_csv(text)
+    assert ds.column_names == ("x", "y")
+    assert ds.kind("x") == "continuous"
+    assert list(ds.column("x")) == [1.5]
