@@ -30,7 +30,7 @@ from .mechanisms import InputEncoder
 from .model import GcmModel, auto_assign, fit
 from .sampling import abduct_row, draw_noise_values, propagate_from_noise, require_continuous_target
 from .seeds import derive_seed, rng_for
-from .shapley import SetFunction, ShapleyConfig, estimate_shapley
+from .shapley import SetFunction, ShapleyConfig, check_players, estimate_shapley
 from .stats import kl_divergence
 
 DEFAULT_ICC_OUTER_SAMPLES = 100
@@ -110,9 +110,13 @@ def tail_log_score(tail_count, num_samples) -> float:
     return -math.log((1 + tail_count) / (num_samples + 1))
 
 
-def _players_for(graph, target):
+def _players_for(graph, target, shapley_config):
+    """The target and its ancestors in graph order, checked against the
+    Shapley configuration before any work."""
     relevant = graph.ancestors(target) | {target}
-    return tuple(node for node in graph.nodes if node in relevant)
+    players = tuple(node for node in graph.nodes if node in relevant)
+    check_players(len(players), shapley_config or ShapleyConfig())
+    return players
 
 
 def _target_samples(model, target, closure, n, jobs):
@@ -232,7 +236,7 @@ def intrinsic_influence(
     require_continuous_target(model, target)
     outer_samples = require_count(outer_samples, "outer_samples")
     inner_samples = require_count(inner_samples, "inner_samples", 2)
-    players = _players_for(model.graph, target)
+    players = _players_for(model.graph, target, shapley_config)
 
     variance_samples = require_rows(outer_samples * inner_samples, "outer_samples * inner_samples")
     target_values = _target_samples(
@@ -284,7 +288,7 @@ def attribute_anomaly(
     model.require_fitted()
     require_continuous_target(model, target)
     num_samples = require_rows(num_samples, "num_samples")
-    players = _players_for(model.graph, target)
+    players = _players_for(model.graph, target, shapley_config)
     observed, recovered = abduct_row(model, anomalous_row, players)
 
     reference = _target_samples(
@@ -344,9 +348,9 @@ def distribution_change(
         raise QueryError(f"unknown distribution-change measure {measure!r}")
     num_samples = require_rows(num_samples, "num_samples", minimum=_KL_MIN_ROWS if measure == "kl" else 1)
 
+    players = _players_for(graph, target, shapley_config)
     old_model = fit(auto_assign(graph, old_data), old_data)
     new_model = fit(auto_assign(graph, new_data), new_data)
-    players = _players_for(graph, target)
     baseline = _target_samples(
         old_model, target, players, num_samples, [(derive_seed(seed, "change:baseline"), {})]
     )[0]

@@ -254,19 +254,16 @@ def _cmd_test(args):
     if method == "auto":
         method = "fisherz" if given else "dcor"
     if method == "fisherz":
-        result = fisher_z_test(data, args.x, args.y, given)
-    elif method == "dcor":
-        if given:
-            raise _UsageError("--given requires --method fisherz (or auto)")
-        if args.x == args.y:
-            raise QueryError(f"dcor needs x and y to name distinct columns, got {args.x!r} twice")
-        require_count(args.permutations, "--permutations", maximum=MAX_PERMUTATIONS)
-        result = pairwise_independence_test(
-            data.column(args.x), data.column(args.y), args.permutations, args.seed
-        )
-    else:
-        raise _UsageError(f"unknown method {method!r}")
-    return result.to_json()
+        return fisher_z_test(data, args.x, args.y, given).to_json()
+    # argparse's choices leave dcor as the only other method.
+    if given:
+        raise _UsageError("--given requires --method fisherz (or auto)")
+    if args.x == args.y:
+        raise QueryError(f"dcor needs x and y to name distinct columns, got {args.x!r} twice")
+    require_count(args.permutations, "--permutations", maximum=MAX_PERMUTATIONS)
+    return pairwise_independence_test(
+        data.column(args.x), data.column(args.y), args.permutations, args.seed
+    ).to_json()
 
 
 def build_parser() -> _Parser:

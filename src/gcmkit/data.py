@@ -16,10 +16,9 @@ class Dataset:
 
     Continuous columns are float64 arrays with finite values; categorical
     columns are arrays of strings compared by exact equality.  Instances are
-    immutable after construction.  Each one also keeps a private memo of its
-    continuous columns, scaled by a power of two and centred, and their cross
-    products, empty until :func:`~gcmkit.stats.fisher_z_test` first needs it;
-    it never changes what the public methods return.
+    immutable after construction.  Each one also keeps a private memo,
+    ``_memo``, empty when built, that other modules fill with what they
+    derive from its columns; it never changes what the public methods return.
     """
 
     def __init__(self, names, arrays):
@@ -53,10 +52,7 @@ class Dataset:
         self._columns = columns
         self._kinds = kinds
         self.n_rows = 0 if n_rows is None else int(n_rows)
-        # Filled by gcmkit.stats: name -> scaled and centred column, and
-        # name-sorted pair -> the dot product of the two centred columns.
-        self._centred_columns = {}
-        self._centred_products = {}
+        self._memo = {}
 
     @property
     def column_names(self):
@@ -176,9 +172,14 @@ def read_rows(source):
     """The header and data rows of CSV text, as lists of strings.
 
     Raises the :class:`DataError` that :func:`read_csv` raises for empty
-    input, duplicate headers, ragged rows and empty cells.
+    input, duplicate headers, ragged rows, empty cells and text the ``csv``
+    module cannot split, such as a cell over its field size limit.
     """
-    rows = list(csv.reader(io.StringIO(source)))
+    reader = csv.reader(io.StringIO(source))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"CSV line {reader.line_num}: {exc}") from exc
     if not rows or rows[0] == []:
         raise DataError("empty CSV input")
     header = rows[0]

@@ -59,6 +59,17 @@ def estimate_shapley(set_function: SetFunction, config: ShapleyConfig = ShapleyC
     sampled once per occurrence.
     """
     n = set_function.arity
+    check_players(n, config)
+    if config.method == "exact":
+        return _exact(set_function, n)
+    return _permutation(set_function, n, config.num_permutations, config.seed)
+
+
+def check_players(n, config: ShapleyConfig = ShapleyConfig()):
+    """Raise :class:`QueryError` unless ``config`` can attribute over ``n``
+    players: at least one, at most ``_EXACT_LIMIT`` for the exact method, a
+    known method and a positive number of permutations.  A query calls it
+    as soon as it knows its players, before it fits or draws anything."""
     if n < 1:
         raise QueryError("set function needs at least one player")
     if config.method == "exact":
@@ -66,12 +77,11 @@ def estimate_shapley(set_function: SetFunction, config: ShapleyConfig = ShapleyC
             raise QueryError(
                 f"exact Shapley enumeration is limited to {_EXACT_LIMIT} players, got {n}"
             )
-        return _exact(set_function, n)
-    if config.method == "permutation":
+    elif config.method == "permutation":
         if config.num_permutations < 1:
             raise QueryError("num_permutations must be positive")
-        return _permutation(set_function, n, config.num_permutations, config.seed)
-    raise QueryError(f"unknown Shapley method {config.method!r}")
+    else:
+        raise QueryError(f"unknown Shapley method {config.method!r}")
 
 
 def _exact(set_function, n):

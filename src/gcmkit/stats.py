@@ -30,10 +30,10 @@ B permutations cost O(B·n log n) and no n×n array; dCor² agrees with the
 double-centred O(n²) formula within 1e-12.  One-hot or multi-column points
 keep that formula, at O(B·n²).
 
-The Fisher-z test reads a per-dataset memo of centred cross products:
-each continuous column is scaled by a power of two and centred once, and
-each pair of centred columns multiplied once, the first time a test names
-them.  A test's bits depend only on the columns it names.
+The Fisher-z test fills the dataset's private ``_memo`` as tests name
+columns: ``("centred", name)`` is the column scaled by a power of two and
+centred, read-only, and ``("product", first, second)`` the dot product of a
+name-sorted pair of them.  A test's bits depend only on the columns it names.
 
 Importing this module loads numpy only, and nothing here imports scipy.
 The Fisher-z p-value's normal tail is a port of the Cephes ``ndtr`` that
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, categories_of, one_hot
+from .data import CONTINUOUS, Dataset, categories_of, one_hot
 from .exceptions import DataError, QueryError, require_count
 from .seeds import rng_for
 
@@ -385,11 +385,11 @@ def _centred_column(data: Dataset, name):
     keeps its bits, and no product of two such columns can overflow.  A
     constant column centres to exact zeros, not to its mean's rounding
     residue, which would correlate perfectly with another constant's."""
-    centred = data._centred_columns.get(name)
+    centred = data._memo.get(("centred", name))
     if centred is None:
         column = _unit_scaled(data.column(name))
         centred = column - column.mean() if column.min() < column.max() else np.zeros_like(column)
-        data._centred_columns[name] = centred
+        data._memo["centred", name] = centred
         centred.setflags(write=False)
     return centred
 
@@ -404,10 +404,10 @@ def _centred_products(data: Dataset, names):
     products = np.empty((len(names), len(names)))
     for i, first in enumerate(names):
         for j, second in enumerate(names[i:], start=i):
-            key = (first, second) if first <= second else (second, first)
-            product = data._centred_products.get(key)
+            key = ("product", first, second) if first <= second else ("product", second, first)
+            product = data._memo.get(key)
             if product is None:
-                product = data._centred_products[key] = float(
+                product = data._memo[key] = float(
                     np.dot(_centred_column(data, first), _centred_column(data, second))
                 )
             products[i, j] = products[j, i] = product
@@ -437,7 +437,7 @@ def fisher_z_test(data: Dataset, x, y, conditioning_set=()) -> TestResult:
             f"fisher-z needs x, y and the conditioning set to name distinct columns, got {involved}"
         )
     for name in involved:
-        if data.kind(name) != "continuous":
+        if data.kind(name) != CONTINUOUS:
             raise DataError(f"fisher-z requires continuous columns, {name!r} is categorical")
     n = data.n_rows
     if n <= len(conditioning_set) + 3:

@@ -1,10 +1,9 @@
 """Model diagnostics: falsify a graph against data, evaluate fitted mechanisms.
 
-Refutation runs Fisher-z tests (:func:`~gcmkit.stats.fisher_z_test`), which
-read the data's memo of centred cross products, so each pair of columns is
-multiplied once however many local Markov conditions name it.  Evaluation
-compares distributions with the numpy two-sample KS statistic
-(:func:`~gcmkit.stats.ks_statistic`).  Neither imports scipy.
+Refutation tests each local Markov condition with
+:func:`~gcmkit.stats.fisher_z_test`.  Evaluation compares distributions with
+the numpy two-sample KS statistic (:func:`~gcmkit.stats.ks_statistic`).
+Neither imports scipy.
 """
 
 from dataclasses import dataclass

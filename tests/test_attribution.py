@@ -310,6 +310,40 @@ class TestDistributionChange:
             gk.distribution_change(self.graph, old, partial, "Y")
 
 
+def _long_chain(length):
+    """A ground-truth linear chain N00 -> N01 -> ... and data drawn from it."""
+    names = [f"N{i:02d}" for i in range(length)]
+    model = gk.assign(
+        GcmModel(CausalGraph(names, list(zip(names, names[1:])))), names[0], Gaussian(0.0, 1.0),
+        ground_truth=True,
+    )
+    for name in names[1:]:
+        anm = AdditiveNoiseModel(LinearModel([0.5], 0.0), Gaussian(0.0, 1.0), gk.InputEncoder.continuous(1))
+        model = gk.assign(model, name, anm, ground_truth=True)
+    data = gk.draw_samples(model, 30, seed=0)
+    return model, data
+
+
+LIMIT_QUERIES = {
+    "icc": lambda model, data: gk.intrinsic_influence(model, model.graph.nodes[-1]),
+    "outlier": lambda model, data: gk.attribute_anomaly(model, model.graph.nodes[-1], data.row(0)),
+    "change": lambda model, data: gk.distribution_change(model.graph, data, data, model.graph.nodes[-1]),
+}
+
+
+@pytest.mark.parametrize("query", sorted(LIMIT_QUERIES))
+def test_exact_player_limit_is_checked_before_any_fit_or_draw(query, monkeypatch):
+    model, data = _long_chain(21)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the player limit was not checked first")
+
+    for name in ("fit", "draw_noise_values", "_target_samples", "abduct_row"):
+        monkeypatch.setattr(attribution, name, never)
+    with pytest.raises(QueryError, match="limited to 20 players, got 21"):
+        LIMIT_QUERIES[query](model, data)
+
+
 PERMUTATION_QUERIES = {
     "icc": lambda config: gk.intrinsic_influence(
         make_ground_truth_chain(), "Z", config, outer_samples=5, inner_samples=30, seed=3

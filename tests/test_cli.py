@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -257,3 +258,38 @@ def test_envelope_keys_are_stable(workdir):
     result = run_cli("sample", "--model", str(workdir / "model.json"), "-n", "3")
     payload = json.loads(result.stdout)
     assert list(payload)[:3] == ["schema_version", "command", "seed"]
+
+
+def test_parser_budget_defaults_match_the_library():
+    """The parser loads no numpy, so it restates the library's defaults."""
+    from gcmkit import attribution, cli, discovery, sampling, stats, validation
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    cases = [
+        (["attribute-outlier", "--model", "m", "--data", "r", "--target", "t"],
+         {"num_samples": attribution.DEFAULT_ANOMALY_SAMPLES}),
+        (["attribute-change", "--graph", "g", "--old", "o", "--new", "n", "--target", "t"],
+         {"num_samples": attribution.DEFAULT_CHANGE_SAMPLES,
+          "measure": default(attribution.distribution_change, "measure")}),
+        (["icc", "--model", "m", "--target", "t"],
+         {"outer_samples": attribution.DEFAULT_ICC_OUTER_SAMPLES,
+          "inner_samples": attribution.DEFAULT_ICC_INNER_SAMPLES}),
+        (["arrow-strength", "--model", "m", "--edge", "a->b"],
+         {"n": default(attribution.arrow_strength, "n"),
+          "measure": default(attribution.arrow_strength, "measure")}),
+        (["ace", "--model", "m", "--treatment", "a", "--value-a", "1", "--value-b", "0", "--target", "b"],
+         {"n": default(sampling.average_causal_effect, "n")}),
+        (["test", "--data", "d", "--x", "a", "--y", "b"],
+         {"permutations": default(stats.pairwise_independence_test, "num_permutations")}),
+        (["discover", "--data", "d"],
+         {"alpha": default(discovery.discover_cpdag, "alpha"),
+          "max_cond_set": discovery.DEFAULT_MAX_COND_SET_SIZE}),
+        (["refute", "--graph", "g", "--data", "d"],
+         {"alpha": default(validation.refute_graph, "alpha")}),
+    ]
+    parser = cli.build_parser()
+    for argv, expected in cases:
+        args = parser.parse_args(argv)
+        assert {name: getattr(args, name) for name in expected} == expected, argv[0]

@@ -339,6 +339,20 @@ def test_malformed_row_file_exits_2(files, tmp_path, text, message):
     assert message in stderr
 
 
+@pytest.mark.parametrize("cell", ["a" * 140_000, "1" * 140_001], ids=["categorical", "numeric"])
+@pytest.mark.parametrize("command", ["fit", "counterfactual"])
+def test_cell_over_the_csv_field_limit_exits_2(files, tmp_path, command, cell):
+    (tmp_path / "big.csv").write_text(f"C,X,Y,K,Z\nb,0.3,2.5,hi,{cell}\n")
+    inputs = (
+        ["--graph", files / "graph.json"] if command == "fit" else ["--model", files / "model.json"]
+    )
+    code, stdout, stderr = call([command, *inputs, "--data", tmp_path / "big.csv"])
+    assert (code, stdout) == (2, "")
+    assert stderr.splitlines() == [
+        f"gcm {command}: error: CSV line 2: field larger than field limit (131072)"
+    ]
+
+
 @pytest.mark.parametrize(
     "edges",
     [[["C", "Y", "Z"]], [["C"]], "CY", [[["C"], "Y"]], [["Y", "C"], ["X", "Y"], ["X", "K"], ["Y", "Z"]]],

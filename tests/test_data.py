@@ -202,3 +202,14 @@ def test_quotes_are_read_by_the_csv_path(text):
     assert ds.column_names == ("x", "y")
     assert ds.kind("x") == "continuous"
     assert list(ds.column("x")) == [1.5]
+
+
+@pytest.mark.parametrize(
+    "cell", ["a" * 140_000, "1" * 140_001], ids=["categorical", "numeric"]
+)
+@pytest.mark.parametrize("read", [read_csv, data.read_rows], ids=["read_csv", "read_rows"])
+def test_cell_over_the_csv_field_limit_raises_data_error(read, cell):
+    """The ``csv`` module splits no field over 131 072 characters; a numeric
+    cell that long parses to inf and takes the ``csv`` path too."""
+    with pytest.raises(DataError, match="CSV line 3: field larger than field limit"):
+        read(f"A,B\n1.0,2.0\n3.0,{cell}\n")

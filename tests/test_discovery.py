@@ -109,6 +109,44 @@ class TestOrient:
         assert ("Y", "Z") in cpdag.directed
         assert ("Z", "W") in cpdag.directed
 
+    def test_meek_rule_two_follows_rule_one(self):
+        # v-structure A -> B <- D; rule 1 gives B -> C, then rule 2 A -> C
+        skeleton = Skeleton(tuple("ABCD"), (("A", "B"), ("A", "C"), ("B", "C"), ("B", "D")))
+        cpdag = orient(skeleton, {("A", "D"): (), ("C", "D"): ("B",)})
+        assert cpdag.directed == (("A", "B"), ("A", "C"), ("B", "C"), ("D", "B"))
+        assert cpdag.undirected == () and cpdag.conflicts == ()
+
+    def test_meek_rule_three(self):
+        # v-structure B -> D <- C with A adjacent to all three: A -> D by rule 3
+        skeleton = Skeleton(
+            tuple("ABCD"), (("A", "B"), ("A", "C"), ("A", "D"), ("B", "D"), ("C", "D"))
+        )
+        cpdag = orient(skeleton, {("B", "C"): ("A",)})
+        assert cpdag.directed == (("A", "D"), ("B", "D"), ("C", "D"))
+        assert cpdag.undirected == (("A", "B"), ("A", "C"))
+        assert cpdag.conflicts == ()
+
+    def test_meek_rule_four(self):
+        # v-structure B -> C <- E; rule 1 gives C -> A, then rule 4 D -> A
+        # (B -> C -> A with D - B, D adjacent to C, B not adjacent to A)
+        skeleton = Skeleton(
+            tuple("ABCDE"), (("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D"), ("C", "E"))
+        )
+        sepsets = {("A", "B"): ("C", "D"), ("A", "E"): ("C",), ("B", "E"): ("D",), ("D", "E"): ("C",)}
+        cpdag = orient(skeleton, sepsets)
+        assert cpdag.directed == (
+            ("B", "C"), ("B", "D"), ("C", "A"), ("C", "D"), ("D", "A"), ("E", "C"),
+        )
+        assert cpdag.undirected == () and cpdag.conflicts == ()
+
+    def test_conflicting_v_structures_keep_the_first_writer(self):
+        # A -> B <- C and B -> C <- D both fire; B -> C loses to C -> B
+        skeleton = Skeleton(tuple("ABCD"), (("A", "B"), ("B", "C"), ("C", "D")))
+        cpdag = orient(skeleton, {("A", "C"): (), ("B", "D"): (), ("A", "D"): ()})
+        assert cpdag.directed == (("A", "B"), ("C", "B"), ("D", "C"))
+        assert cpdag.undirected == ()
+        assert cpdag.conflicts == (("B", "C"),)
+
     def test_directed_part_is_acyclic_on_real_data(self):
         for seed in range(10):
             cpdag = discover_cpdag(collider_data(seed=100 + seed), alpha=0.05)

@@ -340,6 +340,42 @@ def _cli_small_k():
     return [x, np.array(["a", "b", "c"])[c]], k
 
 
+def _hyperbola(points=None):
+    """sqrt(1 + x²) in the form :func:`mechanisms.minimize` takes, noting
+    each point it is evaluated at in ``points``."""
+    def objective(x):
+        if points is not None:
+            points.append(float(x[0]))
+        value = float(np.sqrt(1.0 + x[0] ** 2))
+        return value, lambda: (np.array([x[0] / value]), np.array([[value**-3]]))
+
+    return objective
+
+
+class TestNewtonSolver:
+    def test_armijo_backtracking_halves_an_overshooting_step(self):
+        # From x = 2 the Newton step is -x³, so the full step lands at -8.
+        points = []
+        result = mechanisms.minimize(_hyperbola(points), [2.0])
+        assert points[:4] == pytest.approx([2.0, -8.0, -3.0, -0.5])
+        assert result.nit == 4 and result.success
+        assert abs(result.x[0]) < 1e-8
+
+    def test_singular_newton_system_raises_numeric_error(self):
+        def flat(x):
+            return float(x @ x), lambda: (2 * x + 1, np.zeros((1, 1)))
+
+        with pytest.raises(NumericError, match="singular"):
+            mechanisms.minimize(flat, [1.0])
+
+    def test_non_finite_value_raises_numeric_error(self):
+        def undefined(x):
+            return float("nan"), lambda: (x, np.eye(1))
+
+        with pytest.raises(NumericError, match="not finite"):
+            mechanisms.minimize(undefined, [1.0])
+
+
 def _separable():
     rng = np.random.default_rng(3)
     x = np.concatenate([rng.normal(-2, 0.5, 200), rng.normal(2, 0.5, 200)])

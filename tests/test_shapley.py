@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcmkit import NumericError, QueryError, SetFunction, ShapleyConfig, estimate_shapley
+from gcmkit.shapley import check_players
 from gcmkit.seeds import derive_seed
 
 
@@ -144,6 +145,19 @@ def test_permutation_efficiency_with_stochastic_evaluator():
 def test_exact_rejects_large_arity():
     with pytest.raises(QueryError, match="20 players"):
         estimate_shapley(SetFunction(21, batched(lambda bits: 0.0)), ShapleyConfig(method="exact"))
+
+
+def test_player_check_limits_only_the_exact_method():
+    check_players(20)
+    check_players(21, ShapleyConfig(method="permutation", num_permutations=1))
+    for players, config, message in [
+        (21, ShapleyConfig(method="exact"), "limited to 20 players, got 21"),
+        (0, ShapleyConfig(method="exact"), "at least one player"),
+        (3, ShapleyConfig(method="permutation", num_permutations=0), "num_permutations"),
+        (3, ShapleyConfig(method="sampled"), "unknown Shapley method"),
+    ]:
+        with pytest.raises(QueryError, match=message):
+            check_players(players, config)
 
 
 def test_non_finite_evaluator_rejected():

@@ -452,14 +452,16 @@ class TestFisherZMemo:
 
     def test_memo_fills_lazily_with_name_sorted_pairs(self):
         data = reference_fixture()
-        assert data._centred_columns == {} and data._centred_products == {}
+        assert data._memo == {}
         fisher_z_test(data, "c", "a", ["b"])
-        assert set(data._centred_columns) == {"a", "b", "c"}
-        assert set(data._centred_products) == {
-            ("a", "a"), ("a", "b"), ("a", "c"), ("b", "b"), ("b", "c"), ("c", "c"),
+        assert set(data._memo) == {
+            ("centred", "a"), ("centred", "b"), ("centred", "c"),
+            ("product", "a", "a"), ("product", "a", "b"), ("product", "a", "c"),
+            ("product", "b", "b"), ("product", "b", "c"), ("product", "c", "c"),
         }
-        assert not any(column.flags.writeable for column in data._centred_columns.values())
-        assert data.select(["a", "b"])._centred_products == {}
+        centred = [value for key, value in data._memo.items() if key[0] == "centred"]
+        assert not any(column.flags.writeable for column in centred)
+        assert data.select(["a", "b"])._memo == {}
 
     def test_bits_do_not_depend_on_the_table_width(self):
         """On a 30-column table, where a product taken from one full-width
