@@ -399,7 +399,7 @@ def run(argv=None) -> int:
     except _numeric_errors() as exc:
         print(f"gcm {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (GcmError, OSError, json.JSONDecodeError) as exc:
+    except (GcmError, OSError) as exc:
         print(f"gcm {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

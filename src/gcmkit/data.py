@@ -38,7 +38,7 @@ class Dataset:
                 n_rows = array.shape[0]
             elif array.shape[0] != n_rows:
                 raise DataError("columns differ in length")
-            if np.issubdtype(array.dtype, np.number):
+            if is_numeric(array):
                 array = array.astype(np.float64)
                 if not np.all(np.isfinite(array)):
                     raise DataError(f"column {name!r} contains non-finite values")
@@ -90,6 +90,11 @@ class Dataset:
     def __repr__(self):
         kinds = ", ".join(f"{name}:{self._kinds[name][:4]}" for name in self._names)
         return f"Dataset({self.n_rows} rows; {kinds})"
+
+
+def is_numeric(values) -> bool:
+    """Whether ``values`` hold numbers, which makes a column continuous (else categorical)."""
+    return np.issubdtype(np.asarray(values).dtype, np.number)
 
 
 def categories_of(values) -> tuple:

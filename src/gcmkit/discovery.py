@@ -160,12 +160,9 @@ def orient(skeleton: Skeleton, separation_sets) -> Cpdag:
     def direct(a, b):
         if (b, a) in directed:
             conflicts.append((a, b))
-            return False
-        if (a, b) in directed:
-            return False
-        undirected.discard(frozenset((a, b)))
-        directed.add((a, b))
-        return True
+        else:
+            undirected.discard(frozenset((a, b)))
+            directed.add((a, b))
 
     # v-structures x -> z <- y for unshielded triples with z outside sepset(x, y)
     for x in nodes:

@@ -24,8 +24,9 @@ nothing else:
   observed column, or :class:`~gcmkit.exceptions.NonInvertibleError`;
 - ``noise_reference(n, rng)`` (continuous nodes): a sample of the noise that
   held-out residuals, the noise ``abduct`` recovers, are compared with;
-- ``most_probable(parent_columns, n)`` (categorical nodes): the most probable
-  category of each of ``n`` rows given its parents' values;
+- ``categories`` and ``probabilities(parent_columns, n)`` (categorical
+  nodes): the labels in column order, and an ``n`` × ``len(categories)``
+  matrix of each row's class probabilities given its parents' values;
 - ``to_json()``: tagged parameters, read back by :func:`mechanism_from_json`
   through the class's ``tag``.
 """
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import categories_of, one_hot
+from .data import categories_of, is_numeric, one_hot
 from .exceptions import DataError, FitError, NonInvertibleError, NumericError, SerializationError
 from .stats import NeighbourIndex
 
@@ -74,10 +75,6 @@ def _encoded_queries(encoded, width):
         encodes = encoded.shape[1] if encoded.ndim == 2 else encoded.shape
         raise DataError(_width_mismatch(width, encodes))
     return encoded
-
-
-def _is_numeric(values):
-    return np.issubdtype(np.asarray(values).dtype, np.number)
 
 
 class _Serialized:
@@ -181,11 +178,10 @@ class Multinomial(_Marginal):
         self.probs = probs
 
     def draw(self, n, rng):
-        u = rng.random(n)
-        return categories_from_uniform(self.categories, np.tile(self.probs, (n, 1)), u)
+        return categories_from_uniform(self.categories, self.probabilities((), n), rng.random(n))
 
-    def most_probable(self, parent_columns, n):
-        return np.full(n, self.categories[int(np.argmax(self.probs))], dtype=object)
+    def probabilities(self, parent_columns, n):
+        return np.tile(self.probs, (n, 1))
 
     def __repr__(self):
         return f"Multinomial({dict(zip(self.categories, np.round(self.probs, 4)))})"
@@ -209,7 +205,7 @@ def fit_stochastic(values, kind="auto"):
     values = np.asarray(values)
     if values.size == 0:
         raise FitError("cannot fit a marginal to empty input")
-    numeric = _is_numeric(values)
+    numeric = is_numeric(values)
     if kind == "auto":
         kind = "empirical" if numeric else "multinomial"
     if kind in ("empirical", "gaussian") and not numeric:
@@ -243,10 +239,10 @@ class InputEncoder:
     def fit(cls, parent_columns):
         specs = []
         for column in parent_columns:
-            if _is_numeric(column):
+            if is_numeric(column):
                 specs.append(("continuous", None))
             else:
-                specs.append(("categorical", categories_of([str(v) for v in column])))
+                specs.append(("categorical", categories_of(column)))
         return cls(specs)
 
     @classmethod
@@ -542,7 +538,7 @@ class ClassifierFcm:
         self.categories = categories
         self.weights = weights
 
-    def predict_probs(self, parent_columns) -> np.ndarray:
+    def probabilities(self, parent_columns, n) -> np.ndarray:
         encoded = self.encoder.encode(list(parent_columns))
         design = np.hstack([encoded, np.ones((len(encoded), 1))])
         return _softmax(design @ self.weights)
@@ -551,11 +547,7 @@ class ClassifierFcm:
         return rng.random(n)
 
     def forward(self, parent_columns, noise) -> np.ndarray:
-        return categories_from_uniform(self.categories, self.predict_probs(parent_columns), noise)
-
-    def most_probable(self, parent_columns, n):
-        probs = self.predict_probs(parent_columns)
-        return np.array(self.categories, dtype=object)[np.argmax(probs, axis=1)]
+        return categories_from_uniform(self.categories, self.probabilities(parent_columns, len(noise)), noise)
 
     def abduct(self, parent_columns, observed):
         raise NonInvertibleError(

@@ -32,6 +32,13 @@ class Intervention:
 
 
 def atomic(node, value) -> Intervention:
+    """Force ``node`` to ``value``.
+
+    A category is checked only where an evaluated mechanism must encode it:
+    a child that one-hot encodes the node rejects a category it did not see
+    at fit time, but a node that no evaluated mechanism reads, such as a
+    leaf or a node whose children are all set too, takes any category.
+    """
     return Intervention(node, "atomic", value=value)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTINUOUS, Dataset, categories_of, one_hot
+from .data import CONTINUOUS, Dataset, categories_of, is_numeric, one_hot
 from .exceptions import DataError, QueryError, require_count
 from .seeds import rng_for
 
@@ -71,8 +71,7 @@ def _as_point_matrix(values):
     """Column vector for numeric input, one-hot matrix for categorical input."""
     array = np.asarray(values)
     if array.ndim == 1:
-        numeric = np.issubdtype(array.dtype, np.number)
-        array = array[:, None] if numeric else one_hot(array, categories_of(array))
+        array = array[:, None] if is_numeric(array) else one_hot(array, categories_of(array))
     if array.ndim != 2 or array.shape[1] == 0:
         raise DataError("test inputs must be one- or two-dimensional, with at least one column")
     return array.astype(np.float64)

@@ -158,6 +158,8 @@ def evaluate_mechanisms(model: "GcmModel", heldout: Dataset, seed=0) -> Evaluati
             if role == "additive_noise":
                 scores["rmse"] = float(np.sqrt(np.mean(residuals**2)))
         else:
-            scores = {"accuracy": float(np.mean(mechanism.most_probable(parent_columns, n) == column))}
+            probabilities = mechanism.probabilities(parent_columns, n)
+            predicted = np.array(mechanism.categories, dtype=object)[np.argmax(probabilities, axis=1)]
+            scores = {"accuracy": float(np.mean(predicted == column))}
         evaluations.append(NodeEvaluation(node, role, **scores))
     return EvaluationReport(tuple(evaluations))

@@ -254,6 +254,25 @@ def test_ace_echoes_a_continuous_treatment_as_a_number(files):
     assert '"value_a":2.0,"value_b":0.0,' in stdout
 
 
+def test_a_set_category_is_checked_only_where_a_child_encodes_it(files):
+    """K is a leaf, so no evaluated mechanism reads its value and any
+    category goes through; C's child Y one-hot encodes it, so an unseen
+    category exits 2."""
+    model = files / "model.json"
+    code, stdout, stderr = call(["intervene", "--model", model, "--set", "K=zzz", "-n", 5])
+    assert code == 0, stderr
+    payload = json.loads(stdout)
+    assert {row[payload["columns"].index("K")] for row in payload["rows"]} == {"zzz"}
+    code, _, stderr = call(
+        ["ace", "--model", model, "--treatment", "K", "--value-a", "zzz", "--value-b", "hi",
+         "--target", "Z", "-n", 50]
+    )
+    assert code == 0, stderr
+    code, stdout, stderr = call(["intervene", "--model", model, "--set", "C=zzz", "-n", 5])
+    assert (code, stdout) == (2, "")
+    assert "category 'zzz' was not present when the model was fit" in stderr
+
+
 def test_counterfactual_observes_a_category_that_looks_like_a_number(numeric_categories):
     model, row = numeric_categories / "model.json", numeric_categories / "row.csv"
     code, stdout, stderr = call(["counterfactual", "--model", model, "--data", row])

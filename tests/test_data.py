@@ -91,6 +91,20 @@ def test_dataset_rejects_non_finite():
         Dataset(["x"], [np.array([1.0, np.nan])])
 
 
+@pytest.mark.parametrize(
+    ("names", "arrays", "message"),
+    [
+        (["x", "x"], [[1.0], [2.0]], "duplicate column names"),
+        (["x", "y"], [[1.0]], "one array per column required"),
+        (["x"], [[[1.0], [2.0]]], "column 'x' must be one-dimensional"),
+        (["x", "y"], [[1.0, 2.0], [3.0]], "columns differ in length"),
+    ],
+)
+def test_dataset_constructor_errors(names, arrays, message):
+    with pytest.raises(DataError, match=message):
+        Dataset(names, arrays)
+
+
 def test_columns_are_read_only():
     ds = read_csv("x\n1\n2\n")
     with pytest.raises(ValueError):

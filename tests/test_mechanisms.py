@@ -121,6 +121,14 @@ class TestFitAnm:
         anm = fit_anm([x], y, model_kind="auto")
         assert isinstance(anm.prediction, LinearModel)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_auto_on_fewer_rows_than_folds_picks_linear_for_a_line(self, n):
+        """With fewer rows than cross-validation folds, the empty folds are skipped."""
+        x = np.arange(float(n))
+        anm = fit_anm([x], 2 * x + 1, model_kind="auto")
+        assert isinstance(anm.prediction, LinearModel)
+        assert np.allclose(anm.predict([x]), 2 * x + 1)
+
     def test_insufficient_rows(self):
         with pytest.raises(FitError, match="insufficient rows"):
             fit_anm([np.array([1.0])], np.array([2.0]))
@@ -233,7 +241,7 @@ class TestClassifier:
         y = np.array(["low"] * 200 + ["high"] * 200, dtype=object)
         clf = fit_classifier([x], y)
         assert clf.categories == ("high", "low")
-        probs = clf.predict_probs([np.array([-2.0, 2.0])])
+        probs = clf.probabilities([np.array([-2.0, 2.0])], None)
         assert probs[0, clf.categories.index("low")] > 0.9
         assert probs[1, clf.categories.index("high")] > 0.9
 
@@ -242,9 +250,17 @@ class TestClassifier:
         x = rng.standard_normal(100)
         y = np.array(["a" if v < 0 else "b" for v in x], dtype=object)
         clf = fit_classifier([x], y)
-        probs = clf.predict_probs([rng.standard_normal(50)])
+        probs = clf.probabilities([rng.standard_normal(50)], None)
         assert np.all(probs >= 0)
         assert np.allclose(probs.sum(axis=1), 1.0)
+
+    def test_a_single_category_is_always_drawn(self):
+        clf = fit_classifier([np.arange(5.0)], ["only"] * 5)
+        assert clf.categories == ("only",)
+        assert clf.weights.shape == (2, 1)
+        noise = clf.draw_noise(50, np.random.default_rng(0))
+        assert clf.forward([np.linspace(-9.0, 9.0, 50)], noise).tolist() == ["only"] * 50
+        assert mechanisms.mechanism_from_json(clf.to_json()).to_json() == clf.to_json()
 
     def test_sample_class_deterministic_given_rng(self):
         rng = np.random.default_rng(5)
@@ -286,8 +302,8 @@ class TestClassifier:
         x, k = data.column("X"), data.column("K")
         queries = np.array([-1.0, 0.0, 0.7])
         # At these scales the 1e-6 penalty on the slope is negligible.
-        expected = fit_classifier([10.0 * x], k).predict_probs([10.0 * queries])
-        probs = fit_classifier([scale * x], k).predict_probs([scale * queries])
+        expected = fit_classifier([10.0 * x], k).probabilities([10.0 * queries], None)
+        probs = fit_classifier([scale * x], k).probabilities([scale * queries], None)
         assert np.allclose(probs, expected, rtol=0, atol=1e-6)
 
 

@@ -21,7 +21,8 @@ PROTOCOL = {
     "forward",
     "abduct",
     "noise_reference",
-    "most_probable",
+    "categories",
+    "probabilities",
     "to_json",
 }
 
@@ -41,6 +42,7 @@ class ProtocolOnly:
     family = property(lambda self: self._inner.family)
     option = property(lambda self: self._inner.option)
     is_continuous = property(lambda self: self._inner.is_continuous)
+    categories = property(lambda self: self._inner.categories)
 
     def draw_noise(self, n, rng):
         return self._inner.draw_noise(n, rng)
@@ -54,8 +56,8 @@ class ProtocolOnly:
     def noise_reference(self, n, rng):
         return self._inner.noise_reference(n, rng)
 
-    def most_probable(self, parent_columns, n):
-        return self._inner.most_probable(parent_columns, n)
+    def probabilities(self, parent_columns, n):
+        return self._inner.probabilities(parent_columns, n)
 
     def to_json(self):
         return self._inner.to_json()

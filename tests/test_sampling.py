@@ -15,6 +15,7 @@ from gcmkit import (
     NonInvertibleError,
     QueryError,
 )
+from gcmkit.sampling import draw_noise_values, propagate_from_noise
 from conftest import linear_gaussian_models, make_ground_truth_chain
 
 
@@ -100,6 +101,11 @@ class TestInterventionalSamples:
         with pytest.raises(QueryError, match="multiple interventions"):
             gk.interventional_samples(model, [gk.atomic("X", 1), gk.shift("X", 1)], 10)
 
+    def test_unknown_kind_rejected(self):
+        model = make_two_node_model()
+        with pytest.raises(QueryError, match="unknown intervention kind 'bogus'"):
+            gk.interventional_samples(model, [gk.Intervention("Y", "bogus")], 10)
+
     def test_non_descendants_keep_observational_distribution(self):
         model = make_ground_truth_chain()
         observational = gk.draw_samples(model, 5000, seed=100)
@@ -119,6 +125,13 @@ class TestInterventionalSamples:
         assert gk.interventional_samples(model, ivs, 5, seed=1).column("Y").tolist() == [1.0] * 5
         row = {"C": "a", "Y": 0.5}
         assert gk.counterfactual(model, row, ivs) == {"C": "unseen", "Y": 1.0}
+
+
+def test_propagation_subset_must_be_ancestrally_closed():
+    model = make_two_node_model()
+    noise = draw_noise_values(model, 5, seed=0)
+    with pytest.raises(QueryError, match=r"not ancestrally closed: missing \['X'\]"):
+        propagate_from_noise(model, noise, nodes=["Y"])
 
 
 class TestCounterfactual:

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import gcmkit as gk
-from gcmkit import CausalGraph, DataError, Dataset, MechanismSpec, evaluate_mechanisms, refute_graph
+from gcmkit import (
+    CausalGraph,
+    DataError,
+    Dataset,
+    GcmModel,
+    MechanismSpec,
+    Multinomial,
+    evaluate_mechanisms,
+    refute_graph,
+)
 from conftest import make_ground_truth_chain, sample_chain_data
 
 
@@ -98,6 +107,18 @@ class TestEvaluateMechanisms:
         report = evaluate_mechanisms(model, data, seed=2)
         by_node = {e.node: e for e in report.nodes}
         assert by_node["C"].accuracy > 0.95
+
+    def test_a_single_category_classifier_is_always_right(self):
+        x = np.arange(10.0)
+        data = Dataset(["X", "C"], [x, np.array(["only"] * 10, dtype=object)])
+        model = gk.fit(gk.auto_assign(CausalGraph(["X", "C"], [("X", "C")]), data), data)
+        assert model.mechanisms["C"].family == "classifier"
+        assert evaluate_mechanisms(model, data).nodes[1].accuracy == 1.0
+
+    def test_a_tie_predicts_the_first_category(self):
+        model = GcmModel(CausalGraph(["C"], []), {"C": Multinomial(["a", "b"], [0.5, 0.5])})
+        heldout = Dataset(["C"], [np.array(["a", "b", "b", "b"], dtype=object)])
+        assert evaluate_mechanisms(model, heldout).nodes[0].accuracy == 0.25
 
     def test_missing_column_rejected(self):
         model = make_ground_truth_chain()
