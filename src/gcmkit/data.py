@@ -92,6 +92,13 @@ class Dataset:
         return f"Dataset({self.n_rows} rows; {kinds})"
 
 
+def require_columns(dataset: Dataset, nodes):
+    """Raise :class:`DataError` unless every graph node in ``nodes`` is a column of ``dataset``."""
+    for node in nodes:
+        if node not in dataset.column_names:
+            raise DataError(f"graph node {node!r} is missing from the data")
+
+
 def is_numeric(values) -> bool:
     """Whether ``values`` hold numbers, which makes a column continuous (else categorical)."""
     return np.issubdtype(np.asarray(values).dtype, np.number)

@@ -17,12 +17,31 @@ from .stats import fisher_z_test
 DEFAULT_MAX_COND_SET_SIZE = 3
 
 
+def _undirected_pairs(nodes, edges):
+    """The undirected ``edges`` as frozensets, after checking each one for
+    unknown nodes, self-loops and duplicates."""
+    pairs = set()
+    for a, b in edges:
+        for node in (a, b):
+            if node not in nodes:
+                raise GraphError(f"edge {(a, b)!r} references unknown node {node!r}")
+        if a == b:
+            raise GraphError(f"self-loop on node {a!r}")
+        if frozenset((a, b)) in pairs:
+            raise GraphError(f"duplicate edge {(a, b)!r}")
+        pairs.add(frozenset((a, b)))
+    return pairs
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """Undirected adjacency structure left after conditional-independence pruning."""
 
     nodes: tuple
     edges: tuple  # pairs ordered by node declaration
+
+    def __post_init__(self):
+        _undirected_pairs(self.nodes, self.edges)
 
 
 @dataclass(frozen=True)
@@ -42,16 +61,7 @@ class Cpdag:
         directed_set = set(self.directed)
         # CausalGraph below checks the directed edges; an undirected triangle
         # is a valid CPDAG, so the undirected ones are checked here instead.
-        undirected_set = set()
-        for a, b in self.undirected:
-            for node in (a, b):
-                if node not in self.nodes:
-                    raise GraphError(f"edge {(a, b)!r} references unknown node {node!r}")
-            if a == b:
-                raise GraphError(f"self-loop on node {a!r}")
-            if frozenset((a, b)) in undirected_set:
-                raise GraphError(f"duplicate edge {(a, b)!r}")
-            undirected_set.add(frozenset((a, b)))
+        undirected_set = _undirected_pairs(self.nodes, self.undirected)
         for a, b in self.directed:
             if frozenset((a, b)) in undirected_set:
                 raise GraphError(f"edge {a!r}-{b!r} is both directed and undirected")
@@ -74,11 +84,14 @@ class Cpdag:
 def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SET_SIZE):
     """Prune a complete graph by :func:`~gcmkit.stats.fisher_z_test` independence tests.
 
-    Stable variant: at each conditioning-set size, tests run against the
-    adjacency sets frozen at the start of the level and removals apply only
-    once the level completes, so results do not depend on visit order.
-    ``max_cond_set_size`` is an integer of at least 0.  Returns the skeleton
-    and the separating set recorded for each removed edge.
+    Stable variant: each conditioning-set size reads only the neighbour lists
+    frozen at the start of its level, so removing an edge mid-level changes
+    no other test and results do not depend on visit order.  A pair tries the
+    subsets of x's other neighbours, then the unseen ones of y's, and stops at
+    the first that separates; the search ends once no node has more
+    neighbours than the level.  ``max_cond_set_size`` is an integer of at
+    least 0.  Returns the skeleton and the separating set recorded for each
+    removed edge.
     """
     names = data.column_names
     if data.n_rows < 20:
@@ -86,53 +99,29 @@ def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SE
     max_cond_set_size = require_count(max_cond_set_size, "max_cond_set_size", 0)
     if not 0 < alpha < 1:
         raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    index = {name: i for i, name in enumerate(names)}
 
-    adjacency = {name: set(other for other in names if other != name) for name in names}
+    # Neighbours in column order; edges are only ever deleted, so it stays.
+    adjacency = {name: dict.fromkeys(other for other in names if other != name) for name in names}
     separation_sets = {}
-
     for level in range(max_cond_set_size + 1):
-        frozen = {name: sorted(adjacency[name], key=index.__getitem__) for name in names}
-        any_candidates = False
-        removals = []
-        for i, x in enumerate(names):
-            for y in names[i + 1 :]:
-                if y not in adjacency[x]:
-                    continue
-                pools = (
-                    [v for v in frozen[x] if v != y],
-                    [v for v in frozen[y] if v != x],
-                )
-                tried = set()
-                separated = False
-                for pool in pools:
-                    if len(pool) < level:
-                        continue
-                    any_candidates = True
-                    for subset in itertools.combinations(pool, level):
-                        if subset in tried:
-                            continue
-                        tried.add(subset)
-                        result = fisher_z_test(data, x, y, subset)
-                        if result.p_value > alpha:
-                            removals.append((x, y))
-                            separation_sets[(x, y)] = subset
-                            separated = True
-                            break
-                    if separated:
-                        break
-        for x, y in removals:
-            adjacency[x].discard(y)
-            adjacency[y].discard(x)
-        if not any_candidates:
+        if all(len(neighbours) <= level for neighbours in adjacency.values()):
             break
+        frozen = {name: tuple(neighbours) for name, neighbours in adjacency.items()}
+        for x, y in itertools.combinations(names, 2):
+            if y not in frozen[x]:
+                continue
+            candidates = dict.fromkeys(
+                itertools.chain(
+                    itertools.combinations([v for v in frozen[x] if v != y], level),
+                    itertools.combinations([v for v in frozen[y] if v != x], level),
+                )
+            )
+            subset = next((s for s in candidates if fisher_z_test(data, x, y, s).p_value > alpha), None)
+            if subset is not None:
+                separation_sets[(x, y)] = subset
+                del adjacency[x][y], adjacency[y][x]
 
-    edges = tuple(
-        (x, y)
-        for i, x in enumerate(names)
-        for y in names[i + 1 :]
-        if y in adjacency[x]
-    )
+    edges = tuple((x, y) for x, y in itertools.combinations(names, 2) if y in adjacency[x])
     return Skeleton(names, edges), separation_sets
 
 
@@ -146,33 +135,40 @@ def orient(skeleton: Skeleton, separation_sets) -> Cpdag:
     """Orient v-structures, then apply Meek rules 1-4 to a fixpoint.
 
     Conflicting v-structure orientations are resolved first-writer-wins in
-    lexicographic triple order; losers are recorded in ``conflicts``.
+    column order of the (x, z, y) triples; losers are recorded in
+    ``conflicts``.  The Meek rules then direct one edge at a time, always the
+    first in column order that some rule orients.
     """
     nodes = skeleton.nodes
     index = {name: i for i, name in enumerate(nodes)}
-    undirected = {frozenset(edge) for edge in skeleton.edges}
+
+    def in_order(edge):
+        return index[edge[0]], index[edge[1]]
+
+    def pair(a, b):
+        return (a, b) if index[a] < index[b] else (b, a)
+
+    undirected = {pair(a, b) for a, b in skeleton.edges}
     directed = set()
     conflicts = []
+    # Orienting never adds or removes an adjacency, so this map is fixed.
+    neighbours = {x: dict.fromkeys(y for y in nodes if pair(x, y) in undirected) for x in nodes}
 
     def adjacent(a, b):
-        return frozenset((a, b)) in undirected or (a, b) in directed or (b, a) in directed
+        return b in neighbours[a]
 
     def direct(a, b):
         if (b, a) in directed:
             conflicts.append((a, b))
         else:
-            undirected.discard(frozenset((a, b)))
+            undirected.discard(pair(a, b))
             directed.add((a, b))
 
     # v-structures x -> z <- y for unshielded triples with z outside sepset(x, y)
     for x in nodes:
-        for z in nodes:
-            if z == x:
-                continue
-            for y in nodes:
-                if index[y] <= index[x] or y == z:
-                    continue
-                if not adjacent(x, z) or not adjacent(y, z) or adjacent(x, y):
+        for z in neighbours[x]:
+            for y in neighbours[z]:
+                if index[y] <= index[x] or adjacent(x, y):
                     continue
                 if z not in _sepset_lookup(separation_sets, x, y):
                     direct(x, z)
@@ -188,7 +184,7 @@ def orient(skeleton: Skeleton, separation_sets) -> Cpdag:
             if u2 == u and (w, v) in directed:
                 return True
         # Meek 3: u - w1 -> v and u - w2 -> v with w1, w2 nonadjacent.
-        into_v = [w for w, v2 in directed if v2 == v and frozenset((u, w)) in undirected]
+        into_v = [w for w, v2 in directed if v2 == v and pair(u, w) in undirected]
         for a, b in itertools.combinations(into_v, 2):
             if not adjacent(a, b):
                 return True
@@ -197,31 +193,23 @@ def orient(skeleton: Skeleton, separation_sets) -> Cpdag:
             if v2 != v or not adjacent(w2, u):
                 continue
             for w1, w2b in directed:
-                if w2b == w2 and frozenset((u, w1)) in undirected and not adjacent(w1, v):
+                if w2b == w2 and pair(u, w1) in undirected and not adjacent(w1, v):
                     return True
         return False
 
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(undirected, key=lambda e: tuple(sorted(index[n] for n in e))):
-            a, b = sorted(pair, key=index.__getitem__)
+    def next_orientation():
+        for a, b in sorted(undirected, key=in_order):
             for u, v in ((a, b), (b, a)):
                 if rule_applies(u, v):
-                    direct(u, v)
-                    changed = True
-                    break
-            if changed:
-                break
+                    return u, v
+        return None
 
-    directed_sorted = tuple(sorted(directed, key=lambda e: (index[e[0]], index[e[1]])))
-    undirected_sorted = tuple(
-        sorted(
-            (tuple(sorted(pair, key=index.__getitem__)) for pair in undirected),
-            key=lambda e: (index[e[0]], index[e[1]]),
-        )
+    while (edge := next_orientation()) is not None:
+        direct(*edge)
+
+    return Cpdag(
+        nodes, tuple(sorted(directed, key=in_order)), tuple(sorted(undirected, key=in_order)), tuple(conflicts)
     )
-    return Cpdag(nodes, directed_sorted, undirected_sorted, tuple(conflicts))
 
 
 def discover_cpdag(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SET_SIZE) -> Cpdag:

@@ -4,8 +4,8 @@ import json
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .data import CATEGORICAL, CONTINUOUS, Dataset
-from .exceptions import DataError, FitError, NumericError, SerializationError
+from .data import CATEGORICAL, CONTINUOUS, Dataset, require_columns
+from .exceptions import FitError, NumericError, SerializationError
 from .graph import CausalGraph, graph_from_payload, graph_payload
 from .mechanisms import fit_anm, fit_classifier, fit_stochastic, mechanism_from_json
 
@@ -83,10 +83,9 @@ def auto_assign(graph: CausalGraph, dataset: Dataset) -> GcmModel:
     categorical); continuous non-roots get an additive noise model with
     automatic regression selection; categorical non-roots get a classifier.
     """
+    require_columns(dataset, graph.nodes)
     mechanisms = {}
     for node in graph.nodes:
-        if node not in dataset.column_names:
-            raise DataError(f"graph node {node!r} is missing from the data")
         kind = dataset.kind(node)
         if kind == CATEGORICAL:
             distinct = len(set(dataset.column(node)))
@@ -126,8 +125,7 @@ def fit(model: GcmModel, dataset: Dataset) -> GcmModel:
     for node in model.graph.nodes:
         if node not in model.mechanisms:
             raise FitError(f"node {node!r} has no mechanism assigned")
-        if node not in dataset.column_names:
-            raise DataError(f"graph node {node!r} is missing from the data")
+    require_columns(dataset, model.graph.nodes)
 
     mechanisms = {}
     for node in model.graph.nodes:

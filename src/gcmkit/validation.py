@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import CONTINUOUS, Dataset
+from .data import CONTINUOUS, Dataset, require_columns
 from .exceptions import DataError, QueryError
 from .graph import CausalGraph
 from .seeds import rng_for
@@ -71,10 +71,12 @@ def refute_graph(graph: CausalGraph, data: Dataset, alpha=0.05) -> RefutationRep
     For each node v and each non-descendant u outside v's parents, tests
     v ⊥ u | parents(v) with Fisher-z.  The family is Holm-corrected; the graph
     is "rejected" if any corrected test rejects at ``alpha``.  A graph that
-    implies no independences is vacuously not rejected.
+    implies no independences is vacuously not rejected.  Every graph node
+    must be a data column.
     """
     if not 0 < alpha < 1:
         raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    require_columns(data, graph.nodes)
     pairs = []
     for node in graph.nodes:
         parents = graph.parents(node)

@@ -296,6 +296,13 @@ def test_out_of_range_alpha_exits_2(files, args, alpha):
     assert "alpha" in stderr
 
 
+def test_refute_with_a_graph_node_missing_from_the_data_exits_2(files, tmp_path):
+    (tmp_path / "xq.json").write_text('{"nodes":["X","Q"],"edges":[["X","Q"]]}')
+    code, stdout, stderr = call(["refute", "--graph", tmp_path / "xq.json", "--data", files / "cont.csv"])
+    assert (code, stdout) == (2, "")
+    assert stderr == "gcm refute: error: graph node 'Q' is missing from the data\n"
+
+
 @pytest.mark.parametrize(
     ("x", "y", "given", "method"),
     [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcmkit as gk
 from conftest import constant_columns_table
@@ -25,6 +27,17 @@ def collider_data(seed, n=2000):
 def independent_data(seed, n=2000):
     rng = np.random.default_rng(seed)
     return Dataset(["X", "Y", "Z"], [rng.standard_normal(n) for _ in range(3)])
+
+
+def linear_gaussian_table(seed, size, n):
+    """Columns V0..V{size-1} of a random linear-Gaussian DAG in that order,
+    each with its own noise so none is exactly determined by the others."""
+    rng = np.random.default_rng(seed)
+    weights = np.triu(rng.uniform(-1.5, 1.5, (size, size)) * (rng.random((size, size)) < 0.4), 1)
+    values = np.zeros((n, size))
+    for j in range(size):
+        values[:, j] = values @ weights[:, j] + rng.uniform(0.3, 1.5) * rng.standard_normal(n)
+    return [f"V{j}" for j in range(size)], values
 
 
 class TestSkeleton:
@@ -72,6 +85,38 @@ class TestSkeleton:
         first = discover_cpdag(data, alpha=0.05)
         second = discover_cpdag(data, alpha=0.05)
         assert first == second
+
+    def test_unbounded_max_cond_set_size_ends_with_the_bounded_answer(self):
+        # The search stops once no node has more neighbours than the level.
+        data = chain_data(seed=4, n=400)
+        assert pc_skeleton(data, 0.05, 10**18) == pc_skeleton(data, 0.05, 3)
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(3, 10),
+        n=st.integers(200, 600),
+        order_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_edge_set_survives_a_column_permutation(self, seed, size, n, order_seed):
+        names, values = linear_gaussian_table(seed, size, n)
+        order = np.random.default_rng(order_seed).permutation(size)
+        original, _ = pc_skeleton(Dataset(names, list(values.T)), 0.05)
+        permuted, _ = pc_skeleton(Dataset([names[j] for j in order], [values[:, j] for j in order]), 0.05)
+        assert {frozenset(edge) for edge in permuted.edges} == {frozenset(edge) for edge in original.edges}
+
+    @pytest.mark.parametrize(
+        ("edges", "message"),
+        [
+            ((("X", "Y"),), "unknown node 'Y'"),
+            ((("X", "X"),), "self-loop on node 'X'"),
+            ((("X", "Z"), ("Z", "X")), "duplicate edge"),
+        ],
+        ids=["unknown-node", "self-loop", "duplicate"],
+    )
+    def test_malformed_skeleton_edges_rejected(self, edges, message):
+        with pytest.raises(gk.GraphError, match=message):
+            Skeleton(("X", "Z"), edges)
 
     def test_constant_columns_stay_apart(self):
         """Two constant columns used to read as perfectly dependent."""
@@ -146,6 +191,21 @@ class TestOrient:
         assert cpdag.directed == (("A", "B"), ("C", "B"), ("D", "C"))
         assert cpdag.undirected == ()
         assert cpdag.conflicts == (("B", "C"),)
+        # The same graph relabelled D, C, B, A: the winner follows column
+        # order, not name order.
+        skeleton = Skeleton(("D", "C", "B", "A"), (("D", "C"), ("C", "B"), ("B", "A")))
+        cpdag = orient(skeleton, {("D", "B"): (), ("C", "A"): (), ("D", "A"): ()})
+        assert cpdag.directed == (("D", "C"), ("B", "C"), ("A", "B"))
+        assert cpdag.undirected == ()
+        assert cpdag.conflicts == (("C", "B"),)
+
+    def test_separating_set_keys_may_come_in_either_order(self):
+        skeleton = Skeleton(
+            tuple("ABCDE"), (("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D"), ("C", "E"))
+        )
+        sepsets = {("A", "B"): ("C", "D"), ("A", "E"): ("C",), ("B", "E"): ("D",), ("D", "E"): ("C",)}
+        reversed_keys = {(b, a): subset for (a, b), subset in sepsets.items()}
+        assert orient(skeleton, reversed_keys) == orient(skeleton, sepsets)
 
     def test_directed_part_is_acyclic_on_real_data(self):
         for seed in range(10):

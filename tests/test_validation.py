@@ -53,6 +53,12 @@ class TestRefuteGraph:
         assert set(payload) == {"tests", "verdict"}
         assert set(payload["tests"][0]) == {"node", "other", "given", "p", "rejected"}
 
+    def test_graph_node_missing_from_the_data_rejected(self):
+        # X -> Q implies no independence, so no test would have named Q.
+        data = sample_chain_data(200, seed=5)
+        with pytest.raises(DataError, match="graph node 'Q' is missing from the data"):
+            refute_graph(CausalGraph(["X", "Q"], [("X", "Q")]), data)
+
     def test_determinism(self):
         data = sample_chain_data(800, seed=4)
         a = refute_graph(chain_graph(), data, alpha=0.05)
