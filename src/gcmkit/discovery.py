@@ -1,8 +1,8 @@
 """Constraint-based structure learning: the PC algorithm with Meek orientation.
 
 The resulting :class:`Cpdag` validates its directed part by building a
-:class:`~gcmkit.graph.CausalGraph` from it, checks each undirected pair for
-unknown nodes, self-loops and duplicates, and writes DOT through
+:class:`~gcmkit.graph.CausalGraph` from it, checks its undirected pairs with
+the same :func:`~gcmkit.graph.check_edges`, and writes DOT through
 :func:`~gcmkit.graph.render_dot`.
 """
 
@@ -11,26 +11,10 @@ from dataclasses import dataclass, field
 
 from .data import Dataset
 from .exceptions import GraphError, QueryError, require_count
-from .graph import CausalGraph, render_dot
+from .graph import CausalGraph, check_edges, render_dot
 from .stats import fisher_z_test
 
 DEFAULT_MAX_COND_SET_SIZE = 3
-
-
-def _undirected_pairs(nodes, edges):
-    """The undirected ``edges`` as frozensets, after checking each one for
-    unknown nodes, self-loops and duplicates."""
-    pairs = set()
-    for a, b in edges:
-        for node in (a, b):
-            if node not in nodes:
-                raise GraphError(f"edge {(a, b)!r} references unknown node {node!r}")
-        if a == b:
-            raise GraphError(f"self-loop on node {a!r}")
-        if frozenset((a, b)) in pairs:
-            raise GraphError(f"duplicate edge {(a, b)!r}")
-        pairs.add(frozenset((a, b)))
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -41,7 +25,7 @@ class Skeleton:
     edges: tuple  # pairs ordered by node declaration
 
     def __post_init__(self):
-        _undirected_pairs(self.nodes, self.edges)
+        check_edges(self.nodes, self.edges, frozenset)
 
 
 @dataclass(frozen=True)
@@ -61,7 +45,7 @@ class Cpdag:
         directed_set = set(self.directed)
         # CausalGraph below checks the directed edges; an undirected triangle
         # is a valid CPDAG, so the undirected ones are checked here instead.
-        undirected_set = _undirected_pairs(self.nodes, self.undirected)
+        undirected_set = check_edges(self.nodes, self.undirected, frozenset)
         for a, b in self.directed:
             if frozenset((a, b)) in undirected_set:
                 raise GraphError(f"edge {a!r}-{b!r} is both directed and undirected")

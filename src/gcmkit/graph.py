@@ -1,7 +1,7 @@
 """Directed acyclic graphs over named variables, and every graph format.
 
 Graph files and model files share one JSON graph object; graphs and CPDAGs
-share one DOT writer.
+share one edge-list check and one DOT writer.
 """
 
 import json
@@ -9,7 +9,24 @@ import re
 
 from .exceptions import GraphError
 
-_DOT_IDENT = re.compile(r"^[A-Za-z0-9_]+$")
+_DOT_IDENT = re.compile(r"[A-Za-z0-9_]+")
+
+
+def check_edges(nodes, edges, key=tuple):
+    """The set of ``key((a, b))`` over ``edges``, after checking each edge for
+    unknown nodes, self-loops and duplicates; ``key`` is ``tuple`` for
+    directed edges and ``frozenset`` for undirected ones."""
+    keys = set()
+    for a, b in edges:
+        for node in (a, b):
+            if node not in nodes:
+                raise GraphError(f"edge {(a, b)!r} references unknown node {node!r}")
+        if a == b:
+            raise GraphError(f"self-loop on node {a!r}")
+        if key((a, b)) in keys:
+            raise GraphError(f"duplicate edge {(a, b)!r}")
+        keys.add(key((a, b)))
+    return keys
 
 
 class CausalGraph:
@@ -34,21 +51,8 @@ class CausalGraph:
         self.nodes = tuple(node_list)
         self._index = {name: i for i, name in enumerate(self.nodes)}
 
-        edge_list = []
-        edge_set = set()
-        for edge in edges:
-            parent, child = edge
-            if parent not in self._index:
-                raise GraphError(f"edge {(parent, child)!r} references unknown node {parent!r}")
-            if child not in self._index:
-                raise GraphError(f"edge {(parent, child)!r} references unknown node {child!r}")
-            if parent == child:
-                raise GraphError(f"self-loop on node {parent!r}")
-            if (parent, child) in edge_set:
-                raise GraphError(f"duplicate edge {(parent, child)!r}")
-            edge_set.add((parent, child))
-            edge_list.append((parent, child))
-        self.edges = tuple(edge_list)
+        self.edges = tuple((parent, child) for parent, child in edges)
+        check_edges(self._index, self.edges)
 
         self._parents = {name: [] for name in self.nodes}
         self._children = {name: [] for name in self.nodes}
@@ -204,7 +208,7 @@ def _parse_dot(text):
             continue
         parts = [part.strip() for part in statement.split("->")]
         for part in parts:
-            if not _DOT_IDENT.match(part):
+            if not _DOT_IDENT.fullmatch(part):
                 raise GraphError(f"graph parse error: bad identifier {part!r}")
         for part in parts:
             declare(part)
@@ -223,7 +227,13 @@ def serialize_graph(graph: CausalGraph, format: str = "json") -> str:
 
 
 def render_dot(nodes, directed, undirected=()) -> str:
-    """DOT text: unattached nodes, then directed edges, then undirected ones as ``[dir=none]``."""
+    """DOT text: unattached nodes, then directed edges, then undirected ones as ``[dir=none]``.
+
+    A name that is not a bare identifier, which the reader rejects, raises :class:`GraphError`.
+    """
+    for node in nodes:
+        if not _DOT_IDENT.fullmatch(node):
+            raise GraphError(f"node {node!r} is not a bare DOT identifier ([A-Za-z0-9_]+)")
     attached = {node for edge in (*directed, *undirected) for node in edge}
     lines = ["digraph {"]
     lines += [f"  {node};" for node in nodes if node not in attached]

@@ -29,10 +29,23 @@ nothing else:
   matrix of each row's class probabilities given its parents' values;
 - ``to_json()``: tagged parameters, read back by :func:`mechanism_from_json`
   through the class's ``tag``.
+
+Every class serializes through :class:`_Serialized`: its JSON is its
+``fields``, and a field holding an object is written by that object's
+``to_json`` and read back by the class's ``decoders`` entry.  Constructors
+check their values, so a model file with a non-finite parameter, a
+non-integer ``k``, an unknown encoding kind or mismatched shapes is rejected
+at load.
+
+An additive noise model's prediction model (:class:`LinearModel`,
+:class:`KnnRegressor`) has ``tag``, ``fields``, ``width``,
+``predict(encoded)`` and ``shifted(delta)``; the loader finds it in
+``_PREDICTIONS`` and :func:`fit_anm` fits it through ``_PREDICTION_FITS``.
 """
 
 import math
-from functools import cached_property
+import numbers
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -78,22 +91,49 @@ def _encoded_queries(encoded, width):
 
 
 class _Serialized:
-    """JSON round trip for a class whose constructor takes exactly ``fields``."""
+    """JSON round trip for a class whose constructor takes exactly ``fields``.
+
+    A field value with its own ``to_json`` is written by it and read back by
+    the class's ``decoders`` entry for the field; other fields are read as
+    they are.
+    """
 
     fields = ()
+    decoders = {}
 
     def to_json(self):
         out = {"type": self.tag}
         for name in self.fields:
             value = getattr(self, name)
-            if isinstance(value, (np.ndarray, tuple)):
+            if hasattr(value, "to_json"):
+                value = value.to_json()
+            elif isinstance(value, (np.ndarray, tuple)):
                 value = np.asarray(value).tolist()
             out[name] = value
         return out
 
     @classmethod
     def from_json(cls, payload):
-        return cls(**{name: payload[name] for name in cls.fields})
+        values = {name: payload[name] for name in cls.fields}
+        for name, decode in cls.decoders.items():
+            values[name] = decode(values[name])
+        return cls(**values)
+
+
+def _decode(registry, what, payload):
+    """The instance of ``registry``'s class for the payload's ``type`` tag."""
+    cls = registry.get(payload["type"])
+    if cls is None:
+        raise SerializationError(f"unknown {what} {payload['type']!r}")
+    return cls.from_json(payload)
+
+
+def mechanism_from_json(payload):
+    """Inverse of ``to_json``, dispatched on the payload's ``type`` tag."""
+    try:
+        return _decode(_MECHANISMS, "mechanism type", payload)
+    except (KeyError, TypeError, ValueError, FitError) as exc:
+        raise SerializationError(f"corrupt mechanism payload: {exc}") from exc
 
 
 class _Marginal(_Serialized):
@@ -276,12 +316,15 @@ class InputEncoder:
 
     @classmethod
     def from_json(cls, payload):
-        return cls(
-            ("continuous", None)
-            if item["kind"] == "continuous"
-            else ("categorical", tuple(item["categories"]))
-            for item in payload
-        )
+        specs = []
+        for item in payload:
+            if item["kind"] == "continuous":
+                specs.append(("continuous", None))
+            elif item["kind"] == "categorical":
+                specs.append(("categorical", tuple(item["categories"])))
+            else:
+                raise FitError(f"unknown encoding kind {item['kind']!r}")
+        return cls(specs)
 
 
 class LinearModel(_Serialized):
@@ -292,6 +335,8 @@ class LinearModel(_Serialized):
 
     def __init__(self, coefficients, intercept):
         coefficients = _as_float_array(coefficients, "coefficients")
+        if not math.isfinite(float(intercept)):
+            raise FitError("the linear intercept must be finite")
         coefficients.setflags(write=False)
         self.coefficients = coefficients
         self.intercept = float(intercept)
@@ -303,6 +348,10 @@ class LinearModel(_Serialized):
 
     def predict(self, encoded):
         return _encoded_queries(encoded, self.width) @ self.coefficients + self.intercept
+
+    def shifted(self, delta):
+        """The same model with ``delta`` added to every prediction."""
+        return LinearModel(self.coefficients, self.intercept + delta)
 
     def __repr__(self):
         coefficients = [float(c) for c in self.coefficients]
@@ -336,8 +385,12 @@ class KnnRegressor(_Serialized):
             )
         if not np.all(np.isfinite(inputs)):
             raise FitError("knn inputs contain non-finite values")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise FitError(f"k must be an integer, got {k!r}")
         if not 1 <= k <= len(targets):
             raise FitError("k must be between 1 and the number of training rows")
+        if not math.isfinite(float(offset)):
+            raise FitError("the knn offset must be finite")
         inputs.setflags(write=False)
         targets.setflags(write=False)
         self.k = int(k)
@@ -356,6 +409,10 @@ class KnnRegressor(_Serialized):
         for rows, order in self._index.nearest(encoded):
             out[rows] = self.targets[order].mean(axis=1)
         return out + self.offset
+
+    def shifted(self, delta):
+        """The same model with ``delta`` added to every prediction."""
+        return KnnRegressor(self.k, self.inputs, self.targets, self.offset + delta)
 
     @cached_property
     def _index(self):
@@ -389,20 +446,34 @@ def _fit_linear(encoded, targets):
     return LinearModel(beta[:-1], beta[-1])
 
 
-class AdditiveNoiseModel:
+def _fit_knn(encoded, targets):
+    return KnnRegressor(default_knn_k(len(targets)), encoded, targets)
+
+
+# fit_anm's prediction fits, by model kind.
+_PREDICTION_FITS = {"linear": _fit_linear, "knn": _fit_knn}
+
+
+class AdditiveNoiseModel(_Serialized):
     """Structural assignment: value = prediction(parents) + noise."""
 
     tag = family = "anm"
+    fields = ("encoding", "prediction", "noise")
+    decoders = {
+        "encoding": InputEncoder.from_json,
+        "prediction": partial(_decode, _PREDICTIONS, "prediction model"),
+        "noise": mechanism_from_json,
+    }
     is_continuous = True
 
-    def __init__(self, prediction, noise, encoder):
+    def __init__(self, prediction, noise, encoding):
         if not isinstance(noise, (Empirical, Gaussian)):
             raise FitError("additive noise must be a continuous marginal model")
-        if prediction.width != encoder.width:
-            raise FitError(_width_mismatch(prediction.width, encoder.width))
+        if prediction.width != encoding.width:
+            raise FitError(_width_mismatch(prediction.width, encoding.width))
         self.prediction = prediction
         self.noise = noise
-        self.encoder = encoder
+        self.encoding = encoding
 
     @property
     def option(self):
@@ -416,7 +487,7 @@ class AdditiveNoiseModel:
 
     def predict(self, parent_columns) -> np.ndarray:
         """Vectorised prediction from raw (unencoded) parent columns."""
-        return self.prediction.predict(self.encoder.encode(list(parent_columns)))
+        return self.prediction.predict(self.encoding.encode(list(parent_columns)))
 
     def abduct(self, parent_columns, observed) -> np.ndarray:
         """The residuals ``observed - prediction``: the noise that ``forward`` adds back.
@@ -432,25 +503,6 @@ class AdditiveNoiseModel:
         if isinstance(self.noise, Empirical):
             return self.noise.samples
         return self.noise.draw(n, rng)
-
-    def to_json(self):
-        return {
-            "type": self.tag,
-            "encoding": self.encoder.to_json(),
-            "prediction": self.prediction.to_json(),
-            "noise": self.noise.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, payload):
-        prediction = payload["prediction"]
-        if prediction["type"] not in _PREDICTIONS:
-            raise SerializationError(f"unknown prediction model {prediction['type']!r}")
-        return cls(
-            _PREDICTIONS[prediction["type"]].from_json(prediction),
-            mechanism_from_json(payload["noise"]),
-            InputEncoder.from_json(payload["encoding"]),
-        )
 
     def __repr__(self):
         return f"AdditiveNoiseModel(prediction={self.prediction!r}, noise={self.noise!r})"
@@ -487,37 +539,24 @@ def fit_anm(parent_columns, targets, model_kind="auto"):
     targets = _as_float_array(targets, "targets")
     if targets.size < 2:
         raise FitError("insufficient rows: need at least 2 to fit an additive noise model")
-    encoder = InputEncoder.fit(parent_columns)
-    encoded = encoder.encode(parent_columns)
-
-    def fit_knn(train_x, train_y):
-        return KnnRegressor(default_knn_k(len(train_y)), train_x, train_y)
+    encoding = InputEncoder.fit(parent_columns)
+    encoded = encoding.encode(parent_columns)
 
     if model_kind == _KNN_AUTO:
         mse_linear = _cross_validated_mse(encoded, targets, _fit_linear)
-        mse_knn = _cross_validated_mse(encoded, targets, fit_knn)
+        mse_knn = _cross_validated_mse(encoded, targets, _fit_knn)
         model_kind = "linear" if mse_linear <= mse_knn else "knn"
-
-    if model_kind == "linear":
-        prediction = _fit_linear(encoded, targets)
-    elif model_kind == "knn":
-        prediction = fit_knn(encoded, targets)
-    else:
+    if model_kind not in _PREDICTION_FITS:
         raise FitError(f"unknown model kind {model_kind!r}")
 
+    prediction = _PREDICTION_FITS[model_kind](encoded, targets)
     residuals = targets - prediction.predict(encoded)
     mean = float(residuals.mean())
-    residuals = residuals - mean
-    if isinstance(prediction, LinearModel):
-        prediction = LinearModel(prediction.coefficients, prediction.intercept + mean)
-    else:
-        prediction = KnnRegressor(
-            prediction.k, prediction.inputs, prediction.targets, prediction.offset + mean
-        )
-    return AdditiveNoiseModel(prediction, Empirical(residuals), encoder)
+    noise = Empirical(residuals - mean)
+    return AdditiveNoiseModel(prediction.shifted(mean), noise, encoding)
 
 
-class ClassifierFcm:
+class ClassifierFcm(_Serialized):
     """Multinomial-logistic mechanism for categorical non-root nodes.
 
     The noise is a uniform variate mapped through the inverse CDF of the
@@ -526,20 +565,24 @@ class ClassifierFcm:
 
     tag = family = "classifier"
     option = "logistic"
+    fields = ("encoding", "categories", "weights")
+    decoders = {"encoding": InputEncoder.from_json}
     is_continuous = False
 
-    def __init__(self, encoder, categories, weights):
+    def __init__(self, encoding, categories, weights):
         weights = np.asarray(weights, dtype=np.float64)
         categories = tuple(str(c) for c in categories)
-        if weights.shape != (encoder.width + 1, len(categories)):
+        if weights.shape != (encoding.width + 1, len(categories)):
             raise FitError("classifier weight shape does not match encoder and categories")
+        if not np.all(np.isfinite(weights)):
+            raise FitError("classifier weights contain non-finite values")
         weights.setflags(write=False)
-        self.encoder = encoder
+        self.encoding = encoding
         self.categories = categories
         self.weights = weights
 
     def probabilities(self, parent_columns, n) -> np.ndarray:
-        encoded = self.encoder.encode(list(parent_columns))
+        encoded = self.encoding.encode(list(parent_columns))
         design = np.hstack([encoded, np.ones((len(encoded), 1))])
         return _softmax(design @ self.weights)
 
@@ -553,20 +596,6 @@ class ClassifierFcm:
         raise NonInvertibleError(
             "a classifier mechanism's noise cannot be recovered from an observed value "
             "(use additive noise mechanisms, or intervene on the node atomically)"
-        )
-
-    def to_json(self):
-        return {
-            "type": self.tag,
-            "encoding": self.encoder.to_json(),
-            "categories": list(self.categories),
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, payload):
-        return cls(
-            InputEncoder.from_json(payload["encoding"]), payload["categories"], payload["weights"]
         )
 
     def __repr__(self):
@@ -711,32 +740,21 @@ def fit_classifier(parent_columns, targets):
     targets = [str(v) for v in targets]
     if len(targets) < 2:
         raise FitError("insufficient rows: need at least 2 to fit a classifier")
-    encoder = InputEncoder.fit(parent_columns)
-    encoded = encoder.encode(parent_columns)
+    encoding = InputEncoder.fit(parent_columns)
+    encoded = encoding.encode(parent_columns)
     categories = categories_of(targets)
     n, d = encoded.shape
     n_classes = len(categories)
     if n_classes == 1:
-        return ClassifierFcm(encoder, categories, np.zeros((d + 1, 1)))
+        return ClassifierFcm(encoding, categories, np.zeros((d + 1, 1)))
 
     design = np.hstack([encoded, np.ones((n, 1))])
     basis = _sum_zero_basis(n_classes)
     objective = _multinomial_objective(design, one_hot(targets, categories), basis, _CLASSIFIER_REG)
     result = minimize(objective, np.zeros((d + 1) * (n_classes - 1)))
-    return ClassifierFcm(encoder, categories, result.x.reshape(d + 1, n_classes - 1) @ basis.T)
+    return ClassifierFcm(encoding, categories, result.x.reshape(d + 1, n_classes - 1) @ basis.T)
 
 
 _MECHANISMS = {
     cls.tag: cls for cls in (Empirical, Gaussian, Multinomial, AdditiveNoiseModel, ClassifierFcm)
 }
-
-
-def mechanism_from_json(payload):
-    """Inverse of ``to_json``, dispatched on the payload's ``type`` tag."""
-    try:
-        cls = _MECHANISMS.get(payload["type"])
-        if cls is None:
-            raise SerializationError(f"unknown mechanism type {payload['type']!r}")
-        return cls.from_json(payload)
-    except (KeyError, TypeError, ValueError, FitError) as exc:
-        raise SerializationError(f"corrupt mechanism payload: {exc}") from exc

@@ -140,9 +140,8 @@ def evaluate_mechanisms(model: "GcmModel", heldout: Dataset, seed=0) -> Evaluati
     model.require_fitted()
     if heldout.n_rows == 0:
         raise DataError("held-out dataset is empty")
+    require_columns(heldout, model.graph.nodes)
     for node in model.graph.nodes:
-        if node not in heldout.column_names:
-            raise DataError(f"held-out data is missing node {node!r}")
         if (heldout.kind(node) == CONTINUOUS) != model.mechanisms[node].is_continuous:
             raise DataError(f"held-out column {node!r} is {heldout.kind(node)}, unlike the model")
 

@@ -64,6 +64,13 @@ def classifier_data(n, seed, scale=1.0):
     return gk.Dataset(["X", "K"], [scale * x, k])
 
 
+def set_path(payload, path, value):
+    """Set ``payload[path[0]][path[1]]...`` to ``value``: one edit of a decoded model file."""
+    for key in path[:-1]:
+        payload = payload[key]
+    payload[path[-1]] = value
+
+
 @pytest.fixture
 def chain_graph():
     return make_chain_graph()

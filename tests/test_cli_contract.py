@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcmkit as gk
-from conftest import classifier_data
+from conftest import classifier_data, set_path
 from gcmkit import attribution, cli, sampling
 from gcmkit.stats import MAX_PERMUTATIONS
 
@@ -657,6 +657,30 @@ def test_model_file_with_misshapen_prediction_exits_2(tmp_path, corrupt):
     (tmp_path / "model.json").write_text(json.dumps(payload))
     assert call(["sample", "--model", tmp_path / "model.json", "-n", "5"])[0] == 0
     corrupt(payload)
+    (tmp_path / "bad_model.json").write_text(json.dumps(payload))
+    code, stdout, stderr = call(["sample", "--model", tmp_path / "bad_model.json", "-n", "5"])
+    assert code == 2, stderr
+    assert stdout == ""
+    assert "corrupt mechanism payload" in stderr
+
+
+@pytest.mark.parametrize(
+    "source, path, value",
+    [
+        ("mixed", ["K", "weights", 0, 0], float("nan")),
+        ("mixed", ["K", "weights", -1, -1], float("inf")),
+        ("chain", ["Z", "prediction", "intercept"], float("nan")),
+        ("chain", ["Y", "prediction", "offset"], float("inf")),
+        ("chain", ["Y", "prediction", "k"], 2.7),
+        ("chain", ["Y", "prediction", "k"], True),
+        ("mixed", ["Y", "encoding", 0, "kind"], "weird"),
+    ],
+    ids=["nan-weight", "inf-weight", "nan-intercept", "inf-offset", "fractional-k", "boolean-k", "weird-kind"],
+)
+def test_model_file_with_a_value_no_fit_writes_exits_2(files, tmp_path, source, path, value):
+    # The mixed model's Y encodes the categorical C first, then X.
+    payload = json.loads((files / "model.json").read_text()) if source == "mixed" else _knn_chain_payload()
+    set_path(payload["mechanisms"], path, value)
     (tmp_path / "bad_model.json").write_text(json.dumps(payload))
     code, stdout, stderr = call(["sample", "--model", tmp_path / "bad_model.json", "-n", "5"])
     assert code == 2, stderr

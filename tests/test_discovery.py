@@ -224,6 +224,11 @@ class TestCpdagSerialization:
         assert "A -> B;" in dot
         assert "B -> C [dir=none];" in dot
 
+    def test_dot_rejects_a_name_the_reader_rejects(self):
+        cpdag = Cpdag(("my col", "B-2"), (), (("my col", "B-2"),))
+        with pytest.raises(gk.GraphError, match="'my col' is not a bare DOT identifier"):
+            cpdag.to_dot()
+
     def test_invalid_cpdag_rejected(self):
         with pytest.raises(gk.GraphError, match="both"):
             Cpdag(("A", "B"), (("A", "B"),), (("A", "B"),))

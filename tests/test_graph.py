@@ -120,6 +120,15 @@ def test_parse_serialize_roundtrip(g, fmt):
     assert set(back.edges) == set(g.edges)
 
 
+# The reader rejects the first three and would read the last two as other
+# graphs, so the writer must refuse all of them.
+@pytest.mark.parametrize("name", ["my col", "B-2", "é", "X\n", "A;B"])
+def test_dot_writer_rejects_a_name_that_is_not_a_bare_identifier(name):
+    graph = CausalGraph([name, "Y"], [(name, "Y")])
+    with pytest.raises(GraphError, match="not a bare DOT identifier"):
+        serialize_graph(graph, "dot")
+
+
 @given(random_dags())
 @settings(max_examples=50, deadline=None)
 def test_back_edge_along_a_path_is_rejected(g):

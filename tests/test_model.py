@@ -20,7 +20,7 @@ from gcmkit import (
     NumericError,
     SerializationError,
 )
-from conftest import classifier_data, make_ground_truth_chain
+from conftest import classifier_data, make_ground_truth_chain, set_path
 
 
 def two_node_graph():
@@ -290,6 +290,26 @@ def test_mechanism_round_trip_all_variants():
         back = gk.mechanisms.mechanism_from_json(payload)
         assert type(back) is type(mechanism)
         assert back.to_json() == payload
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (["K", "weights", 0, 0], float("nan")),
+        (["K", "weights", 1, 1], float("inf")),
+        (["Y", "prediction", "intercept"], float("nan")),
+        (["W", "prediction", "offset"], float("inf")),
+        (["W", "prediction", "k"], 2.7),
+        (["W", "prediction", "k"], True),
+        (["Y", "encoding", 1, "kind"], "weird"),
+    ],
+    ids=["nan-weight", "inf-weight", "nan-intercept", "inf-offset", "fractional-k", "boolean-k", "weird-kind"],
+)
+def test_load_rejects_a_value_no_fit_writes(path, value):
+    payload = json.loads(GOLDEN_MODEL_JSON)
+    set_path(payload["mechanisms"], path, value)
+    with pytest.raises(SerializationError, match="corrupt mechanism payload"):
+        gk.loads_model(json.dumps(payload))
 
 
 def test_auto_assign_fit_recovers_coefficients():

@@ -132,6 +132,12 @@ class TestEvaluateMechanisms:
         with pytest.raises(DataError, match="missing"):
             evaluate_mechanisms(model, partial)
 
+    def test_missing_column_is_named_like_every_graph_node_check(self):
+        model = make_ground_truth_chain()
+        partial = Dataset(["X", "Z"], [np.arange(10.0), np.arange(10.0)])
+        with pytest.raises(DataError, match="^graph node 'Y' is missing from the data$"):
+            evaluate_mechanisms(model, partial)
+
     def test_determinism(self):
         model = make_ground_truth_chain()
         heldout = gk.draw_samples(model, 500, seed=11)
