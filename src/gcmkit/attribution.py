@@ -7,10 +7,11 @@ Carlo, with the total distributed by Shapley values.  ``_target_samples`` is
 the one simulation behind every subset value: the noise of some nodes is
 held at fixed values and the rest is redrawn, for a batch of subsets stacked
 into one propagation.  Intrinsic influence holds a subset's noises at each of
-its outer draws and redraws the rest; outlier attribution redraws a subset's
-noises and holds the rest at the row's recovered noise; distribution change
-redraws everything from a model that takes the subset's mechanisms from the
-new data.
+its outer draws and redraws the rest, with the target's own noise held at 0
+(its share is known exactly, so only its ancestors play); outlier
+attribution redraws a subset's noises and holds the rest at the row's
+recovered noise; distribution change redraws everything from a model that
+takes the subset's mechanisms from the new data.
 
 ``_attribute`` is the one Shapley step and the one evaluator the Shapley
 engine calls: every subset, keyed by its bitmask, draws from a seed derived
@@ -110,12 +111,14 @@ def tail_log_score(tail_count, num_samples) -> float:
     return -math.log((1 + tail_count) / (num_samples + 1))
 
 
-def _players_for(graph, target, shapley_config):
-    """The target and its ancestors in graph order, checked against the
-    Shapley configuration before any work."""
-    relevant = graph.ancestors(target) | {target}
+def _players_for(graph, target, shapley_config, target_plays=True):
+    """The target's ancestors and, if ``target_plays``, the target, in graph
+    order, checked against the Shapley configuration before any work.  With
+    no players (a root target that does not play) the configuration is
+    checked as for one."""
+    relevant = graph.ancestors(target) | ({target} if target_plays else set())
     players = tuple(node for node in graph.nodes if node in relevant)
-    check_players(len(players), shapley_config or ShapleyConfig())
+    check_players(max(len(players), 1), shapley_config or ShapleyConfig())
     return players
 
 
@@ -125,9 +128,9 @@ def _target_samples(model, target, closure, n, jobs):
     ``held`` maps closure nodes to a noise column whose length divides ``n``;
     each of its values is repeated over a run of consecutive draws (a
     one-element column is held in every draw).  The other closure nodes draw
-    fresh noise, each from its own stream of the job's ``seed``, so which
-    nodes are held changes no other node's draw.  The jobs' columns are
-    stacked and propagated once.
+    fresh noise in one :func:`~gcmkit.sampling.draw_noise_values` call from
+    the job's ``seed``, so every job has its own stream.  The jobs' columns
+    are stacked and propagated once.
     """
     stacked = {node: [] for node in closure}
     for seed, held in jobs:
@@ -222,50 +225,71 @@ def intrinsic_influence(
 ) -> AttributionResult:
     """Shapley attribution of the target's variance to upstream noise terms.
 
-    The value of a noise subset is the expected reduction in the target's
-    variance from freezing those noises: Var(Y) - E[Var(Y | N_S)], estimated
-    by nested Monte Carlo.  Per subset, each frozen node draws one block of
-    ``outer_samples`` values and each free node one block of
-    ``outer_samples * inner_samples`` values, from per-node streams of the
-    subset's "frozen" and "free" seeds; every frozen value is held over a run
-    of ``inner_samples`` draws, whose variance is one conditional variance.
-    The empty set is worth 0 and the full set Var(Y), so exact Shapley scores
-    sum to the target's variance.
+    The value of a noise subset S is the expected reduction in the target's
+    variance from freezing those noises: Var(Y) - E[Var(Y | N_S)].  The
+    target of a continuous mechanism is Y = f(parents) + N_Y, with N_Y
+    independent of its ancestors' noises, so adding N_Y to any S adds
+    exactly Var(N_Y): the target's score is its mechanism's
+    ``noise_variance``, and the other scores are those of the game
+    Var(f) - E[Var(f | N_S)] over the ancestors alone.  That game is
+    estimated by nested Monte Carlo with the target's noise held at 0.  Per
+    subset, the frozen nodes draw one block of ``outer_samples`` values and
+    the free nodes one block of ``outer_samples * inner_samples`` values,
+    from the subset's "frozen" and "free" seeds; every frozen value is held
+    over a run of ``inner_samples`` draws, whose variance is one conditional
+    variance.  The empty set is worth 0 and the full set the estimate of
+    Var(f), so exact Shapley scores sum to ``total``, that estimate plus
+    Var(N_Y).  A root target has no ancestors and is answered without a
+    draw.  The identity needs additive noise, so the target must be
+    continuous.
     """
     model.require_fitted()
     require_continuous_target(model, target)
     outer_samples = require_count(outer_samples, "outer_samples")
     inner_samples = require_count(inner_samples, "inner_samples", 2)
-    players = _players_for(model.graph, target, shapley_config)
-
+    ancestors = _players_for(model.graph, target, shapley_config, target_plays=False)
     variance_samples = require_rows(outer_samples * inner_samples, "outer_samples * inner_samples")
-    target_values = _target_samples(
-        model, target, players, variance_samples, [(derive_seed(seed, "icc:variance"), {})]
-    )[0]
-    total_variance = float(np.var(target_values, ddof=1))
-
-    def values_of(subsets):
-        jobs = []
-        for bits in subsets:
-            frozen = [players[i] for i in range(len(players)) if bits >> i & 1]
-            subset_seed = derive_seed(seed, f"icc:{bits}")
-            held = draw_noise_values(model, outer_samples, derive_seed(subset_seed, "frozen"), frozen)
-            jobs.append((derive_seed(subset_seed, "free"), held))
-        block = _target_samples(model, target, players, variance_samples, jobs)
-        # Row (j, o) holds the inner draws of job j around its o-th frozen draw.
-        conditional = np.var(
-            block.reshape(len(jobs), outer_samples, inner_samples), axis=2, ddof=1
-        ).mean(axis=1)
-        return total_variance - conditional
-
     budget = {
         "outer_samples": outer_samples,
         "inner_samples": inner_samples,
         "variance_samples": variance_samples,
     }
-    known = {0: 0.0, (1 << len(players)) - 1: total_variance}
-    return _attribute(
-        players, values_of, variance_samples, known, shapley_config, "intrinsic_influence", budget, seed
+    noise_variance = float(model.mechanisms[target].noise_variance)
+    shares, prediction_variance = {}, 0.0
+    if ancestors:
+        closure = (*ancestors, target)
+        silent = {target: np.zeros(1)}
+        predictions = _target_samples(
+            model, target, closure, variance_samples, [(derive_seed(seed, "icc:variance"), silent)]
+        )[0]
+        prediction_variance = float(np.var(predictions, ddof=1))
+
+        def values_of(subsets):
+            jobs = []
+            for bits in subsets:
+                frozen = [ancestors[i] for i in range(len(ancestors)) if bits >> i & 1]
+                subset_seed = derive_seed(seed, f"icc:{bits}")
+                held = draw_noise_values(model, outer_samples, derive_seed(subset_seed, "frozen"), frozen)
+                jobs.append((derive_seed(subset_seed, "free"), {**held, **silent}))
+            block = _target_samples(model, target, closure, variance_samples, jobs)
+            # Row (j, o) holds the inner draws of job j around its o-th frozen draw.
+            conditional = np.var(
+                block.reshape(len(jobs), outer_samples, inner_samples), axis=2, ddof=1
+            ).mean(axis=1)
+            return prediction_variance - conditional
+
+        known = {0: 0.0, (1 << len(ancestors)) - 1: prediction_variance}
+        shares = _attribute(
+            ancestors, values_of, variance_samples, known, shapley_config, "intrinsic_influence", budget, seed
+        ).scores
+    shares[target] = noise_variance
+    return AttributionResult(
+        scores={node: shares[node] for node in model.graph.nodes if node in shares},
+        measure="intrinsic_influence",
+        mc_budget=budget,
+        seed=seed,
+        total=prediction_variance + noise_variance,
+        baseline=0.0,
     )
 
 

@@ -24,6 +24,8 @@ nothing else:
   observed column, or :class:`~gcmkit.exceptions.NonInvertibleError`;
 - ``noise_reference(n, rng)`` (continuous nodes): a sample of the noise that
   held-out residuals, the noise ``abduct`` recovers, are compared with;
+- ``noise_variance`` (continuous nodes): the exact variance of the noise that
+  ``draw_noise`` draws (a root's noise is its own value);
 - ``categories`` and ``probabilities(parent_columns, n)`` (categorical
   nodes): the labels in column order, and an ``n`` × ``len(categories)``
   matrix of each row's class probabilities given its parents' values;
@@ -172,6 +174,11 @@ class Empirical(_Marginal):
         idx = rng.integers(0, self.samples.size, size=n)
         return self.samples[idx]
 
+    @property
+    def noise_variance(self):
+        """The stored sample's variance (ddof 0): draws redraw it with replacement."""
+        return float(self.samples.var())
+
     def __repr__(self):
         return f"Empirical({self.samples.size} samples)"
 
@@ -192,6 +199,10 @@ class Gaussian(_Marginal):
 
     def draw(self, n, rng):
         return self.mean + self.std * rng.standard_normal(n)
+
+    @property
+    def noise_variance(self):
+        return self.std**2
 
     def __repr__(self):
         return f"Gaussian(mean={self.mean}, std={self.std})"
@@ -481,6 +492,10 @@ class AdditiveNoiseModel(_Serialized):
 
     def draw_noise(self, n, rng):
         return self.noise.draw(n, rng)
+
+    @property
+    def noise_variance(self):
+        return self.noise.noise_variance
 
     def forward(self, parent_columns, noise):
         return self.predict(parent_columns) + noise

@@ -1,8 +1,9 @@
 """Sampling queries: observational draws, interventions, counterfactuals, effects.
 
 All operations are read-only on the model.  Randomness is controlled by one
-integer seed per call; independent streams are derived per node and per
-sub-operation, so results do not depend on evaluation order.
+integer seed per call.  Each sub-operation derives its own seed, and each
+noise draw builds one generator from its seed and draws the requested nodes
+from it in topological order, so results do not depend on evaluation order.
 """
 
 from dataclasses import dataclass
@@ -90,15 +91,19 @@ def require_continuous_target(model: GcmModel, target):
 
 
 def draw_noise_values(model: GcmModel, n, seed, nodes=None) -> dict:
-    """Draw one noise column per node from per-node derived streams.
+    """Draw one noise column per node of ``nodes`` (default: every node).
 
-    For roots the noise is the node's own value; for additive noise models it
-    is a draw from the fitted noise distribution; for classifier mechanisms it
-    is the uniform variate consumed by inverse-CDF sampling.
+    The columns come from one generator derived from ``seed``, in
+    topological order, so a node's column depends on which nodes are drawn
+    before it: callers that need independent draws give them their own
+    seeds.  For roots the noise is the node's own value; for additive noise
+    models it is a draw from the fitted noise distribution; for classifier
+    mechanisms it is the uniform variate consumed by inverse-CDF sampling.
     """
     chosen = set(model.graph.nodes if nodes is None else nodes)
+    rng = rng_for(seed, "noise")
     return {
-        node: model.mechanisms[node].draw_noise(n, rng_for(seed, f"noise:{node}"))
+        node: model.mechanisms[node].draw_noise(n, rng)
         for node in model.graph.topological_order()
         if node in chosen
     }

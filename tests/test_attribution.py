@@ -174,6 +174,111 @@ class TestIntrinsicInfluence:
         gk.intrinsic_influence(model, "Y", outer_samples=3, inner_samples=10, seed=4)
         assert dtypes and set(dtypes) == {np.dtype(object)}
 
+    @pytest.mark.parametrize(
+        "noise", [Gaussian(0.0, 0.7), Empirical([-1.3, -0.2, 0.1, 0.4, 1.0])], ids=["gaussian", "empirical"]
+    )
+    def test_target_share_is_its_noise_variance_bit_for_bit(self, noise):
+        graph = CausalGraph(["X", "Y"], [("X", "Y")])
+        model = gk.assign(GcmModel(graph), "X", Gaussian(0.0, 1.0), ground_truth=True)
+        anm = AdditiveNoiseModel(LinearModel([1.5], 0.0), noise, gk.InputEncoder.continuous(1))
+        model = gk.assign(model, "Y", anm, ground_truth=True)
+        result = gk.intrinsic_influence(model, "Y", outer_samples=5, inner_samples=20, seed=1)
+        exact = noise.noise_variance
+        assert np.float64(result.scores["Y"]).view(np.int64) == np.float64(exact).view(np.int64)
+        assert result.scores["X"] == pytest.approx(2.25, abs=0.5)
+
+    @pytest.mark.parametrize(
+        "root", [Gaussian(2.0, 1.5), Empirical([0.5, 1.0, 4.0])], ids=["gaussian", "empirical"]
+    )
+    def test_root_target_answers_its_variance_without_a_draw(self, root, monkeypatch):
+        model = gk.assign(
+            GcmModel(CausalGraph(["X", "Y"], [("X", "Y")])), "X", root, ground_truth=True
+        )
+        model = gk.assign(
+            model,
+            "Y",
+            AdditiveNoiseModel(LinearModel([1.0], 0.0), Gaussian(0.0, 1.0), gk.InputEncoder.continuous(1)),
+            ground_truth=True,
+        )
+
+        def never(*args, **kwargs):
+            raise AssertionError("a root target needs no draw")
+
+        for name in ("draw_noise_values", "_target_samples"):
+            monkeypatch.setattr(attribution, name, never)
+        result = gk.intrinsic_influence(model, "X", seed=4)
+        assert result.scores == {"X": root.noise_variance}
+        assert (result.total, result.baseline) == (root.noise_variance, 0.0)
+
+    def test_chain_matches_the_analytic_icc_at_a_small_budget(self):
+        # Z = 0.5 Y + N_Z, Y = 2 X + N_Y with unit noises: Z = X + 0.5 N_Y + N_Z,
+        # so the ICCs are 1, 0.25 and 1.  Over 40 seeds the largest error at
+        # 20 x 100 was 0.08; the tolerance leaves room for other platforms.
+        model = make_ground_truth_chain(coef_y=2.0, coef_z=0.5)
+        analytic = {"X": 1.0, "Y": 0.25, "Z": 1.0}
+        for seed in range(5):
+            result = gk.intrinsic_influence(model, "Z", outer_samples=20, inner_samples=100, seed=seed)
+            assert result.scores["Z"] == 1.0
+            for node, value in analytic.items():
+                assert result.scores[node] == pytest.approx(value, abs=0.15)
+
+    def test_efficiency_and_reproducibility_on_a_mixed_model(self):
+        model = mixed_model()
+        result = gk.intrinsic_influence(model, "Z", outer_samples=4, inner_samples=10, seed=5)
+        assert list(result.scores) == ["C", "X", "Y", "W", "K", "Z"]
+        assert result.scores["Z"] == model.mechanisms["Z"].noise_variance
+        ancestors = sum(score for node, score in result.scores.items() if node != "Z")
+        assert ancestors + result.scores["Z"] == pytest.approx(result.total, abs=1e-9)
+        assert result.baseline == 0.0
+        again = gk.intrinsic_influence(model, "Z", outer_samples=4, inner_samples=10, seed=5)
+        assert json.dumps(again.to_json()) == json.dumps(result.to_json())
+
+    def test_noise_streams_cost_at_most_two_generators_per_subset(self, monkeypatch):
+        # One generator for the Var(f) sample, then one for each simulated
+        # subset's frozen block and one for its free block.
+        ancestors = 4
+        model, _ = _long_chain(ancestors + 1)
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        gk.intrinsic_influence(model, model.graph.nodes[-1], outer_samples=2, inner_samples=5, seed=0)
+        simulated = (1 << ancestors) - 2  # all but the empty and the full set
+        assert 0 < len(built) <= 2 * simulated + 1
+
+
+@st.composite
+def linear_chains(draw):
+    """A ground-truth linear chain of 1-5 nodes whose noises are Gaussian or
+    empirical, and its last node as the target."""
+    size = draw(st.integers(1, 5))
+    names = [f"N{i}" for i in range(size)]
+    model = GcmModel(CausalGraph(names, list(zip(names, names[1:]))))
+    for index, name in enumerate(names):
+        if draw(st.booleans()):
+            noise = Gaussian(0.0, draw(st.floats(0.0, 2.0)))
+        else:
+            noise = Empirical(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5)))
+        if index:
+            weight = draw(st.floats(-2.0, 2.0))
+            noise = AdditiveNoiseModel(LinearModel([weight], 0.0), noise, gk.InputEncoder.continuous(1))
+        model = gk.assign(model, name, noise, ground_truth=True)
+    return model, names[-1]
+
+
+@given(drawn=linear_chains(), seed=st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_icc_on_linear_chains_is_efficient_with_an_exact_target_share(drawn, seed):
+    model, target = drawn
+    result = gk.intrinsic_influence(model, target, outer_samples=2, inner_samples=5, seed=seed)
+    assert set(result.scores) == set(model.graph.nodes)
+    assert result.scores[target] == model.mechanisms[target].noise_variance
+    assert sum(result.scores.values()) == pytest.approx(result.total, abs=1e-9)
+
 
 class TestOutlierScorer:
     def test_bounds_and_monotonicity(self):
@@ -325,23 +430,44 @@ def _long_chain(length):
 
 
 LIMIT_QUERIES = {
-    "icc": lambda model, data: gk.intrinsic_influence(model, model.graph.nodes[-1]),
-    "outlier": lambda model, data: gk.attribute_anomaly(model, model.graph.nodes[-1], data.row(0)),
-    "change": lambda model, data: gk.distribution_change(model.graph, data, data, model.graph.nodes[-1]),
+    # (query, the length of a chain whose last node has 21 players): ICC's
+    # players are the target's ancestors alone, the others' the target too.
+    "icc": (lambda model, data: gk.intrinsic_influence(model, model.graph.nodes[-1]), 22),
+    "outlier": (
+        lambda model, data: gk.attribute_anomaly(model, model.graph.nodes[-1], data.row(0)), 21
+    ),
+    "change": (
+        lambda model, data: gk.distribution_change(model.graph, data, data, model.graph.nodes[-1]), 21
+    ),
 }
+
+
+def _forbid_fits_and_draws(monkeypatch, error):
+    def never(*args, **kwargs):
+        raise error
+
+    for name in ("fit", "draw_noise_values", "_target_samples", "abduct_row"):
+        monkeypatch.setattr(attribution, name, never)
 
 
 @pytest.mark.parametrize("query", sorted(LIMIT_QUERIES))
 def test_exact_player_limit_is_checked_before_any_fit_or_draw(query, monkeypatch):
-    model, data = _long_chain(21)
-
-    def never(*args, **kwargs):
-        raise AssertionError("the player limit was not checked first")
-
-    for name in ("fit", "draw_noise_values", "_target_samples", "abduct_row"):
-        monkeypatch.setattr(attribution, name, never)
+    run, length = LIMIT_QUERIES[query]
+    model, data = _long_chain(length)
+    _forbid_fits_and_draws(monkeypatch, AssertionError("the player limit was not checked first"))
     with pytest.raises(QueryError, match="limited to 20 players, got 21"):
-        LIMIT_QUERIES[query](model, data)
+        run(model, data)
+
+
+class _Drawn(Exception):
+    pass
+
+
+def test_icc_target_with_twenty_ancestors_passes_the_player_limit(monkeypatch):
+    model, data = _long_chain(21)
+    _forbid_fits_and_draws(monkeypatch, _Drawn())
+    with pytest.raises(_Drawn):
+        gk.intrinsic_influence(model, model.graph.nodes[-1])
 
 
 PERMUTATION_QUERIES = {
@@ -442,11 +568,12 @@ BATCHED_QUERIES = {
 }
 SEVEN_PERMUTATIONS = gk.ShapleyConfig("permutation", num_permutations=7, seed=11)
 # The distinct subsets each query simulates: all but the empty set (and, for
-# ICC, the full set), whose values are known.  ICC has 6 players, outlier
-# attribution 4; seven permutations reach 30 and 14 distinct subsets.
+# ICC, the full set), whose values are known.  ICC has 5 players (Z's
+# ancestors: Z's own share is exact), outlier attribution 4; seven
+# permutations reach 22 and 14 distinct subsets.
 SIMULATED_SUBSETS = {
-    ("icc", "exact"): 62,
-    ("icc", "permutation"): 28,
+    ("icc", "exact"): 30,
+    ("icc", "permutation"): 20,
     ("outlier", "exact"): 15,
     ("outlier", "permutation"): 13,
 }
@@ -481,36 +608,36 @@ def test_results_do_not_depend_on_batching(query, config, subsets_per_chunk, mon
 
 PINNED_OUTLIER = {
     "scores": {
-        "C": -0.25596869729176785,
-        "X": 0.5141683359678918,
-        "Y": 0.5553511346906755,
-        "W": 3.118274859357526,
+        "C": -0.40121613937998646,
+        "X": 0.41108697962365504,
+        "Y": 0.31383131036277345,
+        "W": 2.914976301557938,
     },
     "measure": "it_outlier_score",
     "seed": 5,
     "budget": {"reference_samples": 50, "samples_per_subset": 50},
-    "total": 3.9318256327243257,
+    "total": 3.2386784521643803,
     "baseline": 0.0,
 }
 PINNED_CHAIN_OUTLIER = {
-    "scores": {"X": -0.06802954632106908, "Y": 4.113991459639962, "Z": -0.5360762259062364},
+    "scores": {"X": -0.6215510367914023, "Y": 4.028722283139762, "Z": -0.26501033906102156},
     "measure": "it_outlier_score",
     "seed": 3,
     "budget": {"reference_samples": 300, "samples_per_subset": 300},
-    "total": 3.5098856874126563,
+    "total": 3.142160907287339,
     "baseline": 0.0,
 }
 PINNED_PERMUTATION_OUTLIER = {
     "scores": {
-        "C": -0.6136285427319043,
-        "X": 0.6861633937645589,
-        "Y": 0.6570935721857115,
-        "W": 3.2021972095059588,
+        "C": -0.5795582815517601,
+        "X": 0.7074945487629946,
+        "Y": 0.39441278481371367,
+        "W": 2.7163294001394322,
     },
     "measure": "it_outlier_score",
     "seed": 5,
     "budget": {"reference_samples": 50, "samples_per_subset": 50},
-    "total": 3.9318256327243257,
+    "total": 3.2386784521643803,
     "baseline": 0.0,
 }
 

@@ -88,6 +88,13 @@ class TestDraws:
         with pytest.raises(FitError):
             Multinomial(["a"], [-1.0])
 
+    def test_noise_variance_is_the_exact_variance_of_the_draws(self):
+        # Empirical draws redraw the stored sample with replacement: ddof 0.
+        assert Empirical([1.0, 2.0, 3.0, 6.0]).noise_variance == 3.5
+        assert Gaussian(4.0, 0.5).noise_variance == 0.25
+        anm = AdditiveNoiseModel(LinearModel([2.0], 1.0), Empirical([-1.0, 1.0]), gk.InputEncoder.continuous(1))
+        assert anm.noise_variance == 1.0
+
 
 class TestFitAnm:
     def test_noiseless_line_recovered_exactly(self):

@@ -21,6 +21,7 @@ PROTOCOL = {
     "forward",
     "abduct",
     "noise_reference",
+    "noise_variance",
     "categories",
     "probabilities",
     "to_json",
@@ -43,6 +44,7 @@ class ProtocolOnly:
     option = property(lambda self: self._inner.option)
     is_continuous = property(lambda self: self._inner.is_continuous)
     categories = property(lambda self: self._inner.categories)
+    noise_variance = property(lambda self: self._inner.noise_variance)
 
     def draw_noise(self, n, rng):
         return self._inner.draw_noise(n, rng)
