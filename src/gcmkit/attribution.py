@@ -2,9 +2,10 @@
 
 Outlier attribution, distribution-change attribution and intrinsic influence
 share one pattern: a set function over "players" (the target and its
-ancestors; every other node is a null player), evaluated by seeded Monte
-Carlo, with the total distributed by Shapley values.  ``_target_samples`` is
-the one simulation behind every subset value: the noise of some nodes is
+ancestors; every other node is a null player, so each query runs on the
+sub-model of the target and its ancestors), evaluated by seeded Monte Carlo,
+with the total distributed by Shapley values.  ``_target_samples`` is the
+one simulation behind every subset value: the noise of some nodes is
 held at fixed values and the rest is redrawn, for a batch of subsets stacked
 into one propagation.  Intrinsic influence holds a subset's noises at each of
 its outer draws and redraws the rest, with the target's own noise held at 0
@@ -112,33 +113,42 @@ def tail_log_score(tail_count, num_samples) -> float:
 
 
 def _players_for(graph, target, shapley_config, target_plays=True):
-    """The target's ancestors and, if ``target_plays``, the target, in graph
-    order, checked against the Shapley configuration before any work.  With
-    no players (a root target that does not play) the configuration is
-    checked as for one."""
-    relevant = graph.ancestors(target) | ({target} if target_plays else set())
-    players = tuple(node for node in graph.nodes if node in relevant)
+    """The subgraph of ``target`` and its ancestors, which holds every node
+    that can move the target, and the players: its nodes, without the target
+    unless ``target_plays``.  The players are checked against the Shapley
+    configuration before any work; with none (a root target that does not
+    play) the configuration is checked as for one."""
+    ancestral = graph.ancestral(target)
+    players = tuple(node for node in ancestral.nodes if target_plays or node != target)
     check_players(max(len(players), 1), shapley_config or ShapleyConfig())
-    return players
+    return ancestral, players
 
 
-def _target_samples(model, target, closure, n, jobs):
+def _submodel(model, graph):
+    """``model`` restricted to the nodes of ``graph``, an ancestral subgraph of its own."""
+    return GcmModel(graph, {node: model.mechanisms[node] for node in graph.nodes})
+
+
+def _target_samples(model, target, n, jobs):
     """The target columns of ``n`` draws for each ``(seed, held)`` job: a (jobs, n) block.
 
-    ``held`` maps closure nodes to a noise column whose length divides ``n``;
-    each of its values is repeated over a run of consecutive draws (a
-    one-element column is held in every draw).  The other closure nodes draw
-    fresh noise in one :func:`~gcmkit.sampling.draw_noise_values` call from
-    the job's ``seed``, so every job has its own stream.  The jobs' columns
-    are stacked and propagated once.
+    Every node of ``model`` is drawn and propagated, so the attribution
+    queries pass the sub-model of the target and its ancestors.  ``held``
+    maps nodes to a noise column whose length divides ``n``; each of its
+    values is repeated over a run of consecutive draws (a one-element column
+    is held in every draw).  The other nodes draw fresh noise in one
+    :func:`~gcmkit.sampling.draw_noise_values` call from the job's ``seed``,
+    so every job has its own stream.  The jobs' columns are stacked and
+    propagated once.
     """
-    stacked = {node: [] for node in closure}
+    nodes = model.graph.nodes
+    stacked = {node: [] for node in nodes}
     for seed, held in jobs:
-        drawn = draw_noise_values(model, n, seed, [node for node in closure if node not in held])
+        drawn = draw_noise_values(model, n, seed, [node for node in nodes if node not in held])
         for node, columns in stacked.items():
             columns.append(np.repeat(held[node], n // len(held[node])) if node in held else drawn[node])
     noise = {node: np.concatenate(columns) for node, columns in stacked.items()}
-    return propagate_from_noise(model, noise, nodes=closure)[target].reshape(len(jobs), n)
+    return propagate_from_noise(model, noise)[target].reshape(len(jobs), n)
 
 
 def _attribute(players, values_of, rows_per_subset, known, shapley_config, measure, mc_budget, seed):
@@ -173,6 +183,26 @@ def _attribute(players, values_of, rows_per_subset, known, shapley_config, measu
     )
 
 
+def arrow_measure(model: GcmModel, edge, measure="auto") -> str:
+    """The measure :func:`arrow_strength` runs for ``edge``: ``auto`` is
+    ``coupled_msd`` for a continuous child and ``kl`` for a categorical one.
+
+    Raises :class:`QueryError` if the graph has no such edge or the child
+    does not take the measure.
+    """
+    parent, child = edge
+    if not model.graph.has_edge(parent, child):
+        raise QueryError(f"graph has no edge {parent!r} -> {child!r}")
+    child_continuous = model.mechanisms[child].is_continuous
+    if measure == "auto":
+        measure = "coupled_msd" if child_continuous else "kl"
+    if measure not in ("coupled_msd", "kl"):
+        raise QueryError(f"unknown arrow-strength measure {measure!r}")
+    if measure == "coupled_msd" and not child_continuous:
+        raise QueryError("coupled_msd requires a continuous child node")
+    return measure
+
+
 def arrow_strength(model: GcmModel, edge, measure="auto", n=50000, seed=0) -> float:
     """Direct strength of one edge, by feeding the child an independent parent copy.
 
@@ -180,20 +210,13 @@ def arrow_strength(model: GcmModel, edge, measure="auto", n=50000, seed=0) -> fl
     child with the parent column replaced by a permuted copy while keeping the
     child's own noise and the other parents, and reports the mean squared
     difference.  ``kl`` reports a k-NN KL estimate between the joint samples
-    of (parents, child) with and without the cut.
+    of (parents, child) with and without the cut.  ``auto`` resolves as in
+    :func:`arrow_measure`.
     """
     model.require_fitted()
+    measure = arrow_measure(model, edge, measure)
     parent, child = edge
-    if not model.graph.has_edge(parent, child):
-        raise QueryError(f"graph has no edge {parent!r} -> {child!r}")
     mechanism = model.mechanisms[child]
-    child_continuous = mechanism.is_continuous
-    if measure == "auto":
-        measure = "coupled_msd" if child_continuous else "kl"
-    if measure not in ("coupled_msd", "kl"):
-        raise QueryError(f"unknown arrow-strength measure {measure!r}")
-    if measure == "coupled_msd" and not child_continuous:
-        raise QueryError("coupled_msd requires a continuous child node")
     n = require_rows(n, "n", minimum=_KL_MIN_ROWS if measure == "kl" else 1)
 
     noise = draw_noise_values(model, n, seed)
@@ -247,7 +270,7 @@ def intrinsic_influence(
     require_continuous_target(model, target)
     outer_samples = require_count(outer_samples, "outer_samples")
     inner_samples = require_count(inner_samples, "inner_samples", 2)
-    ancestors = _players_for(model.graph, target, shapley_config, target_plays=False)
+    ancestral, ancestors = _players_for(model.graph, target, shapley_config, target_plays=False)
     variance_samples = require_rows(outer_samples * inner_samples, "outer_samples * inner_samples")
     budget = {
         "outer_samples": outer_samples,
@@ -257,10 +280,10 @@ def intrinsic_influence(
     noise_variance = float(model.mechanisms[target].noise_variance)
     shares, prediction_variance = {}, 0.0
     if ancestors:
-        closure = (*ancestors, target)
+        model = _submodel(model, ancestral)
         silent = {target: np.zeros(1)}
         predictions = _target_samples(
-            model, target, closure, variance_samples, [(derive_seed(seed, "icc:variance"), silent)]
+            model, target, variance_samples, [(derive_seed(seed, "icc:variance"), silent)]
         )[0]
         prediction_variance = float(np.var(predictions, ddof=1))
 
@@ -271,7 +294,7 @@ def intrinsic_influence(
                 subset_seed = derive_seed(seed, f"icc:{bits}")
                 held = draw_noise_values(model, outer_samples, derive_seed(subset_seed, "frozen"), frozen)
                 jobs.append((derive_seed(subset_seed, "free"), {**held, **silent}))
-            block = _target_samples(model, target, closure, variance_samples, jobs)
+            block = _target_samples(model, target, variance_samples, jobs)
             # Row (j, o) holds the inner draws of job j around its o-th frozen draw.
             conditional = np.var(
                 block.reshape(len(jobs), outer_samples, inner_samples), axis=2, ddof=1
@@ -284,7 +307,7 @@ def intrinsic_influence(
         ).scores
     shares[target] = noise_variance
     return AttributionResult(
-        scores={node: shares[node] for node in model.graph.nodes if node in shares},
+        scores={node: shares[node] for node in ancestral.nodes},
         measure="intrinsic_influence",
         mc_budget=budget,
         seed=seed,
@@ -312,12 +335,11 @@ def attribute_anomaly(
     model.require_fitted()
     require_continuous_target(model, target)
     num_samples = require_rows(num_samples, "num_samples")
-    players = _players_for(model.graph, target, shapley_config)
+    ancestral, players = _players_for(model.graph, target, shapley_config)
     observed, recovered = abduct_row(model, anomalous_row, players)
+    model = _submodel(model, ancestral)
 
-    reference = _target_samples(
-        model, target, players, num_samples, [(derive_seed(seed, "anomaly:reference"), {})]
-    )[0]
+    reference = _target_samples(model, target, num_samples, [(derive_seed(seed, "anomaly:reference"), {})])[0]
     scorer = OutlierScorer(reference)
     observed_feature = float(scorer.feature(observed[target])[0])
 
@@ -329,7 +351,7 @@ def attribute_anomaly(
             )
             for bits in subsets
         ]
-        samples = _target_samples(model, target, players, num_samples, jobs)
+        samples = _target_samples(model, target, num_samples, jobs)
         tails = np.sum(scorer.feature(samples) >= observed_feature, axis=1)
         return [tail_log_score(int(tail), num_samples) for tail in tails]
 
@@ -351,7 +373,9 @@ def distribution_change(
 ) -> AttributionResult:
     """Attribute a change between two datasets to the nodes whose mechanisms changed.
 
-    Fits one model per dataset, then scores each node subset by the chosen
+    Fits one model of the target and its ancestors per dataset (no other
+    node is fitted, but both datasets must cover every graph node, with the
+    same kind on both sides), then scores each node subset by the chosen
     divergence between the target's marginal under a hybrid model (subset
     nodes use the new mechanisms, the rest the old ones) and under the old
     model.  For a root node, "mechanism" means its fitted marginal.
@@ -372,20 +396,16 @@ def distribution_change(
         raise QueryError(f"unknown distribution-change measure {measure!r}")
     num_samples = require_rows(num_samples, "num_samples", minimum=_KL_MIN_ROWS if measure == "kl" else 1)
 
-    players = _players_for(graph, target, shapley_config)
-    old_model = fit(auto_assign(graph, old_data), old_data)
-    new_model = fit(auto_assign(graph, new_data), new_data)
-    baseline = _target_samples(
-        old_model, target, players, num_samples, [(derive_seed(seed, "change:baseline"), {})]
-    )[0]
+    ancestral, players = _players_for(graph, target, shapley_config)
+    old_model = fit(auto_assign(ancestral, old_data), old_data)
+    new_model = fit(auto_assign(ancestral, new_data), new_data)
+    baseline = _target_samples(old_model, target, num_samples, [(derive_seed(seed, "change:baseline"), {})])[0]
 
     def value_of(bits):
         # Each subset has its own hybrid model, so it is propagated alone.
         swapped = {node: new_model.mechanisms[node] for i, node in enumerate(players) if bits >> i & 1}
-        hybrid = GcmModel(graph, {**old_model.mechanisms, **swapped})
-        samples = _target_samples(
-            hybrid, target, players, num_samples, [(derive_seed(seed, f"change:{bits}"), {})]
-        )[0]
+        hybrid = GcmModel(ancestral, {**old_model.mechanisms, **swapped})
+        samples = _target_samples(hybrid, target, num_samples, [(derive_seed(seed, f"change:{bits}"), {})])[0]
         if measure == "mean_diff":
             return abs(float(samples.mean() - baseline.mean()))
         return kl_divergence(samples, baseline, k=_KL_NEIGHBORS)

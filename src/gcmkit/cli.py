@@ -212,15 +212,16 @@ def _cmd_icc(args):
 
 
 def _cmd_arrow_strength(args):
-    from .attribution import arrow_strength
+    from .attribution import arrow_measure, arrow_strength
 
     model = _load_model(args.model)
     parent, sep, child = args.edge.partition("->")
     if not sep:
         raise _UsageError(f"--edge expects PARENT->CHILD, got {args.edge!r}")
     edge = (parent.strip(), child.strip())
-    strength = arrow_strength(model, edge, measure=args.measure, n=args.n, seed=args.seed)
-    return {"edge": list(edge), "measure": args.measure, "strength": strength}
+    measure = arrow_measure(model, edge, args.measure)
+    strength = arrow_strength(model, edge, measure=measure, n=args.n, seed=args.seed)
+    return {"edge": list(edge), "measure": measure, "strength": strength}
 
 
 def _cmd_discover(args):

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .data import Dataset
-from .exceptions import GraphError, QueryError, require_count
+from .exceptions import GraphError, QueryError, require_alpha, require_count
 from .graph import CausalGraph, check_edges, render_dot
 from .stats import fisher_z_test
 
@@ -81,8 +81,7 @@ def pc_skeleton(data: Dataset, alpha=0.05, max_cond_set_size=DEFAULT_MAX_COND_SE
     if data.n_rows < 20:
         raise QueryError(f"PC needs at least 20 rows, got {data.n_rows}")
     max_cond_set_size = require_count(max_cond_set_size, "max_cond_set_size", 0)
-    if not 0 < alpha < 1:
-        raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    require_alpha(alpha)
 
     # Neighbours in column order; edges are only ever deleted, so it stays.
     adjacency = {name: dict.fromkeys(other for other in names if other != name) for name in names}

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the library, and the one check of
-integer arguments (Monte-Carlo budgets, sizes and counts).
+"""Exception hierarchy shared across the library, the one check of integer
+arguments (Monte-Carlo budgets, sizes and counts) and the one check of a
+test level.
 
 Everything raised on bad user input derives from :class:`GcmError`, so callers
 (including the CLI) can distinguish input problems from genuine numeric
@@ -59,6 +60,12 @@ def require_count(value, name, minimum=1, maximum=None):
     if maximum is not None and value > maximum:
         raise QueryError(f"{name} must be at most {maximum}, got {value!r}")
     return int(value)
+
+
+def require_alpha(alpha):
+    """Raise :class:`QueryError` unless the test level ``alpha`` lies strictly between 0 and 1."""
+    if not 0 < alpha < 1:
+        raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
 def require_rows(value, name, minimum=1):

@@ -121,6 +121,20 @@ class CausalGraph:
         """All nodes reachable from ``node`` by a directed path (excluding itself)."""
         return self._reach(node, self._children)
 
+    def ancestral(self, node):
+        """The subgraph of ``node`` and its ancestors, in declaration order.
+
+        Its edges are this graph's edges into kept nodes; the kept set is
+        closed under parents, so they all start at kept nodes too.  Kahn's
+        order restricted to such a set is the subgraph's own, so its
+        topological order is this graph's with the other nodes left out.
+        """
+        kept = self.ancestors(node) | {node}
+        return CausalGraph(
+            [name for name in self.nodes if name in kept],
+            [(parent, child) for parent, child in self.edges if child in kept],
+        )
+
     def non_descendants(self, node):
         """All nodes that are neither ``node`` nor reachable from it."""
         reachable = self.descendants(node)

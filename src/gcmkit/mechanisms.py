@@ -216,12 +216,10 @@ class Multinomial(_Marginal):
     is_continuous = False
 
     def __init__(self, categories, probs):
-        categories = tuple(str(c) for c in categories)
+        categories = _category_labels(categories, "multinomial")
         probs = _as_float_array(probs, "multinomial probabilities")
-        if len(categories) != probs.size or not categories:
+        if len(categories) != probs.size:
             raise FitError("multinomial needs one probability per category")
-        if len(set(categories)) != len(categories):
-            raise FitError("multinomial categories must be unique")
         if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-12:
             raise FitError("multinomial probabilities must be >= 0 and sum to 1")
         probs.setflags(write=False)
@@ -236,6 +234,14 @@ class Multinomial(_Marginal):
 
     def __repr__(self):
         return f"Multinomial({dict(zip(self.categories, np.round(self.probs, 4)))})"
+
+
+def _category_labels(categories, what):
+    """``categories`` as a tuple of strings, if there is at least one and none repeats."""
+    labels = tuple(str(c) for c in categories)
+    if not labels or len(set(labels)) != len(labels):
+        raise FitError(f"{what} categories must be non-empty and unique, got {list(labels)}")
+    return labels
 
 
 def categories_from_uniform(categories, probs, u):
@@ -332,7 +338,7 @@ class InputEncoder:
             if item["kind"] == "continuous":
                 specs.append(("continuous", None))
             elif item["kind"] == "categorical":
-                specs.append(("categorical", tuple(item["categories"])))
+                specs.append(("categorical", _category_labels(item["categories"], "encoding")))
             else:
                 raise FitError(f"unknown encoding kind {item['kind']!r}")
         return cls(specs)
@@ -586,7 +592,7 @@ class ClassifierFcm(_Serialized):
 
     def __init__(self, encoding, categories, weights):
         weights = np.asarray(weights, dtype=np.float64)
-        categories = tuple(str(c) for c in categories)
+        categories = _category_labels(categories, "classifier")
         if weights.shape != (encoding.width + 1, len(categories)):
             raise FitError("classifier weight shape does not match encoder and categories")
         if not np.all(np.isfinite(weights)):

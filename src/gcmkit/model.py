@@ -182,14 +182,38 @@ def loads_model(text: str) -> GcmModel:
         mechanisms = {}
         ground_truth = set()
         for node, mech_payload in payload["mechanisms"].items():
-            mechanisms[node] = mechanism_from_json(mech_payload)
+            try:
+                mechanisms[node] = mechanism_from_json(mech_payload)
+            except SerializationError as exc:
+                raise SerializationError(f"corrupt model payload: node {node!r}: {exc}") from exc
             if mech_payload.get("ground_truth"):
                 ground_truth.add(node)
     except (KeyError, TypeError, AttributeError) as exc:
         raise SerializationError(f"corrupt model payload: {exc}") from exc
     if set(mechanisms) != set(graph.nodes):
         raise SerializationError("corrupt model payload: mechanisms do not cover the graph")
-    return GcmModel(graph, mechanisms, ground_truth)
+    model = GcmModel(graph, mechanisms, ground_truth)
+    for node in graph.nodes:
+        _check_encoding(model, node)
+    return model
+
+
+def _check_encoding(model, node):
+    """Raise unless a non-root's encoding has one spec per graph parent, of that parent's kind.
+
+    The specs' categories may differ from the parent's: a hand-built child
+    can list categories its parent never draws.
+    """
+    parents = model.graph.parents(node)
+    if not parents:
+        return
+    kinds = [kind for kind, _ in model.mechanisms[node].encoding.specs]
+    expected = [CONTINUOUS if model.mechanisms[p].is_continuous else CATEGORICAL for p in parents]
+    if kinds != expected:
+        raise SerializationError(
+            f"corrupt model payload: node {node!r} encodes its parents {list(parents)} "
+            f"as {kinds}, but they are {expected}"
+        )
 
 
 def save(model: GcmModel, sink):

@@ -109,14 +109,14 @@ def draw_noise_values(model: GcmModel, n, seed, nodes=None) -> dict:
     }
 
 
-def propagate_from_noise(
-    model: GcmModel, noise, interventions=None, nodes=None, factual=None
-) -> dict:
-    """Evaluate mechanisms in topological order from given noise columns.
+def propagate_from_noise(model: GcmModel, noise, interventions=None, factual=None) -> dict:
+    """Evaluate every node's mechanism in topological order from given noise columns.
 
-    ``nodes``, when given, restricts propagation to an ancestrally closed
-    subset.  Interventions override each intervened node's output before its
-    children consume it; an atomically set node needs no noise.
+    A model's graph holds every parent of its nodes, so to propagate only a
+    node and its ancestors, pass the model over
+    :meth:`~gcmkit.graph.CausalGraph.ancestral`.  Interventions override
+    each intervened node's output before its children consume it; an
+    atomically set node needs no noise.
 
     ``factual``, when given, holds the observed columns that ``noise`` was
     abducted from.  A node then keeps its observed value wherever its
@@ -128,18 +128,12 @@ def propagate_from_noise(
     map, raises :class:`~gcmkit.exceptions.NumericError` naming the node.
     """
     interventions = interventions or {}
-    chosen = set(model.graph.nodes if nodes is None else nodes)
     n = max(map(len, noise.values()), default=0)
     graph = model.graph
     values = {}
     for node in graph.topological_order():
-        if node not in chosen:
-            continue
         mechanism = model.mechanisms[node]
         parents = graph.parents(node)
-        missing = [p for p in parents if p not in values]
-        if missing:
-            raise QueryError(f"propagation subset is not ancestrally closed: missing {missing}")
         columns = [values[p] for p in parents]
         iv = interventions.get(node)
         dtype = np.float64 if mechanism.is_continuous else object

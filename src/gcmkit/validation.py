@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import CONTINUOUS, Dataset, require_columns
-from .exceptions import DataError, QueryError
+from .exceptions import DataError, require_alpha
 from .graph import CausalGraph
 from .seeds import rng_for
 from .stats import fisher_z_test, ks_statistic
@@ -74,8 +74,7 @@ def refute_graph(graph: CausalGraph, data: Dataset, alpha=0.05) -> RefutationRep
     implies no independences is vacuously not rejected.  Every graph node
     must be a data column.
     """
-    if not 0 < alpha < 1:
-        raise QueryError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    require_alpha(alpha)
     require_columns(data, graph.nodes)
     pairs = []
     for node in graph.nodes:

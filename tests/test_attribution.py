@@ -415,6 +415,23 @@ class TestDistributionChange:
             gk.distribution_change(self.graph, old, partial, "Y")
 
 
+def test_distribution_change_fits_only_the_target_and_its_ancestors(monkeypatch):
+    fitted = []
+
+    def recording_fit(model, data):
+        fitted.append(model.graph.nodes)
+        return gk.fit(model, data)
+
+    monkeypatch.setattr(attribution, "fit", recording_fit)
+    # Y's ancestors are A and X; B (a child of X) and Z (Y's child) cannot move Y.
+    graph = CausalGraph(["A", "X", "B", "Y", "Z"], [("A", "Y"), ("X", "Y"), ("X", "B"), ("Y", "Z")])
+    rng = np.random.default_rng(9)
+    data = Dataset(list(graph.nodes), [rng.standard_normal(50) for _ in graph.nodes])
+    result = gk.distribution_change(graph, data, data, "Y", "mean_diff", 20, seed=0)
+    assert fitted == [("A", "X", "Y")] * 2
+    assert list(result.scores) == ["A", "X", "Y"]
+
+
 def _long_chain(length):
     """A ground-truth linear chain N00 -> N01 -> ... and data drawn from it."""
     names = [f"N{i:02d}" for i in range(length)]
@@ -521,6 +538,46 @@ def test_attribution_queries_keep_the_shapley_axioms(drawn, seed):
             result.total - result.baseline, abs=1e-9
         )
         assert json.dumps(query().to_json()) == json.dumps(result.to_json())
+
+
+@st.composite
+def models_with_a_bystander(draw):
+    """A linear-Gaussian model and its target, and the same model with one
+    more node E, declared anywhere: a root with no edges or a child of the
+    target, so E cannot move the target."""
+    model, target = draw(linear_gaussian_models())
+    names = list(model.graph.nodes)
+    names.insert(draw(st.integers(0, len(names))), "E")
+    edges = list(model.graph.edges)
+    bystander = Gaussian(0.0, 1.0)
+    if draw(st.booleans()):
+        edges.append((target, "E"))
+        bystander = AdditiveNoiseModel(LinearModel([1.0], 0.0), bystander, gk.InputEncoder.continuous(1))
+    return model, GcmModel(CausalGraph(names, edges), {**model.mechanisms, "E": bystander}), target
+
+
+def _with_bystander_column(data, rng):
+    columns = [data.column(name) for name in data.column_names]
+    return Dataset([*data.column_names, "E"], [*columns, rng.standard_normal(data.n_rows)])
+
+
+@given(drawn=models_with_a_bystander(), seed=st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_a_node_that_cannot_move_the_target_changes_no_attribution(drawn, seed):
+    model, wider, target = drawn
+    rng = np.random.default_rng(seed)
+    sample = gk.draw_samples(model, 1, seed)
+    row = {node: float(sample.column(node)[0]) for node in model.graph.nodes}
+    row[target] += 3.0
+    old = _with_bystander_column(gk.draw_samples(model, 40, seed), rng)
+    new = _with_bystander_column(gk.interventional_samples(model, [gk.shift(target, 1.0)], 40, seed + 1), rng)
+    config = gk.ShapleyConfig("exact")
+    for query in (
+        lambda m: gk.intrinsic_influence(m, target, config, 2, 5, seed),
+        lambda m: gk.attribute_anomaly(m, target, {**row, "E": 0.5}, 20, config, seed),
+        lambda m: gk.distribution_change(m.graph, old, new, target, "mean_diff", 20, config, seed),
+    ):
+        assert json.dumps(query(wider).to_json()) == json.dumps(query(model).to_json())
 
 
 def mixed_model():

@@ -612,6 +612,80 @@ def test_every_subcommand_keeps_the_exit_code_and_json_contract(files, data):
     assert_contract(code, stdout)
 
 
+def _linear(*coefficients):
+    return {"type": "linear", "coefficients": list(coefficients), "intercept": 0.0}
+
+
+CONTINUOUS_SPEC = {"kind": "continuous"}
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [(["Y", "encoding"], [CONTINUOUS_SPEC, CONTINUOUS_SPEC]), (["Y", "prediction"], _linear(1.0, 1.0))],
+        [(["K", "encoding"], [CONTINUOUS_SPEC, CONTINUOUS_SPEC]), (["K", "weights"], [[1.0, -1.0], [0.0, 0.0], [0.5, -0.5]])],
+        [(["K", "categories"], []), (["K", "weights"], [[], []])],
+        [(["K", "categories"], ["hi", "hi"])],
+        [(["Y", "encoding", 0, "categories"], ["a", "a"]), (["Y", "prediction"], _linear(1.0, 0.0, 1.0))],
+        [(["Y", "encoding", 0, "categories"], []), (["Y", "prediction"], _linear(1.0))],
+    ],
+    ids=[
+        "continuous-spec-for-a-categorical-parent",
+        "more-specs-than-parents",
+        "no-classifier-categories",
+        "repeated-classifier-categories",
+        "repeated-encoding-categories",
+        "no-encoding-categories",
+    ],
+)
+def test_model_file_whose_mechanisms_disagree_with_its_graph_exits_2(files, tmp_path, edits):
+    # The mixed model's Y encodes the categorical C, then X; K encodes X.
+    # Each edit keeps the prediction's or weights' width equal to the encoding's.
+    payload = json.loads((files / "model.json").read_text())
+    for path, value in edits:
+        set_path(payload["mechanisms"], path, value)
+    (tmp_path / "bad_model.json").write_text(json.dumps(payload))
+    code, stdout, stderr = call(["sample", "--model", tmp_path / "bad_model.json", "-n", "50"])
+    assert code == 2, stderr
+    assert stdout == ""
+    assert "corrupt model payload: " in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("edge, measure", [("X->Y", "coupled_msd"), ("X->K", "kl")])
+def test_arrow_strength_reports_the_measure_that_ran(files, edge, measure):
+    argv = ["arrow-strength", "--model", files / "model.json", "--edge", edge, "-n", "50"]
+    code, stdout, stderr = call(argv)
+    assert code == 0, stderr
+    assert json.loads(stdout)["measure"] == measure
+    assert call([*argv, "--measure", measure]) == (0, stdout, "")
+
+
+def test_attribute_change_ignores_nodes_that_cannot_move_the_target(tmp_path):
+    # Q, a child of X with 100 categories, is no ancestor of Z, so it is not
+    # fitted, and more categories than a fit takes do not matter.
+    rng = np.random.default_rng(6)
+    labels = np.array([f"q{i:02d}" for i in range(100)] * 2, dtype=object)
+    for name, shift in (("old.csv", 0.0), ("new.csv", 1.0)):
+        x = rng.standard_normal(200)
+        y = x + shift + rng.standard_normal(200)
+        z = y + rng.standard_normal(200)
+        (tmp_path / name).write_text(gk.write_csv(gk.Dataset(["X", "Q", "Y", "Z"], [x, labels, y, z])))
+    (tmp_path / "chain.json").write_text(CHAIN)
+    (tmp_path / "wider.json").write_text(
+        '{"nodes":["X","Q","Y","Z"],"edges":[["X","Y"],["X","Q"],["Y","Z"]]}'
+    )
+    outputs = []
+    for graph in ("chain.json", "wider.json"):
+        code, stdout, stderr = call(
+            ["attribute-change", "--graph", tmp_path / graph, "--old", tmp_path / "old.csv",
+             "--new", tmp_path / "new.csv", "--target", "Z", "--num-samples", "50"]
+        )
+        assert code == 0, stderr
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+
+
 def _knn_chain_payload():
     """Model file payload of a chain X -> Y -> Z: a kNN Y and a linear Z."""
     encoder = gk.InputEncoder.continuous(1)

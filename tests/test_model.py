@@ -312,6 +312,37 @@ def test_load_rejects_a_value_no_fit_writes(path, value):
         gk.loads_model(json.dumps(payload))
 
 
+CONTINUOUS_SPEC = {"kind": "continuous"}
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [(["Y", "encoding"], [CONTINUOUS_SPEC, CONTINUOUS_SPEC]), (["Y", "prediction", "coefficients"], [2.0, -0.5])],
+        [(["K", "encoding"], [CONTINUOUS_SPEC, CONTINUOUS_SPEC]), (["K", "weights"], [[1.5, -1.5], [0.0, 0.25], [0.0, 0.0]])],
+        [(["K", "categories"], []), (["K", "weights"], [[], []])],
+        [(["K", "categories"], ["hi", "hi"])],
+        [(["Y", "encoding", 1, "categories"], ["a", "a"])],
+        [(["Y", "encoding", 1, "categories"], []), (["Y", "prediction", "coefficients"], [2.0])],
+    ],
+    ids=[
+        "continuous-spec-for-a-categorical-parent",
+        "more-specs-than-parents",
+        "no-classifier-categories",
+        "repeated-classifier-categories",
+        "repeated-encoding-categories",
+        "no-encoding-categories",
+    ],
+)
+def test_load_rejects_mechanisms_that_disagree_with_the_graph(edits):
+    # Each edit keeps the prediction's or weights' width equal to the encoding's.
+    payload = json.loads(GOLDEN_MODEL_JSON)
+    for path, value in edits:
+        set_path(payload["mechanisms"], path, value)
+    with pytest.raises(SerializationError, match="corrupt model payload"):
+        gk.loads_model(json.dumps(payload))
+
+
 def test_auto_assign_fit_recovers_coefficients():
     # linear-Gaussian generator with |coefficients| >= 0.5 and unit noise
     rng = np.random.default_rng(21)

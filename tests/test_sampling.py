@@ -15,7 +15,6 @@ from gcmkit import (
     NonInvertibleError,
     QueryError,
 )
-from gcmkit.sampling import draw_noise_values, propagate_from_noise
 from conftest import linear_gaussian_models, make_ground_truth_chain
 
 
@@ -125,13 +124,6 @@ class TestInterventionalSamples:
         assert gk.interventional_samples(model, ivs, 5, seed=1).column("Y").tolist() == [1.0] * 5
         row = {"C": "a", "Y": 0.5}
         assert gk.counterfactual(model, row, ivs) == {"C": "unseen", "Y": 1.0}
-
-
-def test_propagation_subset_must_be_ancestrally_closed():
-    model = make_two_node_model()
-    noise = draw_noise_values(model, 5, seed=0)
-    with pytest.raises(QueryError, match=r"not ancestrally closed: missing \['X'\]"):
-        propagate_from_noise(model, noise, nodes=["Y"])
 
 
 class TestCounterfactual:
