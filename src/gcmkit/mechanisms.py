@@ -379,13 +379,15 @@ class KnnRegressor(_Serialized):
     """k-nearest-neighbour regression over the encoded parents.
 
     A prediction is ``offset`` plus the mean target of the ``k`` training rows
-    nearest to the query (Euclidean), ranked by distance and then by training
-    row, so ties resolve to the earliest rows.  The search is a
-    :class:`~gcmkit.stats.NeighbourIndex` of the training rows for this
-    ``k``, built on the first prediction and kept: for one encoded column, or
-    one-hot blocks beside at most one continuous column, m queries then cost
-    O(m·(k + log n)); otherwise all n·m pairs are compared, and each query's
-    k least distances are selected in O(n) and only those ranked.  The whole
+    nearest to the query (Euclidean), where among equal distances the
+    earliest rows win.  The k targets are summed in training-row order, on
+    every search path, so a prediction's bits depend only on which rows are
+    nearest.  The search is a :class:`~gcmkit.stats.NeighbourIndex` of the
+    training rows for this ``k``, built on the first prediction and kept: for
+    one encoded column, or one-hot blocks beside at most one continuous
+    column, each query's k nearest rows are one run of the sorted line, so m
+    queries then cost O(m·(log n + k)); otherwise all n·m pairs are compared,
+    and each query's k least distances are selected in O(n).  The whole
     training set is stored.
     """
 

@@ -16,6 +16,9 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def rng_for(master_seed: int, label: str) -> np.random.Generator:
-    """A fresh generator seeded for the stream named ``label``."""
+def rng_for(master_seed: int, label: str) -> "np.random.Generator":
+    """A fresh generator seeded for the stream named ``label``.
+
+    The annotation is a string, so importing this module does not load
+    ``numpy.random``: commands that draw nothing never pay for it."""
     return np.random.default_rng(derive_seed(master_seed, label))

@@ -7,19 +7,22 @@ every width (:func:`pairwise_distances`).  Nearest neighbours, here and in
 :class:`NeighbourIndex` per reference and k.  Points of one column, or of 0/1
 columns (one-hot blocks) beside at most one other column, are grouped by
 their 0/1 pattern and sorted once into a line per group, and each run of
-equal values is cut to its first k points at build; each query looks at the
-2k + 2 points of its group's line around its place, so n reference and m
-query points cost O(n log n + m·(k + log n)), and a tie past that window
-costs O(k) more.  A query whose k-th distance within its group reaches 1.0,
-the least distance to another group, is compared with every row, at O(n).
-Points with two or more columns that are not 0/1 are compared exhaustively,
-block by block, at O(n·m): each query's k least distances are selected
-(introselect, O(n)) and only those k ranked, at O(k log k), never the whole
-row sorted.  The KL estimator indexes P (for k + 1, each point its own
-nearest) and Q (for k) once each, so on a one-hot joint with one continuous
-column it costs O((n + m) log(n + m) + n·k), and O(n·(n + m)) on wider
-continuous points.  Every path ranks and measures neighbours with the same
-arithmetic, so a result does not depend on which one ran.
+equal values is cut to its first k points at build.  A query's k nearest
+points in its group are one run of k places on the line, found by a
+bisection of about log2(k + 1) steps around its place, so n reference and m
+query points cost O(n log n + m·(log n + k)); a k-th distance that ties a
+point outside the run ranks a window of 2k + 2 points around the place, and
+a tie past that window costs O(k) more.  A query whose k-th distance within
+its group reaches 1.0, the least distance to another group, is compared
+with every row, at O(n).  Points with two or more columns that are not 0/1
+are compared exhaustively, block by block, at O(n·m): each query's k least
+distances are selected (introselect, O(n)), never the whole row sorted.
+Either way a query's k nearest rows come back in ascending row order.  The
+KL estimator indexes P (for k + 1, each point its own nearest) and Q (for
+k) once each, so on a one-hot joint with one continuous column it costs
+O((n + m)·log(n + m) + n·k), and O(n·(n + m)) on wider continuous points.
+Every path measures neighbours with the same arithmetic, so a result does
+not depend on which one ran.
 
 The distance-correlation test evaluates its observed statistic and every
 permutation of y by one function.  Two one-column numeric inputs are centred
@@ -597,23 +600,29 @@ class NeighbourIndex:
     group differs by 1 in some column and lies at least 1.0 away.
 
     A query searches its group's line.  Distances fall along the line up to
-    the query's place and rise after, so the k nearest points lie within k
-    places on either side; a later point of a run of equal values is as far
-    as the run's first ones and ranks after them, so each run is cut to its
-    first k points at build.  A group's answer is final when its k-th
-    distance is below 1.0, or when the group is the whole reference.  The
-    query is compared with every row instead when its 0/1 pattern is not in
-    the reference (a 0/1 column of it holding another value included), when
-    its line value is NaN, when its group has fewer than k rows, or when
-    that distance is 1.0 or more.
+    the query's place and rise after, so the k nearest points are a run of k
+    places that starts at most k places before it; a later point of a run of
+    equal values is as far as the run's first ones and ranks after them, so
+    each run of equal values is cut to its first k points at build.  A
+    bisection finds the run of k places whose farther end is nearest, and
+    that end's distance is the k-th distance.  When both places just outside
+    the run are farther, the run is the answer; when one ties, the ``2k + 2``
+    places around the query's place are ranked by distance and index, and
+    searched again twice as wide while the tie reaches the window's edge.  A
+    group's answer is final when its k-th distance is below 1.0, or when the
+    group is the whole reference and the distance is not NaN.  The query is
+    compared with every row instead when its 0/1 pattern is not in the
+    reference (a 0/1 column of it holding another value included), when its
+    line value is NaN, when its group has fewer than k rows, or when that
+    distance is 1.0 or more.  m queries cost O(m·(log n + k)) on the lines.
     References with two or more other columns are always compared with every
     row.  A comparison with every row selects each query's k least distances
-    (``np.argpartition``) and ranks only those by distance and index.  When
-    more than k distances are at most the k-th, or the k-th is NaN, the
-    selection may hold the wrong ties, so the row keeps every distance below
-    the k-th and the lowest-indexed ones equal to it: the order is still a
-    stable argsort's.  Queries are 2-D and ranked in blocks of about two
-    million candidates, each freed before the next is built.
+    (``np.argpartition``).  When more than k distances are at most the k-th,
+    or the k-th is NaN, the selection may hold the wrong ties, so the row
+    keeps every distance below the k-th and the lowest-indexed ones equal to
+    it: the rows of a stable argsort.  Queries are 2-D and answered in
+    blocks of about two million candidates, each freed before the next is
+    built.
     """
 
     def __init__(self, reference, k):
@@ -666,22 +675,27 @@ class NeighbourIndex:
             known &= (self._group_keys[group] == keys) & np.all((patterns == 0.0) | (patterns == 1.0), axis=1)
         return np.where(known, group, len(self._group_keys))
 
-    def _window(self, queries, count):
-        """``(positions, distances, low, high)`` for the ``count`` places on
-        either side of each query's place on its group's line (shifted inward
-        at the group's ends), where the group runs over places [low, high).
-        Places past the group's end move to the place past every group, at
-        distance inf."""
+    def _places(self, queries):
+        """``(values, place, low, high)``: each query's line value, and its
+        place on its group's line, which runs over places [low, high): the
+        first point of the group whose value is not below the query's."""
         n = len(self.reference)
         values = queries[:, self._column]
         group = self._groups(queries)
-        low, high = self._bounds[group], self._bounds[group + 1]
         # Searched in value order, which reads the sorted arrays front to
         # back: several times faster than in query order.
         by_value = np.argsort(values)
         rank = np.searchsorted(self._values, values[by_value])
         place = np.empty_like(group)
         place[by_value] = np.searchsorted(self._keys, group[by_value] * (n + 1) + rank)
+        return values, place, self._bounds[group], self._bounds[group + 1]
+
+    def _window(self, queries, count):
+        """``(positions, distances, low, high)`` for the ``count`` places on
+        either side of each query's place on its group's line (shifted inward
+        at the group's ends).  Places past the group's end move to the place
+        past every group, at distance inf."""
+        values, place, low, high = self._places(queries)
         start = np.maximum(np.minimum(place - count, high - 2 * count), low)
         positions = start[:, None] + np.arange(2 * count)
         past = positions >= high[:, None]
@@ -690,10 +704,48 @@ class NeighbourIndex:
         distances[past] = np.inf
         return positions, distances, low, high
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def _run(self, queries):
+        """``(start, radius, alone, low, high)``: the run of k places from
+        ``start`` on each query's group line whose farther end is nearest,
+        and that end's distance, the query's k-th distance in its group.
+        ``alone`` is whether both places just outside the run (those inside
+        the group) are farther than ``radius``, so that the run holds the k
+        nearest points and no point ties with its k-th.
+
+        The run starts within k places before the query's place.  Moving it
+        one place on drops its first point for the point after its last, and
+        the bisection moves on while the first point's rounded signed gap to
+        the query exceeds the next point's.  That holds for a prefix of the
+        k + 1 starts, so log2(k + 1) steps find where it stops; and rounded
+        gaps never order two points against their distances, so that run's
+        farther end is as near as any run's, even where distances round to
+        equal.  A group of fewer than k points gets the run from place 0,
+        which no caller keeps."""
+        k = self.k
+        values, place, low, high = self._places(queries)
+        short = high - low < k
+        first = np.where(short, 0, np.maximum(place - k, low))
+        last = np.where(short, 0, np.minimum(place, high - k))
+        for _ in range(int(k).bit_length()):
+            middle = (first + last) >> 1
+            on = (values - self._line[middle] > self._line[middle + k] - values) & (middle < last)
+            first = np.where(on, middle + 1, first)
+            last = np.where(on, last, middle)
+        # Distances to the places before the run, at its ends and after it.
+        distances = _gaps(values[:, None], self._line[first[:, None] + np.array([-1, 0, k - 1, k])])
+        radius = np.maximum(distances[:, 1], distances[:, 2])
+        alone = ((first == low) | (distances[:, 0] > radius)) & (
+            (first + k == high) | (distances[:, 3] > radius)
+        )
+        return first, radius, alone, low, high
+
     def _final(self, radius, low, high):
         """Whether each query's group answer holds: its group has k rows and
-        no other row can be as near as its ``radius``."""
-        return (high - low >= self.k) & ((radius < 1.0) | (len(self._group_keys) == 1))
+        no other row can be as near as its ``radius``.  A NaN radius, from an
+        infinite query beside the same infinity, is never final."""
+        near = radius < 1.0 if len(self._group_keys) > 1 else ~np.isnan(radius)
+        return (high - low >= self.k) & near
 
     def _blocks(self, queries):
         width = len(self.reference) if self._column is None else 2 * self.k + 2
@@ -710,11 +762,12 @@ class NeighbourIndex:
         """Yield ``(rows, order)`` over row blocks of ``queries``.
 
         ``order[i]`` holds the indices of the k reference rows nearest to
-        ``queries[rows][i]``, ranked by distance and, among equal distances,
-        by index: a stable argsort of the distance row, truncated to k.
+        ``queries[rows][i]``, in ascending order: those of a stable argsort
+        of the distance row, truncated to k, so among equal distances the
+        lowest indices win.
         """
         for rows in self._blocks(queries):
-            yield rows, self._nearest(queries[rows], self.k + 1)
+            yield rows, self._nearest(queries[rows])
 
     def _scan_nearest(self, queries):
         k = self.k
@@ -737,30 +790,42 @@ class NeighbourIndex:
             # more, which keeps it small beside the distance block.
             ranks = np.cumsum(at, axis=1, dtype=np.min_scalar_type(distances.shape[1]))
             chosen[tied] = np.nonzero(below | (at & (ranks <= slots[:, None])))[1].reshape(-1, k)
-        near = np.take_along_axis(distances, chosen, axis=1)
-        return np.take_along_axis(chosen, np.lexsort((chosen, near)), axis=1)
+        return np.sort(chosen, axis=1)
 
-    def _nearest(self, queries, count):
+    def _nearest(self, queries):
         if self._column is None:
             return self._scan_nearest(queries)
+        start, radius, alone, low, high = self._run(queries)
+        order = self._index[start[:, None] + np.arange(self.k)]
+        final = self._final(radius, low, high)
+        # A point outside the run ties with its k-th distance, and may go on
+        # past it: the lowest indices among the tied points win.
+        rows = np.flatnonzero(final & ~alone)
+        for block in _row_blocks(len(rows), 2 * self.k + 2):
+            order[rows[block]] = self._ranked(queries[rows[block]], self.k + 1)
+        order.sort(axis=1)
+        return self._scanned(queries, np.flatnonzero(~final), order, self._scan_nearest)
+
+    def _ranked(self, queries, count):
+        """The k nearest to each query, ranked by distance and index, from
+        the ``count`` places on either side of its place.  Each query's k-th
+        distance in its group must be final."""
         positions, distances, low, high = self._window(queries, count)
         index = self._index[positions]
         ranked = np.lexsort((index, distances))[:, : self.k]
         order = np.take_along_axis(index, ranked, axis=1)
         radius = np.take_along_axis(distances, ranked[:, -1:], axis=1)[:, 0]
-        final = self._final(radius, low, high)
         # The window holds every point nearer than the k-th distance.  Points
         # at exactly that distance may go on past an edge, and the lowest
         # indices among them win: search those rows again, twice as wide, until
         # each edge is farther than the k-th distance or ends the group.
-        open_tie = final & (
-            ((positions[:, 0] > low) & (distances[:, 0] == radius))
-            | ((positions[:, -1] < high - 1) & (distances[:, -1] == radius))
+        open_tie = ((positions[:, 0] > low) & (distances[:, 0] == radius)) | (
+            (positions[:, -1] < high - 1) & (distances[:, -1] == radius)
         )
         rows = np.flatnonzero(open_tie)
         for block in _row_blocks(len(rows), 4 * count):
-            order[rows[block]] = self._nearest(queries[rows[block]], 2 * count)
-        return self._scanned(queries, np.flatnonzero(~final), order, self._scan_nearest)
+            order[rows[block]] = self._ranked(queries[rows[block]], 2 * count)
+        return order
 
     def kth_distances(self, queries):
         """Distance from each row of ``queries`` to its k-th nearest
@@ -776,6 +841,5 @@ class NeighbourIndex:
     def _kth_distances(self, queries):
         if self._column is None:
             return self._scan_kth(queries)
-        _, distances, low, high = self._window(queries, self.k)
-        out = np.partition(distances, self.k - 1, axis=1)[:, self.k - 1]
-        return self._scanned(queries, np.flatnonzero(~self._final(out, low, high)), out, self._scan_kth)
+        _, radius, _, low, high = self._run(queries)
+        return self._scanned(queries, np.flatnonzero(~self._final(radius, low, high)), radius, self._scan_kth)

@@ -514,16 +514,17 @@ def test_knn_predict_across_blocks_matches_stable_argsort_oracle():
     targets = rng.standard_normal(20_000)
     knn = KnnRegressor(7, inputs, targets, offset=0.5)
     squared = (queries**2).sum(1)[:, None] + (inputs**2).sum(1)[None, :] - 2 * queries @ inputs.T
-    order = np.argsort(squared, axis=1, kind="stable")[:, :7]
-    np.testing.assert_array_equal(knn.predict(queries), targets[order].mean(axis=1) + 0.5)
+    order = np.sort(np.argsort(squared, axis=1, kind="stable")[:, :7], axis=1)
+    assert_same_bits(knn.predict(queries), targets[order].mean(axis=1) + 0.5)
 
 
 def stable_argsort_oracle(knn, queries):
     """Brute-force kNN prediction: every distance by scipy's cdist, ranked
-    by a stable argsort, so equal distances go to the lowest training index."""
+    by a stable argsort, so equal distances go to the lowest training index,
+    and the k targets averaged in training-row order."""
     from scipy.spatial.distance import cdist
 
-    order = np.argsort(cdist(queries, knn.inputs), axis=1, kind="stable")[:, : knn.k]
+    order = np.sort(np.argsort(cdist(queries, knn.inputs), axis=1, kind="stable")[:, : knn.k], axis=1)
     return knn.targets[order].mean(axis=1) + knn.offset
 
 
@@ -532,8 +533,8 @@ def assert_same_bits(actual, expected):
 
 
 ONE_D_CASES = {
-    # Here every query's k-th distance is shared by points outside any window
-    # of 2k + 2 sorted candidates.
+    # Here every query's k-th distance is shared by points outside its run of
+    # k sorted places, and outside any window of 2k + 2 around its place.
     "integer-valued": lambda rng: (rng.integers(-5, 6, 3_000), rng.integers(-7, 8, 3_000), 55),
     "duplicated": lambda rng: (np.repeat(rng.standard_normal(40), 25), rng.standard_normal(300), 30),
     "k-1": lambda rng: (rng.integers(0, 4, 200), rng.uniform(-1, 4, 200), 1),
@@ -582,6 +583,46 @@ def test_knn_predict_on_one_column_matches_oracle_property(inputs, queries, data
     knn = KnnRegressor(k, np.array(inputs)[:, None], targets)
     queries = np.array(queries)[:, None]
     assert_same_bits(knn.predict(queries), stable_argsort_oracle(knn, queries))
+
+
+def test_knn_predict_ranks_nothing_on_untied_continuous_data(monkeypatch):
+    """With no tied distances, each query's k nearest rows are one run of the
+    sorted line, read off without ranking any candidates."""
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys, axis=-1: calls.append(1) or lexsort(keys, axis))
+    rng = np.random.default_rng(31)
+    knn = KnnRegressor(20, rng.standard_normal((2_000, 1)), rng.standard_normal(2_000))
+    queries = rng.standard_normal((5_000, 1))
+    prediction = knn.predict(queries)
+    assert calls == []
+    assert_same_bits(prediction, stable_argsort_oracle(knn, queries))
+
+
+@pytest.mark.parametrize(
+    ("inputs", "query", "k"),
+    [
+        # Squares of gaps below about 1e-162 vanish, so the three smallest
+        # values are all 0.0 away, on one side of the query, and the lowest
+        # indices among them lie farthest along the line.
+        ([3e-170, 2e-170, 1e-170, 1.0], 0.0, 2),
+        # q - a == b - q: the k-th distance is shared across the query, and
+        # the lowest index among the tied rows lies to its right.
+        ([4.0, 3.0, 1.0, 0.0], 2.0, 3),
+        ([4.0, 3.0, 1.0, 0.0], 2.0, 1),
+    ],
+    ids=["one-side", "cross-side-k3", "cross-side-k1"],
+)
+def test_knn_predict_with_a_tied_kth_distance_matches_oracle(inputs, query, k):
+    knn = KnnRegressor(k, np.array(inputs)[:, None], 2.0 ** np.arange(len(inputs)))
+    queries = np.array([[query]])
+    assert_same_bits(knn.predict(queries), stable_argsort_oracle(knn, queries))
+
+
+def test_knn_predict_of_no_rows_is_empty():
+    knn = KnnRegressor(2, [[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
+    prediction = knn.predict(np.zeros((0, 1)))
+    assert prediction.shape == (0,) and prediction.dtype == np.float64
 
 
 def test_knn_sorts_its_training_line_once(monkeypatch):

@@ -731,10 +731,10 @@ def index_points(rng, kind, rows, width, lacking=0):
 def test_neighbour_index_matches_cdist_property(
     width, kind, sizes, block_entries, lacking, stray, seed, data
 ):
-    """``nearest`` is a stable argsort of cdist, truncated to k, and
-    ``kth_distances`` is ``np.partition`` of cdist, bit for bit.  The block
-    budget is cut down so that the query set spans several row blocks, and
-    the tie re-searches several blocks of their own.
+    """``nearest`` is a stable argsort of cdist, truncated to k and sorted
+    by row, and ``kth_distances`` is ``np.partition`` of cdist, bit for bit.
+    The block budget is cut down so that the query set spans several row
+    blocks, and the tie re-searches several blocks of their own.
 
     0/1 columns group the reference; the cases include groups of fewer than
     k + 1 rows, within-group distances on either side of 1.0, queries whose
@@ -754,7 +754,7 @@ def test_neighbour_index_matches_cdist_property(
         kth = index.kth_distances(queries)
     assert np.array_equal(np.concatenate([np.arange(m)[rows] for rows, _ in blocks]), np.arange(m))
     order = np.concatenate([order for _, order in blocks])
-    assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
+    assert np.array_equal(order, np.sort(np.argsort(expected, axis=1, kind="stable")[:, :k], axis=1))
     expected_kth = np.partition(expected, k - 1, axis=1)[:, k - 1]
     assert np.array_equal(kth.view(np.int64), expected_kth.view(np.int64))
 
@@ -789,8 +789,8 @@ def test_kl_on_one_hot_and_a_line_matches_the_exhaustive_estimate():
 def test_neighbour_index_ranks_non_finite_queries_as_cdist_does(rows, layout):
     """NaN, inf and ±1e200 (whose squares overflow) query values, on a line
     group smaller and larger than the window and on two continuous columns,
-    which are compared with every row: the orders are cdist's stable argsort,
-    and no row index past the reference comes back."""
+    which are compared with every row: each row's indices are those of
+    cdist's stable argsort, and no row index past the reference comes back."""
     rng = np.random.default_rng(3)
     values = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.5])[:, None]
     reference = rng.standard_normal((rows, 1))
@@ -805,7 +805,7 @@ def test_neighbour_index_ranks_non_finite_queries_as_cdist_does(rows, layout):
     expected = cdist(queries, reference)
     index = NeighbourIndex(reference, k)
     order = np.concatenate([order for _, order in index.nearest(queries)])
-    assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
+    assert np.array_equal(order, np.sort(np.argsort(expected, axis=1, kind="stable")[:, :k], axis=1))
     np.testing.assert_array_equal(index.kth_distances(queries), np.sort(expected, axis=1)[:, k - 1])
 
 
@@ -826,7 +826,7 @@ def test_neighbour_index_scan_keeps_the_lowest_indices_among_ties(k):
         assert (np.count_nonzero(expected <= kth, axis=1) > k).all()
     index = NeighbourIndex(reference, k)
     order = np.concatenate([order for _, order in index.nearest(queries)])
-    assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
+    assert np.array_equal(order, np.sort(np.argsort(expected, axis=1, kind="stable")[:, :k], axis=1))
 
 
 @pytest.mark.parametrize("k", [2, 5, 8])
@@ -844,7 +844,24 @@ def test_neighbour_index_ranks_nan_distances_from_an_infinite_reference(k):
     index = NeighbourIndex(reference, k)
     order = np.concatenate([order for _, order in index.nearest(queries)])
     assert np.isnan(np.sort(expected[0])[k - 1]) == (k > 4)
-    assert np.array_equal(order, np.argsort(expected, axis=1, kind="stable")[:, :k])
+    assert np.array_equal(order, np.sort(np.argsort(expected, axis=1, kind="stable")[:, :k], axis=1))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_neighbour_index_on_a_line_with_infinite_points_matches_cdist(k):
+    """A one-column reference built directly with ±inf.  An infinite query's
+    distances are inf, or NaN to the same infinity, so its k-th distance is
+    NaN past k = 3; a NaN k-th distance is never final on the line, and such
+    a query is compared with every row."""
+    reference = np.array([[np.inf], [1.0], [-np.inf], [np.inf], [0.0], [np.inf]])
+    queries = np.array([[np.inf], [-np.inf], [0.5], [1e200], [-1e200]])
+    expected = cdist(queries, reference)
+    index = NeighbourIndex(reference, k)
+    order = np.concatenate([order for _, order in index.nearest(queries)])
+    assert np.isnan(np.sort(expected[0])[k - 1]) == (k > 3)
+    assert np.array_equal(order, np.sort(np.argsort(expected, axis=1, kind="stable")[:, :k], axis=1))
+    kth = np.partition(expected, k - 1, axis=1)[:, k - 1]
+    assert np.array_equal(index.kth_distances(queries).view(np.int64), kth.view(np.int64))
 
 
 def test_kl_keeps_at_most_two_distance_blocks_alive():
