@@ -55,9 +55,9 @@ def _load_data(path):
 
 
 def _load_model(path):
-    from .model import loads_model
+    from .model import load
 
-    return loads_model(_read_text(path))
+    return load(path)
 
 
 def _load_row(path):
@@ -104,17 +104,15 @@ def _dataset_payload(dataset):
 
 
 def _cmd_fit(args):
-    from .model import auto_assign, dumps_model, fit
+    from .model import auto_assign, dumps_model, fit, save
 
     graph = _load_graph(args.graph)
     dataset = _load_data(args.data)
     model = fit(auto_assign(graph, dataset), dataset)
-    text = dumps_model(model)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        save(model, args.out)
         return {"nodes": len(graph.nodes), "model_file": args.out}
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(dumps_model(model) + "\n")
     return None
 
 

@@ -385,8 +385,9 @@ class KnnRegressor(_Serialized):
     nearest.  The search is a :class:`~gcmkit.stats.NeighbourIndex` of the
     training rows for this ``k``, built on the first prediction and kept: for
     one encoded column, or one-hot blocks beside at most one continuous
-    column, each query's k nearest rows are one run of the sorted line, so m
-    queries then cost O(m·(log n + k)); otherwise all n·m pairs are compared,
+    column, each query's k nearest rows are one run of the sorted line, ties
+    at its k-th distance settled from the places beside it, so m queries
+    then cost O(m·(log n + k)); otherwise all n·m pairs are compared,
     and each query's k least distances are selected in O(n).  The whole
     training set is stored.
     """

@@ -165,9 +165,10 @@ def dumps_model(model: GcmModel) -> str:
 
 
 def loads_model(text: str) -> GcmModel:
-    """Inverse of :func:`dumps_model`; the result answers queries identically."""
+    """Inverse of :func:`dumps_model`; the result answers queries identically.
+    A leading UTF-8 byte-order mark is dropped."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text.removeprefix("\ufeff") if isinstance(text, str) else text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SerializationError(f"corrupt model payload: {exc}") from exc
     if not isinstance(payload, dict):
@@ -229,8 +230,10 @@ def save(model: GcmModel, sink):
 def load(source) -> GcmModel:
     """Read a model written by :func:`save` from a path or file object."""
     if hasattr(source, "read"):
-        text = source.read()
-    else:
+        return loads_model(source.read())
+    try:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"corrupt model payload: {exc}") from exc
     return loads_model(text)

@@ -10,9 +10,9 @@ their 0/1 pattern and sorted once into a line per group, and each run of
 equal values is cut to its first k points at build.  A query's k nearest
 points in its group are one run of k places on the line, found by a
 bisection of about log2(k + 1) steps around its place, so n reference and m
-query points cost O(n log n + m·(log n + k)); a k-th distance that ties a
-point outside the run ranks a window of 2k + 2 points around the place, and
-a tie past that window costs O(k) more.  A query whose k-th distance within
+query points cost O(n log n + m·(log n + k)); among points tied at the k-th
+distance the lowest indices win, by the rule :class:`NeighbourIndex` gives,
+at O(k log k) more per tied query.  A query whose k-th distance within
 its group reaches 1.0, the least distance to another group, is compared
 with every row, at O(n).  Points with two or more columns that are not 0/1
 are compared exhaustively, block by block, at O(n·m): each query's k least
@@ -605,16 +605,22 @@ class NeighbourIndex:
     equal values is as far as the run's first ones and ranks after them, so
     each run of equal values is cut to its first k points at build.  A
     bisection finds the run of k places whose farther end is nearest, and
-    that end's distance is the k-th distance.  When both places just outside
-    the run are farther, the run is the answer; when one ties, the ``2k + 2``
-    places around the query's place are ranked by distance and index, and
-    searched again twice as wide while the tie reaches the window's edge.  A
+    that end's distance is the k-th distance; no point outside the run is
+    nearer.  When both places just outside the run are farther, the run is
+    the answer.  When one ties, the answer comes from the window of 3k + 2
+    places from k + 1 before the run to k + 1 past it, within the group: it
+    keeps every place nearer than the k-th distance and, among the places at
+    that distance, the lowest indices.  A run of equal values holds at most
+    k points, so only distinct values that round to one distance (offsets
+    below the query's ulp, or gaps whose squares underflow or overflow) can
+    tie up to the window's edge; such a query is compared with every row.  A
     group's answer is final when its k-th distance is below 1.0, or when the
     group is the whole reference and the distance is not NaN.  The query is
     compared with every row instead when its 0/1 pattern is not in the
     reference (a 0/1 column of it holding another value included), when its
     line value is NaN, when its group has fewer than k rows, or when that
-    distance is 1.0 or more.  m queries cost O(m·(log n + k)) on the lines.
+    distance is 1.0 or more.  m queries cost O(m·(log n + k)) on the lines,
+    and each tied one O(k log k) more.
     References with two or more other columns are always compared with every
     row.  A comparison with every row selects each query's k least distances
     (``np.argpartition``).  When more than k distances are at most the k-th,
@@ -690,20 +696,6 @@ class NeighbourIndex:
         place[by_value] = np.searchsorted(self._keys, group[by_value] * (n + 1) + rank)
         return values, place, self._bounds[group], self._bounds[group + 1]
 
-    def _window(self, queries, count):
-        """``(positions, distances, low, high)`` for the ``count`` places on
-        either side of each query's place on its group's line (shifted inward
-        at the group's ends).  Places past the group's end move to the place
-        past every group, at distance inf."""
-        values, place, low, high = self._places(queries)
-        start = np.maximum(np.minimum(place - count, high - 2 * count), low)
-        positions = start[:, None] + np.arange(2 * count)
-        past = positions >= high[:, None]
-        positions[past] = len(self._keys)
-        distances = _gaps(values[:, None], self._line[positions])
-        distances[past] = np.inf
-        return positions, distances, low, high
-
     @np.errstate(over="ignore", invalid="ignore")
     def _run(self, queries):
         """``(start, radius, alone, low, high)``: the run of k places from
@@ -748,7 +740,7 @@ class NeighbourIndex:
         return (high - low >= self.k) & near
 
     def _blocks(self, queries):
-        width = len(self.reference) if self._column is None else 2 * self.k + 2
+        width = len(self.reference) if self._column is None else 3 * self.k + 2
         return _row_blocks(len(queries), width)
 
     def _scanned(self, queries, rows, answer, scan):
@@ -797,35 +789,36 @@ class NeighbourIndex:
             return self._scan_nearest(queries)
         start, radius, alone, low, high = self._run(queries)
         order = self._index[start[:, None] + np.arange(self.k)]
-        final = self._final(radius, low, high)
-        # A point outside the run ties with its k-th distance, and may go on
-        # past it: the lowest indices among the tied points win.
-        rows = np.flatnonzero(final & ~alone)
-        for block in _row_blocks(len(rows), 2 * self.k + 2):
-            order[rows[block]] = self._ranked(queries[rows[block]], self.k + 1)
+        scan = ~self._final(radius, low, high)
+        # A point outside the run ties with its k-th distance.
+        rows = np.flatnonzero(~(scan | alone))
+        order[rows], scan[rows] = self._tied(*(part[rows] for part in (queries, start, radius, low, high)))
         order.sort(axis=1)
-        return self._scanned(queries, np.flatnonzero(~final), order, self._scan_nearest)
+        return self._scanned(queries, np.flatnonzero(scan), order, self._scan_nearest)
 
-    def _ranked(self, queries, count):
-        """The k nearest to each query, ranked by distance and index, from
-        the ``count`` places on either side of its place.  Each query's k-th
-        distance in its group must be final."""
-        positions, distances, low, high = self._window(queries, count)
+    def _tied(self, queries, start, radius, low, high):
+        """``(order, open)`` for queries whose final k-th distance ``radius``
+        ties a point outside their run from ``start``: the k nearest, by the
+        tie rule of the class docstring, from the window around the run, and
+        whether a tie reaches the window's edge, so that the row must be
+        compared with every row instead."""
+        k, n = self.k, len(self.reference)
+        positions = start[:, None] + np.arange(-k - 1, 2 * k + 1)
+        outside = (positions < low[:, None]) | (positions >= high[:, None])
+        # Places outside the group read the place past every group, index n.
+        positions[outside] = len(self._keys)
+        distances = _gaps(queries[:, self._column, None], self._line[positions])
+        distances[outside] = np.inf
         index = self._index[positions]
-        ranked = np.lexsort((index, distances))[:, : self.k]
-        order = np.take_along_axis(index, ranked, axis=1)
-        radius = np.take_along_axis(distances, ranked[:, -1:], axis=1)[:, 0]
-        # The window holds every point nearer than the k-th distance.  Points
-        # at exactly that distance may go on past an edge, and the lowest
-        # indices among them win: search those rows again, twice as wide, until
-        # each edge is farther than the k-th distance or ends the group.
-        open_tie = ((positions[:, 0] > low) & (distances[:, 0] == radius)) | (
-            (positions[:, -1] < high - 1) & (distances[:, -1] == radius)
+        # Nearer places key -1, places at the k-th distance their index, the
+        # rest n; the run holds k places nearer or at, so the k least keys
+        # are the answer, each index at most once.
+        key = np.where(distances < radius[:, None], -1, np.where(distances == radius[:, None], index, n))
+        order = index[key <= np.sort(key, axis=1)[:, k - 1, None]].reshape(-1, k)
+        open_tie = ((start - k - 1 > low) & (distances[:, 0] == radius)) | (
+            (start + 2 * k < high - 1) & (distances[:, -1] == radius)
         )
-        rows = np.flatnonzero(open_tie)
-        for block in _row_blocks(len(rows), 4 * count):
-            order[rows[block]] = self._ranked(queries[rows[block]], 2 * count)
-        return order
+        return order, open_tie
 
     def kth_distances(self, queries):
         """Distance from each row of ``queries`` to its k-th nearest

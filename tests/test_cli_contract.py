@@ -346,6 +346,13 @@ def test_file_starting_with_a_byte_order_mark_is_read_without_it(files, tmp_path
     assert (tmp_path / "model.json").read_bytes() == (files / "model.json").read_bytes()
 
 
+def test_model_file_that_is_not_utf8_exits_2(tmp_path):
+    (tmp_path / "model.json").write_bytes(b"\xff\xfe{}")
+    code, stdout, stderr = call(["sample", "--model", tmp_path / "model.json", "-n", "3"])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("gcm sample: error: corrupt model payload: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize(
     ("text", "message"),
     [

@@ -533,8 +533,9 @@ def assert_same_bits(actual, expected):
 
 
 ONE_D_CASES = {
-    # Here every query's k-th distance is shared by points outside its run of
-    # k sorted places, and outside any window of 2k + 2 around its place.
+    # Runs of equal values longer than k, which the index cuts to their first
+    # k points, and k-th distances shared by points just outside a query's
+    # run of k sorted places.
     "integer-valued": lambda rng: (rng.integers(-5, 6, 3_000), rng.integers(-7, 8, 3_000), 55),
     "duplicated": lambda rng: (np.repeat(rng.standard_normal(40), 25), rng.standard_normal(300), 30),
     "k-1": lambda rng: (rng.integers(0, 4, 200), rng.uniform(-1, 4, 200), 1),
@@ -549,13 +550,18 @@ ONE_D_CASES = {
     "vanishing": lambda rng: (rng.integers(0, 6, 300) * 1e-170, rng.integers(0, 9, 200) * 0.6e-170, 9),
     # Gaps to far queries round, so distinct training values tie.
     "rounded": lambda rng: (1e6 + rng.integers(0, 4, 400) * 1e-10, rng.integers(0, 3, 100) * 1e-3, 11),
-    # Ties that widen the window until it spans the line, that widen it 8 or
-    # more times, and that run into one end of the line.
+    # Runs of equal values that span the line, that are hundreds or
+    # thousands of points long, and that run into one end of the line.
     "all-equal": lambda rng: (np.full(500, 2.0), rng.uniform(-1, 5, 200), 7),
     "three-valued": lambda rng: (rng.integers(0, 3, 3_000), rng.integers(-1, 6, 300) / 2, 5),
     # A discrete parent at a default-sized k: runs of about 3 300 equal values.
     "three-valued-k71": lambda rng: (rng.integers(0, 3, 10_000), rng.integers(0, 3, 200), 71),
     "tied-end": lambda rng: (np.minimum(rng.uniform(0, 2, 600), 1.0), rng.uniform(1, 3, 200), 9),
+    # Normal values on a 2-decimal grid: most queries' k-th distances are
+    # shared by points just outside their run.
+    "2-decimal-grid": lambda rng: (
+        np.round(rng.standard_normal(3_000), 2), np.round(rng.standard_normal(2_000), 2), 71
+    ),
 }
 
 
@@ -596,6 +602,29 @@ def test_knn_predict_ranks_nothing_on_untied_continuous_data(monkeypatch):
     queries = rng.standard_normal((5_000, 1))
     prediction = knn.predict(queries)
     assert calls == []
+    assert_same_bits(prediction, stable_argsort_oracle(knn, queries))
+
+
+def test_knn_predict_ranks_nothing_and_places_once_on_tied_data(monkeypatch):
+    """Integer training values and queries on a 2-decimal grid: each query
+    halfway between two values has its k-th distance shared past its run of
+    k places.  The ties are resolved by index without ranking candidates,
+    from one place search per block."""
+    calls, places = [], []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys, axis=-1: calls.append(1) or lexsort(keys, axis))
+    place = stats.NeighbourIndex._places
+    monkeypatch.setattr(stats.NeighbourIndex, "_places", lambda index, q: places.append(1) or place(index, q))
+    # About 300 rows of 3k + 2 candidates per block, so the queries span five.
+    monkeypatch.setattr(stats, "_BLOCK_ENTRIES", 50_000)
+    rng = np.random.default_rng(17)
+    inputs, _, k = ONE_D_CASES["integer-valued"](rng)
+    inputs = np.asarray(inputs, dtype=float)[:, None]
+    queries = (np.arange(-700, 701) / 100)[:, None]
+    knn = KnnRegressor(k, inputs, rng.standard_normal(len(inputs)), offset=0.25)
+    prediction = knn.predict(queries)
+    assert calls == []
+    assert len(places) == len(knn._index._blocks(queries)) > 1
     assert_same_bits(prediction, stable_argsort_oracle(knn, queries))
 
 

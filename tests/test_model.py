@@ -192,6 +192,23 @@ def test_save_load_round_trip_behaviour(tmp_path, fitted_chain):
     assert gk.dumps_model(model) == gk.dumps_model(loaded)
 
 
+@pytest.mark.parametrize("source", ["path", "file"])
+def test_load_drops_a_leading_byte_order_mark(tmp_path, fitted_chain, source):
+    model, _ = fitted_chain
+    text = "\ufeff" + gk.dumps_model(model)
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    loaded = gk.load(str(path)) if source == "path" else gk.load(io.StringIO(text))
+    assert gk.dumps_model(loaded) == gk.dumps_model(model)
+
+
+def test_load_of_a_file_that_is_not_utf8_is_a_serialization_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SerializationError, match="corrupt model payload"):
+        gk.load(str(path))
+
+
 def test_save_requires_fitted():
     model = GcmModel(CausalGraph(["X"]))
     with pytest.raises(FitError, match="not fitted"):

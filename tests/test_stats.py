@@ -734,7 +734,8 @@ def test_neighbour_index_matches_cdist_property(
     """``nearest`` is a stable argsort of cdist, truncated to k and sorted
     by row, and ``kth_distances`` is ``np.partition`` of cdist, bit for bit.
     The block budget is cut down so that the query set spans several row
-    blocks, and the tie re-searches several blocks of their own.
+    blocks, and the scan of rows whose ties reach past the window several
+    blocks of its own.
 
     0/1 columns group the reference; the cases include groups of fewer than
     k + 1 rows, within-group distances on either side of 1.0, queries whose
