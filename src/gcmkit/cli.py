@@ -3,15 +3,18 @@
 Exit codes: 0 success, 1 usage error, 2 input error (graph/data/model files,
 or a Monte-Carlo budget too large for memory), 3 numeric failure.  All
 randomness flows through ``--seed`` (default 0), so a command run twice with
-the same seed prints byte-identical output.
+the same seed prints byte-identical output.  ``main`` runs OpenBLAS on one
+thread unless ``OPENBLAS_NUM_THREADS`` is set, so those bytes do not depend on
+the machine's core count either.
 """
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
-from .exceptions import GcmError, NumericError, QueryError, require_count
+from .exceptions import DataError, GcmError, GraphError, NumericError, QueryError, require_count
 
 # Each command imports the modules it runs inside its handler, so the parser,
 # ``--help`` and usage errors load neither numpy nor the rest of gcmkit.
@@ -33,17 +36,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_text(path):
+def _read_text(path, error):
+    """The text of ``path``, or ``error`` (``GraphError`` or ``DataError``)
+    naming the file if it is not UTF-8."""
     # utf-8-sig drops a leading byte-order mark, which would otherwise start
     # the first header or make the JSON invalid.
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_graph(path):
     from .graph import parse_graph
 
-    text = _read_text(path)
+    text = _read_text(path, GraphError)
     fmt = "dot" if text.lstrip().startswith("digraph") else "json"
     return parse_graph(text, fmt)
 
@@ -51,7 +59,7 @@ def _load_graph(path):
 def _load_data(path):
     from .data import read_csv
 
-    return read_csv(_read_text(path))
+    return read_csv(_read_text(path, DataError))
 
 
 def _load_model(path):
@@ -65,7 +73,7 @@ def _load_row(path):
     by its node's mechanism, not by the lone cell of its column."""
     from .data import read_rows
 
-    header, body = read_rows(_read_text(path))
+    header, body = read_rows(_read_text(path, DataError))
     if len(body) != 1:
         raise QueryError(f"expected a single-row CSV, got {len(body)} rows in {path}")
     return dict(zip(header, body[0]))
@@ -414,4 +422,19 @@ def run(argv=None) -> int:
 
 
 def main():
+    """The ``gcm`` script and ``python -m gcmkit``: :func:`run` on one BLAS
+    thread.
+
+    OpenBLAS, which numpy's wheels bundle, starts a worker thread per core
+    when it loads, and each worker spins before it sleeps (about 0.13
+    CPU-seconds per command on a 2-CPU Xeon).  gcmkit's BLAS calls are all
+    too small to share, and a ``ddot`` of more than 10 000 elements is split
+    across the threads, so its bits (a Fisher-z p-value's) would depend on
+    the core count.  The default is set before any handler imports numpy; a
+    value the user has set wins.  Only OpenBLAS reads this variable: MKL and
+    Accelerate builds are left alone, since limiting them at run time would
+    take threadpoolctl, a new dependency.  ``run`` and ``import gcmkit``
+    never touch threading, so a host process keeps its own.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())

@@ -346,6 +346,23 @@ def test_file_starting_with_a_byte_order_mark_is_read_without_it(files, tmp_path
     assert (tmp_path / "model.json").read_bytes() == (files / "model.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    ("argv", "bad"),
+    [
+        (["fit", "--graph", "{bad}", "--data", "{files}/data.csv"], "graph.json"),
+        (["fit", "--graph", "{files}/graph.json", "--data", "{bad}"], "data.csv"),
+        (["counterfactual", "--model", "{files}/model.json", "--data", "{bad}", "--set", "K=lo"], "row.csv"),
+    ],
+    ids=["graph", "data", "row"],
+)
+def test_graph_data_or_row_file_that_is_not_utf8_exits_2(files, tmp_path, argv, bad):
+    path = tmp_path / bad
+    path.write_bytes(b'{"nodes":["\xff"],"edges":[]}' if bad.endswith(".json") else b"a,b\n\xff,1\n")
+    code, stdout, stderr = call([arg.format(files=files, bad=path) for arg in argv])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"gcm {argv[0]}: error: {path} is not UTF-8 text: 'utf-8' codec can't decode")
+
+
 def test_model_file_that_is_not_utf8_exits_2(tmp_path):
     (tmp_path / "model.json").write_bytes(b"\xff\xfe{}")
     code, stdout, stderr = call(["sample", "--model", tmp_path / "model.json", "-n", "3"])
@@ -617,6 +634,52 @@ def test_every_subcommand_keeps_the_exit_code_and_json_contract(files, data):
     argv = data.draw(invocations(files))
     code, stdout, _ = call(argv)
     assert_contract(code, stdout)
+
+
+# Each command that reads a graph, data or row file, by the file it reads
+# last; the file's drawn bytes are its last argument.
+RAW_FILE_COMMANDS = {
+    "graph.json": [["fit", "--data", "data.csv", "--graph"]],
+    "chain.json": [["refute", "--data", "cont.csv", "--graph"]],
+    "data.csv": [["fit", "--graph", "graph.json", "--data"], ["evaluate", "--model", "model.json", "--data"],
+                 ["test", "--x", "X", "--y", "Z", "--permutations", "5", "--data"]],
+    "row.csv": [["counterfactual", "--model", "model.json", "--set", "X=1.5", "--set", "K=lo", "--data"],
+                ["attribute-outlier", "--model", "model.json", "--target", "Z", "--num-samples", "20",
+                 "--data"]],
+}
+
+
+@st.composite
+def raw_file_invocations(draw, root):
+    """A command whose graph, data or row file holds drawn bytes: arbitrary
+    ones, or raw bytes spliced into a valid file."""
+    name = draw(st.sampled_from(sorted(RAW_FILE_COMMANDS)))
+    valid = (root / name).read_bytes()
+    start = draw(st.integers(0, len(valid)))
+    end = draw(st.integers(start, min(start + 8, len(valid))))
+    content = draw(st.one_of(st.binary(max_size=40), st.binary(min_size=1, max_size=6).map(
+        lambda raw: valid[:start] + raw + valid[end:])))
+    path = root / f"raw_{name}"
+    path.write_bytes(content)
+    command = draw(st.sampled_from(RAW_FILE_COMMANDS[name]))
+    return [root / arg if arg.endswith((".csv", ".json")) else arg for arg in command] + [path], content
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_file_reading_subcommand_keeps_the_contract_on_raw_bytes(files, data):
+    argv, content = data.draw(raw_file_invocations(files))
+    code, stdout, stderr = call(argv)
+    assert_contract(code, stdout)
+    assert code != 1 and "Traceback" not in stderr
+    try:
+        content.decode("utf-8")
+    except UnicodeDecodeError:
+        assert (code, stdout) == (2, "")
+        # Python's utf-8-sig file reader reads a file that holds only the
+        # first one or two bytes of a byte-order mark as empty.
+        if content not in (b"\xef", b"\xef\xbb"):
+            assert f"{argv[-1]} is not UTF-8 text" in stderr
 
 
 def _linear(*coefficients):
