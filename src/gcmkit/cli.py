@@ -5,10 +5,12 @@ or a Monte-Carlo budget too large for memory), 3 numeric failure.  All
 randomness flows through ``--seed`` (default 0), so a command run twice with
 the same seed prints byte-identical output.  ``main`` runs OpenBLAS on one
 thread unless ``OPENBLAS_NUM_THREADS`` is set, so those bytes do not depend on
-the machine's core count either.
+the machine's core count either.  ``main`` also runs with the cyclic garbage
+collector off, since reference counting frees every array a command makes.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -39,11 +41,14 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path, error):
     """The text of ``path``, or ``error`` (``GraphError`` or ``DataError``)
     naming the file if it is not UTF-8."""
-    # utf-8-sig drops a leading byte-order mark, which would otherwise start
-    # the first header or make the JSON invalid.
+    # A leading byte-order mark would otherwise start the first header or make
+    # the JSON invalid.  It is stripped here rather than by utf-8-sig, whose
+    # reader takes a file holding only the first one or two bytes of a mark
+    # for empty text; plain utf-8 rejects them.  Text mode reads CR and CRLF
+    # line endings as LF.
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -423,7 +428,7 @@ def run(argv=None) -> int:
 
 def main():
     """The ``gcm`` script and ``python -m gcmkit``: :func:`run` on one BLAS
-    thread.
+    thread, without cycle collection.
 
     OpenBLAS, which numpy's wheels bundle, starts a worker thread per core
     when it loads, and each worker spins before it sleeps (about 0.13
@@ -435,6 +440,20 @@ def main():
     Accelerate builds are left alone, since limiting them at run time would
     take threadpoolctl, a new dependency.  ``run`` and ``import gcmkit``
     never touch threading, so a host process keeps its own.
+
+    The cyclic garbage collector is disabled for the run and every live
+    object is frozen after it.  Reference counting frees every array a
+    command makes: with the collector off, ``gc.collect()`` after each
+    benchmark command finds only argparse's parser graph and import-time
+    leftovers, and no array.  Yet the collector would run about 35
+    collections while numpy and gcmkit import, and the interpreter's exit
+    would collect over every live object; freezing moves them out of its
+    reach.  Exit still runs atexit handlers, flushes stdout and stderr and
+    tears modules down.  Like threading, ``run`` and ``import gcmkit`` leave
+    a host's collector alone.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(run())
+    gc.disable()
+    code = run()
+    gc.freeze()
+    sys.exit(code)

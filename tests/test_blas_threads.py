@@ -1,8 +1,11 @@
-"""The BLAS thread default: ``gcm`` runs OpenBLAS on one thread unless
-``OPENBLAS_NUM_THREADS`` is set, while ``cli.run`` and ``import gcmkit``
-leave the host's environment alone.
+"""The process policy of ``cli.main``: ``gcm`` runs OpenBLAS on one thread
+unless ``OPENBLAS_NUM_THREADS`` is set, and runs without cycle collection,
+while ``cli.run`` and ``import gcmkit`` leave the host's environment and
+collector alone.
 """
 
+import contextlib
+import gc
 import os
 import subprocess
 import sys
@@ -17,9 +20,10 @@ VARIABLE = "OPENBLAS_NUM_THREADS"
 CHAIN = '{"nodes":["X","Y","Z"],"edges":[["X","Y"],["Y","Z"]]}'
 
 # Run as ``python -c UNTOUCHED ARGV...``: import gcmkit and every submodule,
-# run ``gcm ARGV`` through ``cli.run``, and check that the environment never
-# changed.
+# run ``gcm ARGV`` through ``cli.run``, and check that the environment and the
+# collector never changed.
 UNTOUCHED = """
+import gc
 import importlib
 import os
 import pkgutil
@@ -31,17 +35,34 @@ import gcmkit
 for module in pkgutil.iter_modules(gcmkit.__path__):
     importlib.import_module(f"gcmkit.{module.name}")
 assert dict(os.environ) == before
+assert gc.isenabled() and gc.get_freeze_count() == 0
 
 from gcmkit.cli import run
 
 assert run(sys.argv[1:]) == 0
 assert dict(os.environ) == before
+assert gc.isenabled() and gc.get_freeze_count() == 0
 """
 
 
 def env_without_variable(**extra):
     env = {name: value for name, value in os.environ.items() if name != VARIABLE}
     return {**env, **extra}
+
+
+@contextlib.contextmanager
+def main_with(monkeypatch, run):
+    """Call ``cli.main`` with ``run`` in place of ``cli.run`` and yield its
+    exit code; on leaving, give the test process its collector back, which
+    ``main`` leaves disabled and frozen."""
+    monkeypatch.setattr(cli, "run", run)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        yield exit_info.value.code
+    finally:
+        gc.enable()
+        gc.unfreeze()
 
 
 def main_sees(monkeypatch, value):
@@ -54,10 +75,8 @@ def main_sees(monkeypatch, value):
     else:
         monkeypatch.setenv(VARIABLE, value)
     seen = []
-    monkeypatch.setattr(cli, "run", lambda argv=None: seen.append(os.environ.get(VARIABLE)) or 0)
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main()
-    assert exit_info.value.code == 0
+    with main_with(monkeypatch, lambda argv=None: seen.append(os.environ.get(VARIABLE)) or 0) as code:
+        assert code == 0
     return seen
 
 
@@ -67,6 +86,16 @@ def test_main_runs_blas_on_one_thread_by_default(monkeypatch):
 
 def test_main_keeps_the_users_thread_count(monkeypatch):
     assert main_sees(monkeypatch, "4") == ["4"]
+
+
+def test_main_runs_without_cycle_collection_and_exits_frozen(monkeypatch):
+    seen = []
+    with main_with(monkeypatch, lambda argv=None: seen.append(gc.isenabled()) or 0) as code:
+        frozen = gc.get_freeze_count()
+    assert (code, seen) == (0, [False])
+    assert frozen > 0
+    # The test process has its collector back.
+    assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ exception escape, and prints only strict JSON (no ``NaN`` or ``Infinity``).
 """
 
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -346,18 +347,48 @@ def test_file_starting_with_a_byte_order_mark_is_read_without_it(files, tmp_path
     assert (tmp_path / "model.json").read_bytes() == (files / "model.json").read_bytes()
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_files_with_cr_or_crlf_line_endings_read_as_with_lf(files, tmp_path, newline):
+    for name in ("graph.json", "data.csv", "row.csv"):
+        text = (files / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_bytes(text.replace("\n", newline).encode("utf-8"))
+    for argv in (
+        ["fit", "--graph", "{dir}/graph.json", "--data", "{dir}/data.csv"],
+        ["test", "--data", "{dir}/data.csv", "--x", "X", "--y", "Z", "--method", "fisherz"],
+        ["counterfactual", "--model", f"{files}/model.json", "--data", "{dir}/row.csv", "--set", "X=1.5",
+         "--set", "K=lo"],
+    ):
+        expected = call([arg.format(dir=files) for arg in argv])
+        assert expected[0] == 0, expected[2]
+        assert call([arg.format(dir=tmp_path) for arg in argv]) == expected
+    # A line break inside a quoted cell reads as LF too.
+    (tmp_path / "quoted.csv").write_bytes(f'C,X{newline}"a{newline}b",1{newline}'.encode("utf-8"))
+    assert cli._load_row(tmp_path / "quoted.csv") == {"C": "a\nb", "X": "1"}
+
+
+# kind -> (argv, the file's name, bytes with one invalid byte)
+NOT_UTF8_FILES = {
+    "graph": (["fit", "--graph", "{bad}", "--data", "{files}/data.csv"], "graph.json",
+              b'{"nodes":["\xff"],"edges":[]}'),
+    "data": (["fit", "--graph", "{files}/graph.json", "--data", "{bad}"], "data.csv", b"a,b\n\xff,1\n"),
+    "row": (["counterfactual", "--model", "{files}/model.json", "--data", "{bad}", "--set", "K=lo"], "row.csv",
+            b"a,b\n\xff,1\n"),
+}
+
+
+# A file of only the first one or two bytes of a byte-order mark is not
+# UTF-8 either, though Python's utf-8-sig file reader reads it as empty.
 @pytest.mark.parametrize(
-    ("argv", "bad"),
+    ("argv", "bad", "content"),
     [
-        (["fit", "--graph", "{bad}", "--data", "{files}/data.csv"], "graph.json"),
-        (["fit", "--graph", "{files}/graph.json", "--data", "{bad}"], "data.csv"),
-        (["counterfactual", "--model", "{files}/model.json", "--data", "{bad}", "--set", "K=lo"], "row.csv"),
+        pytest.param(argv, bad, content, id=kind + suffix)
+        for kind, (argv, bad, invalid) in NOT_UTF8_FILES.items()
+        for content, suffix in ((invalid, ""), (b"\xef", "-bom-1"), (b"\xef\xbb", "-bom-2"))
     ],
-    ids=["graph", "data", "row"],
 )
-def test_graph_data_or_row_file_that_is_not_utf8_exits_2(files, tmp_path, argv, bad):
+def test_graph_data_or_row_file_that_is_not_utf8_exits_2(files, tmp_path, argv, bad, content):
     path = tmp_path / bad
-    path.write_bytes(b'{"nodes":["\xff"],"edges":[]}' if bad.endswith(".json") else b"a,b\n\xff,1\n")
+    path.write_bytes(content)
     code, stdout, stderr = call([arg.format(files=files, bad=path) for arg in argv])
     assert (code, stdout) == (2, "")
     assert stderr.startswith(f"gcm {argv[0]}: error: {path} is not UTF-8 text: 'utf-8' codec can't decode")
@@ -676,10 +707,7 @@ def test_every_file_reading_subcommand_keeps_the_contract_on_raw_bytes(files, da
         content.decode("utf-8")
     except UnicodeDecodeError:
         assert (code, stdout) == (2, "")
-        # Python's utf-8-sig file reader reads a file that holds only the
-        # first one or two bytes of a byte-order mark as empty.
-        if content not in (b"\xef", b"\xef\xbb"):
-            assert f"{argv[-1]} is not UTF-8 text" in stderr
+        assert f"{argv[-1]} is not UTF-8 text" in stderr
 
 
 def _linear(*coefficients):
@@ -830,3 +858,69 @@ def test_model_file_with_a_value_no_fit_writes_exits_2(files, tmp_path, source, 
     assert code == 2, stderr
     assert stdout == ""
     assert "corrupt mechanism payload" in stderr
+
+
+def _cyclic_garbage(commands):
+    """Run ``commands`` with the cyclic collector off, then collect: the
+    number of unreachable objects, and the arrays they hold."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.disable()
+    try:
+        for argv in commands:
+            code, _, stderr = call(argv)
+            assert code == 0, (argv[0], stderr)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        # The collector tracks neither an array nor a tuple or dict that holds
+        # only untracked objects, so such a container in a cycle is not in
+        # ``gc.garbage``: walk the untracked objects the garbage holds, at any
+        # depth.  A tracked one is either garbage itself or alive elsewhere.
+        seen = {id(obj) for obj in gc.garbage}
+        stack = list(gc.garbage)
+        arrays = []
+        while stack:
+            for obj in gc.get_referents(stack.pop()):
+                if id(obj) not in seen and not gc.is_tracked(obj):
+                    seen.add(id(obj))
+                    stack.append(obj)
+                    if isinstance(obj, np.ndarray):
+                        arrays.append(obj.shape)
+        return len(gc.garbage), arrays
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_commands_leave_no_array_to_the_cycle_collector(files, tmp_path):
+    """``gcm`` runs with the cyclic collector off (``cli.main``), so every
+    array a command makes must be freed by reference counting: no array may
+    sit in, or be held by, a reference cycle once the command has returned,
+    and what cycles there are must not grow with the Monte-Carlo budget."""
+    model, row = files / "model.json", files / "row.csv"
+
+    def commands(scale):
+        return [
+            ["fit", "--graph", files / "graph.json", "--data", files / "data.csv", "--out", tmp_path / "model.json"],
+            ["sample", "--model", model, "-n", 20 * scale],
+            ["intervene", "--model", model, "--set", "X=1", "-n", 20 * scale],
+            ["counterfactual", "--model", model, "--data", row, "--set", "X=1.5", "--set", "K=lo"],
+            ["ace", "--model", model, "--treatment", "X", "--value-a", "1", "--value-b", "0", "--target", "Z",
+             "-n", 20 * scale],
+            ["icc", "--model", model, "--target", "Z", "--outer-samples", 2 * scale, "--inner-samples", 5 * scale],
+            ["attribute-outlier", "--model", model, "--data", row, "--target", "Z", "--num-samples", 10 * scale],
+            ["attribute-change", "--graph", files / "graph.json", "--old", files / "data.csv",
+             "--new", files / "new.csv", "--target", "Z", "--num-samples", 10 * scale],
+            ["arrow-strength", "--model", model, "--edge", "X->Y", "-n", 10 * scale],
+            ["evaluate", "--model", model, "--data", files / "data.csv"],
+            ["discover", "--data", files / "cont.csv"],
+            ["refute", "--graph", files / "chain.json", "--data", files / "cont.csv"],
+            ["test", "--data", files / "data.csv", "--x", "X", "--y", "Z", "--method", "dcor",
+             "--permutations", 10 * scale],
+        ]
+
+    _cyclic_garbage(commands(1))  # imports each command's modules
+    small, large = _cyclic_garbage(commands(1)), _cyclic_garbage(commands(4))
+    assert (small[1], large[1]) == ([], [])
+    assert small[0] == large[0]
