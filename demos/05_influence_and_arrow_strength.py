@@ -4,7 +4,10 @@ Two complementary views of "how much does this part of the system matter":
   - intrinsic influence: how much of the target's variance is contributed by
     each node's own noise term (Shapley over noise subsets);
   - arrow strength: how much one edge matters on its own, measured by feeding
-    the child an independent copy of that parent.
+    the child an independent copy of that parent.  The child's kind picks the
+    measure: the mean squared change of a continuous child, and for a
+    categorical child the mean KL divergence between its class probabilities
+    with and without the edge.
 """
 
 import numpy as np
@@ -40,3 +43,18 @@ for edge in graph.edges:
     strength = gk.arrow_strength(model, edge, n=50_000, seed=1)
     print(f"  {edge[0]} -> {edge[1]}: {strength:.2f}")
 print("  (ground truth: X->Y cut moves Y by 2*Var(X) = 2; Y->Z by 2*4*Var(Y) = 16)")
+
+# A categorical child: K is "hi" with probability sigmoid(1.5 X - 1).  Cutting
+# X -> K leaves K's marginal, so the strength is the mutual information
+# I(X; K), computed here by Gauss-Hermite quadrature over X.
+binary = gk.CausalGraph(["X", "K"], [("X", "K")])
+classifier = gk.ClassifierFcm(gk.InputEncoder.continuous(1), ("hi", "lo"), [[1.5, 0.0], [-1.0, 0.0]])
+binary_model = gk.assign(gk.GcmModel(binary), "X", gk.Gaussian(0.0, 1.0), ground_truth=True)
+binary_model = gk.assign(binary_model, "K", classifier, ground_truth=True)
+nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+hi = 1.0 / (1.0 + np.exp(1.0 - 1.5 * nodes))
+probs = np.stack([hi, 1.0 - hi], axis=1)
+marginal = weights @ probs / weights.sum()
+closed_form = weights @ np.sum(probs * np.log(probs / marginal), axis=1) / weights.sum()
+strength = gk.arrow_strength(binary_model, ("X", "K"), n=50_000, seed=2)
+print(f"\nX -> K with a categorical K: {strength:.3f} nats (closed form {closed_form:.3f})")

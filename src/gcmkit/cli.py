@@ -10,6 +10,7 @@ collector off, since reference counting frees every array a command makes.
 """
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -230,8 +231,8 @@ def _cmd_arrow_strength(args):
     if not sep:
         raise _UsageError(f"--edge expects PARENT->CHILD, got {args.edge!r}")
     edge = (parent.strip(), child.strip())
-    measure = arrow_measure(model, edge, args.measure)
-    strength = arrow_strength(model, edge, measure=measure, n=args.n, seed=args.seed)
+    measure = arrow_measure(model, edge)
+    strength = arrow_strength(model, edge, n=args.n, seed=args.seed)
     return {"edge": list(edge), "measure": measure, "strength": strength}
 
 
@@ -278,7 +279,9 @@ def _cmd_test(args):
     ).to_json()
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The process's one parser: each build is a cycle only the collector frees."""
     parser = _Parser(prog="gcm", description="Causal queries over a fitted graphical causal model.")
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -341,7 +344,6 @@ def build_parser() -> _Parser:
     sub = command("arrow-strength", _cmd_arrow_strength, "direct strength of one edge")
     sub.add_argument("--model", required=True)
     sub.add_argument("--edge", required=True, metavar="PARENT->CHILD")
-    sub.add_argument("--measure", default="auto", choices=["auto", "coupled_msd", "kl"])
     sub.add_argument("-n", type=int, default=50000)
 
     sub = command("discover", _cmd_discover, "learn a CPDAG from data with the PC algorithm")
@@ -444,13 +446,12 @@ def main():
     The cyclic garbage collector is disabled for the run and every live
     object is frozen after it.  Reference counting frees every array a
     command makes: with the collector off, ``gc.collect()`` after each
-    benchmark command finds only argparse's parser graph and import-time
-    leftovers, and no array.  Yet the collector would run about 35
-    collections while numpy and gcmkit import, and the interpreter's exit
-    would collect over every live object; freezing moves them out of its
-    reach.  Exit still runs atexit handlers, flushes stdout and stderr and
-    tears modules down.  Like threading, ``run`` and ``import gcmkit`` leave
-    a host's collector alone.
+    benchmark command finds only import-time leftovers, and no array.  Yet
+    the collector would run about 35 collections while numpy and gcmkit
+    import, and the interpreter's exit would collect over every live object;
+    freezing moves them out of its reach.  Exit still runs atexit handlers,
+    flushes stdout and stderr and tears modules down.  Like threading,
+    ``run`` and ``import gcmkit`` leave a host's collector alone.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()

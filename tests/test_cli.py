@@ -277,8 +277,7 @@ def test_parser_budget_defaults_match_the_library():
          {"outer_samples": attribution.DEFAULT_ICC_OUTER_SAMPLES,
           "inner_samples": attribution.DEFAULT_ICC_INNER_SAMPLES}),
         (["arrow-strength", "--model", "m", "--edge", "a->b"],
-         {"n": default(attribution.arrow_strength, "n"),
-          "measure": default(attribution.arrow_strength, "measure")}),
+         {"n": default(attribution.arrow_strength, "n")}),
         (["ace", "--model", "m", "--treatment", "a", "--value-a", "1", "--value-b", "0", "--target", "b"],
          {"n": default(sampling.average_causal_effect, "n")}),
         (["test", "--data", "d", "--x", "a", "--y", "b"],

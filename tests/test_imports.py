@@ -271,13 +271,13 @@ def test_two_column_knn_fit_runs_without_scipy(two_parent_files):
 @pytest.mark.parametrize(
     "command",
     [
-        ["arrow-strength", "--model", "{model}", "--edge", "A->Y", "--measure", "kl", "-n", "300"],
+        ["intervene", "--model", "{model}", "--set", "A=1", "--target", "Y", "-n", "300"],
         ["test", "--data", "{data}", "--x", "C", "--y", "Y", "--method", "dcor", "--permutations", "20"],
     ],
     ids=lambda command: command[0],
 )
 def test_multi_column_neighbour_queries_run_without_scipy(two_parent_files, command):
-    """k-NN KL over the 3-wide (A, B, Y) joint, and dCor of a one-hot column."""
+    """kNN regression on Y's two parent columns, and dCor of a one-hot column."""
     paths = {"model": two_parent_files / "model.json", "data": two_parent_files / "data.csv"}
     blocked, plain = blocked_and_plain(*[arg.format(**paths) for arg in command], "--seed", "3")
     assert blocked == plain

@@ -124,7 +124,8 @@ QUERIES = {
         m, "Z", outer_samples=10, inner_samples=5, seed=3
     ),
     "attribute_anomaly": lambda m: gk.attribute_anomaly(m, "Z", ROW, num_samples=50, seed=3),
-    "arrow_strength": lambda m: gk.arrow_strength(m, ("Y", "Z"), measure="coupled_msd", n=200, seed=3),
+    "arrow_strength": lambda m: gk.arrow_strength(m, ("Y", "Z"), n=200, seed=3),
+    "arrow_strength_categorical_child": lambda m: gk.arrow_strength(m, ("X", "K"), n=200, seed=3),
     "evaluate_mechanisms": lambda m: gk.evaluate_mechanisms(m, mixed_dataset(80, 1), seed=3),
 }
 
