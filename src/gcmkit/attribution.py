@@ -142,16 +142,22 @@ def _target_samples(model, target, n, jobs):
     values is repeated over a run of consecutive draws (a one-element column
     is held in every draw).  The other nodes draw fresh noise in one
     :func:`~gcmkit.sampling.draw_noise_values` call from the job's ``seed``,
-    so every job has its own stream.  The jobs' columns are stacked and
-    propagated once.
+    so every job has its own stream.  The jobs' columns are written into one
+    (jobs * n) column per node, and propagated once.
     """
     nodes = model.graph.nodes
-    stacked = {node: [] for node in nodes}
+    parts = {node: [] for node in nodes}
     for seed, held in jobs:
         drawn = draw_noise_values(model, n, seed, [node for node in nodes if node not in held])
-        for node, columns in stacked.items():
-            columns.append(np.repeat(held[node], n // len(held[node])) if node in held else drawn[node])
-    noise = {node: np.concatenate(columns) for node, columns in stacked.items()}
+        for node, columns in parts.items():
+            columns.append(held[node] if node in held else drawn[node])
+    noise = {}
+    for node, columns in parts.items():
+        stacked = np.empty((len(jobs), n), dtype=np.result_type(*{column.dtype for column in columns}))
+        for row, column in zip(stacked, columns):
+            # A held column's values each fill a run of n // len(column) draws.
+            row.reshape(len(column), -1)[...] = column[:, None]
+        noise[node] = stacked.reshape(-1)
     return propagate_from_noise(model, noise)[target].reshape(len(jobs), n)
 
 

@@ -6,7 +6,10 @@ randomness flows through ``--seed`` (default 0), so a command run twice with
 the same seed prints byte-identical output.  ``main`` runs OpenBLAS on one
 thread unless ``OPENBLAS_NUM_THREADS`` is set, so those bytes do not depend on
 the machine's core count either.  ``main`` also runs with the cyclic garbage
-collector off, since reference counting frees every array a command makes.
+collector off, since reference counting frees every array a command makes,
+and, under glibc, has ``malloc`` keep the memory a command frees for its next
+arrays instead of handing it back to the kernel.  ``run`` and ``import
+gcmkit`` leave all three to the host process.
 """
 
 import argparse
@@ -378,12 +381,34 @@ def _numeric_errors():
     return (NumericError,) if numpy is None else (NumericError, numpy.linalg.LinAlgError)
 
 
-def run(argv=None) -> int:
+def _reuse_freed_memory():
+    """Have glibc's ``malloc`` keep the memory a command frees for its next
+    allocations: see :func:`main`.  Does nothing where there is no
+    ``mallopt`` (macOS, Windows, ...)."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    # The most that glibc's dynamic thresholds rise to, from the start: a
+    # block up to 32 MiB comes from the heap, and up to twice that of free
+    # heap top is kept.  -3 and -1 are M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+    # in malloc.h.
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
+def run(argv=None, prepare=None) -> int:
+    """Run ``gcm ARGV`` and return its exit code.  ``prepare``, if given, is
+    called once the arguments have parsed, before the command runs."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if prepare is not None:
+        prepare()
 
     try:
         # A numpy RuntimeWarning would print a source line to stderr; an
@@ -430,7 +455,7 @@ def run(argv=None) -> int:
 
 def main():
     """The ``gcm`` script and ``python -m gcmkit``: :func:`run` on one BLAS
-    thread, without cycle collection.
+    thread, without cycle collection, reusing the memory it frees.
 
     OpenBLAS, which numpy's wheels bundle, starts a worker thread per core
     when it loads, and each worker spins before it sleeps (about 0.13
@@ -452,9 +477,25 @@ def main():
     freezing moves them out of its reach.  Exit still runs atexit handlers,
     flushes stdout and stderr and tears modules down.  Like threading,
     ``run`` and ``import gcmkit`` leave a host's collector alone.
+
+    Once the arguments parse (so ``--help`` and usage errors load no
+    ``ctypes``), glibc's ``mallopt`` sets ``M_MMAP_THRESHOLD`` to 32 MiB and
+    ``M_TRIM_THRESHOLD`` to 64 MiB.  By default glibc maps a block of more
+    than 128 KiB on its own and unmaps it when freed, and returns free heap
+    top beyond 128 KiB to the kernel; it raises both thresholds only as it
+    frees larger mapped blocks.  A command that allocates and frees
+    half-megabyte columns chunk after chunk then faults the same pages in
+    again and again: on the benchmark's 20-node attribution model,
+    ``attribute-outlier`` at its default ``--num-samples`` took 204 k page
+    faults and 0.33 s of system time, against 9 k faults and 0.03 s with
+    these thresholds, and the fit 19 k faults against 6 k.  A batch process
+    that exits after one command has no use for handing memory back early.
+    Setting a threshold also stops glibc from moving it, so both are set.
+    Where there is no ``mallopt`` (macOS, Windows) nothing changes; ``run``
+    and ``import gcmkit`` leave a host's allocator alone.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
-    code = run()
+    code = run(prepare=_reuse_freed_memory)
     gc.freeze()
     sys.exit(code)

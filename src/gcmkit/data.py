@@ -115,18 +115,27 @@ def one_hot(values, categories) -> np.ndarray:
     """One indicator column per entry of ``categories``, in that order.
 
     Values are compared as strings; one outside ``categories`` raises
-    :class:`UnseenCategoryError`.
+    :class:`UnseenCategoryError`, naming the first such label in sorted order.
+    Each distinct value is turned into its label once.
     """
-    labels, inverse = np.unique(np.asarray(values).astype(str), return_inverse=True)
+    values = np.asarray(values)
+    # An object column of strings (every categorical column, and what
+    # propagation draws) is keyed as it is.  Any other value is keyed by its
+    # label, since equal values can print differently (1, 1.0 and True).
+    keys = values.tolist() if values.dtype == object else values.astype(str).tolist()
+    distinct = dict.fromkeys(keys)
+    if not all(isinstance(key, str) for key in distinct):
+        keys = list(map(str, keys))
+        distinct = dict.fromkeys(keys)
     index = {category: i for i, category in enumerate(categories)}
-    unseen = [label for label in labels.tolist() if label not in index]
+    unseen = sorted(str(key) for key in distinct if key not in index)
     if unseen:
         raise UnseenCategoryError(
             f"category {unseen[0]!r} was not present when the model was fit"
         )
-    slots = np.array([index[label] for label in labels.tolist()], dtype=np.intp)
-    block = np.zeros((len(inverse), len(categories)))
-    block[np.arange(len(inverse)), slots[inverse]] = 1.0
+    slot = {key: index[key] for key in distinct}
+    block = np.zeros((len(keys), len(categories)))
+    block[np.arange(len(keys)), np.fromiter(map(slot.__getitem__, keys), np.intp, len(keys))] = 1.0
     return block
 
 

@@ -18,6 +18,9 @@ nothing else:
   refits as (``family`` is ``stochastic`` exactly for root marginals);
 - ``is_continuous``: whether the node takes real values or categories;
 - ``draw_noise(n, rng)``: ``n`` draws of the node's noise;
+- ``resampled``: the 1-D array that ``draw_noise`` redraws with replacement,
+  by one ``rng.integers(0, len(resampled), size=n)`` call, or ``None`` when
+  the noise is drawn otherwise;
 - ``forward(parent_columns, noise)``: the node's values from its parents'
   columns and a noise column;
 - ``abduct(parent_columns, observed)``: the noise column that reproduces an
@@ -142,6 +145,7 @@ class _Marginal(_Serialized):
     """Protocol shared by root marginals: the noise is the node's own value."""
 
     family = "stochastic"
+    resampled = None
 
     def draw_noise(self, n, rng):
         return self.draw(n, rng)
@@ -173,6 +177,10 @@ class Empirical(_Marginal):
     def draw(self, n, rng):
         idx = rng.integers(0, self.samples.size, size=n)
         return self.samples[idx]
+
+    @property
+    def resampled(self):
+        return self.samples
 
     @property
     def noise_variance(self):
@@ -503,6 +511,10 @@ class AdditiveNoiseModel(_Serialized):
         return self.noise.draw(n, rng)
 
     @property
+    def resampled(self):
+        return self.noise.resampled
+
+    @property
     def noise_variance(self):
         return self.noise.noise_variance
 
@@ -592,6 +604,7 @@ class ClassifierFcm(_Serialized):
     fields = ("encoding", "categories", "weights")
     decoders = {"encoding": InputEncoder.from_json}
     is_continuous = False
+    resampled = None
 
     def __init__(self, encoding, categories, weights):
         weights = np.asarray(weights, dtype=np.float64)

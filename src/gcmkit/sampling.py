@@ -6,6 +6,7 @@ noise draw builds one generator from its seed and draws the requested nodes
 from it in topological order, so results do not depend on evaluation order.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +100,31 @@ def draw_noise_values(model: GcmModel, n, seed, nodes=None) -> dict:
     seeds.  For roots the noise is the node's own value; for additive noise
     models it is a draw from the fitted noise distribution; for classifier
     mechanisms it is the uniform variate consumed by inverse-CDF sampling.
+
+    Each run of consecutive nodes that resample stored arrays of one size
+    ``m`` draws its indices in one ``rng.integers(0, m, size=(k, n))`` call.
+    That is the stream of ``k`` calls of size ``n``: the generator fills a
+    bounded draw below 2**32 from its own 32-bit buffer, which outlives each
+    call, and a wider one from whole 64-bit words.
     """
     chosen = set(model.graph.nodes if nodes is None else nodes)
     rng = rng_for(seed, "noise")
-    return {
-        node: model.mechanisms[node].draw_noise(n, rng)
-        for node in model.graph.topological_order()
-        if node in chosen
-    }
+    mechanisms = model.mechanisms
+
+    def resampled_size(node):
+        resampled = mechanisms[node].resampled
+        return None if resampled is None else len(resampled)
+
+    noise = {}
+    order = [node for node in model.graph.topological_order() if node in chosen]
+    for size, run in itertools.groupby(order, resampled_size):
+        run = list(run)
+        if size is None:
+            noise.update((node, mechanisms[node].draw_noise(n, rng)) for node in run)
+        else:
+            indices = rng.integers(0, size, size=(len(run), n))
+            noise.update((node, mechanisms[node].resampled[row]) for node, row in zip(run, indices))
+    return noise
 
 
 def propagate_from_noise(model: GcmModel, noise, interventions=None, factual=None) -> dict:

@@ -1,11 +1,13 @@
 """The process policy of ``cli.main``: ``gcm`` runs OpenBLAS on one thread
-unless ``OPENBLAS_NUM_THREADS`` is set, and runs without cycle collection,
-while ``cli.run`` and ``import gcmkit`` leave the host's environment and
-collector alone.
+unless ``OPENBLAS_NUM_THREADS`` is set, runs without cycle collection, and
+has glibc's ``malloc`` keep the memory a command frees, while ``cli.run`` and
+``import gcmkit`` leave the host's environment, collector and allocator
+alone.
 """
 
 import contextlib
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import gcmkit as gk
+from conftest import make_ground_truth_chain
 from gcmkit import cli
 
 VARIABLE = "OPENBLAS_NUM_THREADS"
@@ -21,14 +24,23 @@ CHAIN = '{"nodes":["X","Y","Z"],"edges":[["X","Y"],["Y","Z"]]}'
 
 # Run as ``python -c UNTOUCHED ARGV...``: import gcmkit and every submodule,
 # run ``gcm ARGV`` through ``cli.run``, and check that the environment and the
-# collector never changed.
+# collector never changed and that nothing looked up ``mallopt``.
 UNTOUCHED = """
+import ctypes
 import gc
 import importlib
 import os
 import pkgutil
 import sys
 
+
+class NoMallopt(ctypes.CDLL):
+    def __getattr__(self, name):
+        assert name != "mallopt", "mallopt was looked up"
+        return super().__getattr__(name)
+
+
+ctypes.CDLL = NoMallopt
 before = dict(os.environ)
 import gcmkit
 
@@ -45,17 +57,49 @@ assert gc.isenabled() and gc.get_freeze_count() == 0
 """
 
 
+# Run as ``python -c COUNTED ARGV...``: ``gcm ARGV`` through ``cli.main``,
+# then the number of ``mallopt`` lookups on stderr.
+COUNTED = """
+import atexit
+import ctypes
+import sys
+
+lookups = []
+
+
+class Counting(ctypes.CDLL):
+    def __getattr__(self, name):
+        lookups.append(name == "mallopt")
+        return super().__getattr__(name)
+
+
+ctypes.CDLL = Counting
+atexit.register(lambda: print(f"mallopt lookups: {sum(lookups)}", file=sys.stderr))
+from gcmkit.cli import main
+
+sys.argv[0] = "gcm"
+main()
+"""
+
+# Run as ``python -c RUN ARGV...``: ``gcm ARGV`` through ``cli.run`` alone.
+RUN = "import sys; from gcmkit.cli import run; sys.exit(run(sys.argv[1:]))"
+
+
 def env_without_variable(**extra):
     env = {name: value for name, value in os.environ.items() if name != VARIABLE}
     return {**env, **extra}
 
 
 @contextlib.contextmanager
-def main_with(monkeypatch, run):
-    """Call ``cli.main`` with ``run`` in place of ``cli.run`` and yield its
-    exit code; on leaving, give the test process its collector back, which
-    ``main`` leaves disabled and frozen."""
-    monkeypatch.setattr(cli, "run", run)
+def main_with(monkeypatch, run=None, reuse_freed_memory=lambda: None):
+    """Call ``cli.main`` with ``run`` in place of ``cli.run`` (if given) and
+    ``reuse_freed_memory`` in place of the allocator policy, so the test
+    process keeps its own allocator, and yield its exit code; on leaving,
+    give the test process its collector back, which ``main`` leaves disabled
+    and frozen."""
+    if run is not None:
+        monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setattr(cli, "_reuse_freed_memory", reuse_freed_memory)
     try:
         with pytest.raises(SystemExit) as exit_info:
             cli.main()
@@ -75,7 +119,7 @@ def main_sees(monkeypatch, value):
     else:
         monkeypatch.setenv(VARIABLE, value)
     seen = []
-    with main_with(monkeypatch, lambda argv=None: seen.append(os.environ.get(VARIABLE)) or 0) as code:
+    with main_with(monkeypatch, lambda prepare: seen.append(os.environ.get(VARIABLE)) or 0) as code:
         assert code == 0
     return seen
 
@@ -90,12 +134,37 @@ def test_main_keeps_the_users_thread_count(monkeypatch):
 
 def test_main_runs_without_cycle_collection_and_exits_frozen(monkeypatch):
     seen = []
-    with main_with(monkeypatch, lambda argv=None: seen.append(gc.isenabled()) or 0) as code:
+    with main_with(monkeypatch, lambda prepare: seen.append(gc.isenabled()) or 0) as code:
         frozen = gc.get_freeze_count()
     assert (code, seen) == (0, [False])
     assert frozen > 0
     # The test process has its collector back.
     assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "applied"),
+    [
+        (["sample", "--model", "{model}", "-n", "3"], 0, 1),
+        (["sample", "--model", "{missing}"], 2, 1),
+        (["sample", "--model"], 1, 0),
+        (["--help"], 0, 0),
+    ],
+    ids=["command", "input-error", "usage-error", "help"],
+)
+def test_main_applies_the_allocator_policy_once_the_arguments_parse(
+    monkeypatch, capsys, tmp_path, argv, code, applied
+):
+    gk.save(make_ground_truth_chain(), str(tmp_path / "model.json"))
+    paths = {"model": tmp_path / "model.json", "missing": tmp_path / "missing.json"}
+    monkeypatch.setattr(sys, "argv", ["gcm", *(arg.format(**paths) for arg in argv)])
+    # Set here, so the thread default that main would set is undone after the test.
+    monkeypatch.setenv(VARIABLE, "1")
+    calls = []
+    with main_with(monkeypatch, reuse_freed_memory=lambda: calls.append(None)) as exit_code:
+        assert exit_code == code
+    assert len(calls) == applied
+    capsys.readouterr()
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +203,36 @@ def test_fisher_z_bytes_do_not_depend_on_the_core_count(tall_chain):
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
+
+
+def ten_player_chain(n, seed):
+    """A linear chain X0 -> ... -> X9: its last node has ten players."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.standard_normal(n)]
+    for _ in range(9):
+        columns.append(0.7 * columns[-1] + rng.standard_normal(n))
+    return gk.Dataset([f"X{i}" for i in range(10)], columns)
+
+
+def test_main_prints_the_bytes_of_run_with_the_allocator_policy(tmp_path):
+    """Outlier attribution over 1 024 subsets in chunks of 32, each chunk
+    allocating and freeing its stacked columns: ``python -m gcmkit`` (which
+    looks ``mallopt`` up once) prints what ``cli.run`` prints without it."""
+    data = ten_player_chain(300, 0)
+    nodes = list(data.column_names)
+    graph = gk.CausalGraph(nodes, list(zip(nodes, nodes[1:])))
+    gk.save(gk.fit(gk.auto_assign(graph, data), data), str(tmp_path / "model.json"))
+    (tmp_path / "row.csv").write_text(",".join(nodes) + "\n" + ",".join(["0.5"] * 9 + ["6.0"]) + "\n")
+    argv = ["attribute-outlier", "--model", tmp_path / "model.json", "--data", tmp_path / "row.csv",
+            "--target", "X9", "--num-samples", "2000", "--seed", "7"]
+    outputs = []
+    for launch in (["-m", "gcmkit"], ["-c", COUNTED], ["-c", RUN]):
+        result = subprocess.run(
+            [sys.executable, *launch, *map(str, argv)], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+        if launch[1] == COUNTED:
+            assert result.stderr == "mallopt lookups: 1\n"
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(json.loads(outputs[0])["scores"]) == 10

@@ -1,6 +1,6 @@
 """The import contract: ``import gcmkit`` loads no submodule and not numpy,
-``gcm --help`` and usage errors load neither numpy nor any gcmkit module but
-``gcmkit.cli`` and ``gcmkit.exceptions``, each subcommand loads only the
+``gcm --help`` and usage errors load neither numpy, ``ctypes`` nor any gcmkit
+module but ``gcmkit.cli`` and ``gcmkit.exceptions``, each subcommand loads only the
 modules it runs, and no subcommand imports scipy.  No fit needs scipy, a
 classifier's included; no distance or neighbour search (kNN, k-NN KL,
 distance correlation) does, over one column or several; and the Fisher-z
@@ -114,6 +114,20 @@ def test_usage_error_runs_without_numpy():
     result = without("numpy", "sample", "--model")
     assert result.returncode == 1, result.stderr
     assert "expected one argument" in result.stderr
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "stream"),
+    [(["--help"], 0, "stdout"), (["sample", "--model"], 1, "stderr")],
+    ids=["help", "usage-error"],
+)
+def test_help_and_usage_errors_load_no_ctypes(argv, code, stream):
+    """``cli.main`` loads ``ctypes`` for its allocator policy only once the
+    arguments parse."""
+    result = without("ctypes", *argv)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    assert getattr(result, stream).startswith("usage: ")
 
 
 def test_public_names_resolve_on_first_use():

@@ -18,6 +18,7 @@ PROTOCOL = {
     "option",
     "is_continuous",
     "draw_noise",
+    "resampled",
     "forward",
     "abduct",
     "noise_reference",
@@ -45,6 +46,7 @@ class ProtocolOnly:
     is_continuous = property(lambda self: self._inner.is_continuous)
     categories = property(lambda self: self._inner.categories)
     noise_variance = property(lambda self: self._inner.noise_variance)
+    resampled = property(lambda self: self._inner.resampled)
 
     def draw_noise(self, n, rng):
         return self._inner.draw_noise(n, rng)

@@ -15,6 +15,9 @@ from gcmkit import (
     NonInvertibleError,
     QueryError,
 )
+from gcmkit.attribution import _target_samples
+from gcmkit.sampling import draw_noise_values, propagate_from_noise
+from gcmkit.seeds import rng_for
 from conftest import linear_gaussian_models, make_ground_truth_chain
 
 
@@ -333,3 +336,117 @@ def test_budgets_are_integers_checked_at_the_boundary(call, value):
     with pytest.raises(QueryError, match=call.split()[1]):
         run(value)
     run(np.int64(3))
+
+
+# --- one index draw per run of resampling nodes ------------------------------
+
+# A node's kind: a root or a child of the continuous root "P", and its noise.
+NOISE_KINDS = ["empirical root", "gaussian root", "multinomial root", "empirical anm", "gaussian anm", "classifier"]
+
+
+def _mechanism(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    empirical = gk.Empirical(rng.standard_normal(size))
+    return {
+        "empirical root": lambda: empirical,
+        "gaussian root": lambda: Gaussian(0.5, 2.0),
+        "multinomial root": lambda: gk.Multinomial(["a", "b", "c"], [0.2, 0.3, 0.5]),
+        "empirical anm": lambda: AdditiveNoiseModel(
+            LinearModel([1.5], 0.0), empirical, gk.InputEncoder.continuous(1)
+        ),
+        "gaussian anm": lambda: AdditiveNoiseModel(
+            LinearModel([1.5], 0.0), Gaussian(0.0, 1.0), gk.InputEncoder.continuous(1)
+        ),
+        "classifier": lambda: gk.ClassifierFcm(
+            gk.InputEncoder.continuous(1), ["lo", "hi"], [[0.0, 1.0], [0.0, 0.0]]
+        ),
+    }[kind]()
+
+
+@st.composite
+def mixed_noise_models(draw):
+    """A model of a continuous root P and up to seven other nodes, each a
+    root or a child of P, whose empirical noises share a size or not."""
+    sizes = st.sampled_from([1, 2, 7]) if draw(st.booleans()) else st.just(5)
+    root = draw(st.sampled_from(["empirical root", "gaussian root"]))
+    kinds = [root] + draw(st.lists(st.sampled_from(NOISE_KINDS), min_size=1, max_size=7))
+    nodes = ["P"] + [f"N{i}" for i in range(1, len(kinds))]
+    edges = [("P", node) for node, kind in zip(nodes, kinds) if not kind.endswith("root")]
+    mechanisms = {
+        node: _mechanism(kind, draw(sizes, label=f"size of {node}"), i)
+        for i, (node, kind) in enumerate(zip(nodes, kinds))
+    }
+    return GcmModel(CausalGraph(nodes, edges), mechanisms)
+
+
+def per_node_draws(model, n, seed, nodes=None):
+    """``draw_noise_values`` as one ``draw_noise`` call per node: the reference."""
+    chosen = set(model.graph.nodes if nodes is None else nodes)
+    rng = rng_for(seed, "noise")
+    return {
+        node: model.mechanisms[node].draw_noise(n, rng)
+        for node in model.graph.topological_order()
+        if node in chosen
+    }
+
+
+def assert_same_columns(actual, expected):
+    assert list(actual) == list(expected)
+    for node, column in expected.items():
+        assert actual[node].dtype == column.dtype
+        assert np.array_equal(actual[node], column), node
+
+
+@given(model=mixed_noise_models(), data=st.data(), n=st.integers(1, 9), seed=st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_batched_noise_draws_equal_one_draw_per_node(model, data, n, seed):
+    nodes = data.draw(st.none() | st.sets(st.sampled_from(model.graph.nodes)), label="nodes")
+    assert_same_columns(draw_noise_values(model, n, seed, nodes), per_node_draws(model, n, seed, nodes))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 2**31 + 5, 2**32 + 7])
+@pytest.mark.parametrize("n", [1, 3, 500, 801])
+def test_one_bounded_draw_of_k_rows_equals_k_draws(size, n):
+    """The generator property the batched draws rest on, for bounds below and
+    above 2**32 (no array of ``size`` is made)."""
+    batched = np.random.default_rng(5).integers(0, size, size=(3, n))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(batched, [rng.integers(0, size, size=n) for _ in range(3)])
+
+
+def repeated_and_concatenated(model, target, n, jobs):
+    """``_target_samples`` with each held column repeated by ``np.repeat`` and
+    the jobs' columns joined by ``np.concatenate``: the reference."""
+    nodes = model.graph.nodes
+    stacked = {node: [] for node in nodes}
+    for seed, held in jobs:
+        drawn = draw_noise_values(model, n, seed, [node for node in nodes if node not in held])
+        for node, columns in stacked.items():
+            columns.append(np.repeat(held[node], n // len(held[node])) if node in held else drawn[node])
+    noise = {node: np.concatenate(columns) for node, columns in stacked.items()}
+    return propagate_from_noise(model, noise)[target].reshape(len(jobs), n)
+
+
+@given(
+    model=mixed_noise_models(),
+    data=st.data(),
+    outer=st.integers(1, 4),
+    inner=st.integers(1, 3),
+    num_jobs=st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_stacked_subset_columns_equal_repeat_and_concatenate(model, data, outer, inner, num_jobs):
+    """Held columns of length 1, ``outer`` and ``n = outer * inner``, of every
+    noise type, fill their runs as ``np.repeat`` does."""
+    n = outer * inner
+    target = model.graph.nodes[-1] if model.mechanisms[model.graph.nodes[-1]].is_continuous else "P"
+    jobs = []
+    for j in range(num_jobs):
+        held = {}
+        for node in data.draw(st.sets(st.sampled_from(model.graph.nodes)), label=f"held by job {j}"):
+            length = data.draw(st.sampled_from([1, outer, n]), label=f"length of {node}")
+            held.update(draw_noise_values(model, length, 100 + j, [node]))
+        jobs.append((j, held))
+    actual = _target_samples(model, target, n, jobs)
+    assert actual.shape == (num_jobs, n)
+    assert np.array_equal(actual, repeated_and_concatenated(model, target, n, jobs))
